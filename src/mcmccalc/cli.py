@@ -15,7 +15,8 @@ package version, timestamps, one pass/fail row per configured check, and a
 sha256 for each file written.  The process exit code is a pure function of
 the check rows: 0 when all passed, 1 when any failed, 2 for a config problem
 (every problem is reported, not just the first), 3 when a library routine
-raised while running (the message names the experiment kind and stage).
+raised while running or an output could not be written (the message names
+the experiment kind and stage).
 
 Config reference -- any key may be omitted; defaults in brackets.
 
@@ -1200,13 +1201,15 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> i
     """Run one validated experiment; write reports and a manifest.
 
     Returns the process exit code: 0 when every configured check passed,
-    1 otherwise.  Library failures propagate as exceptions that carry the
-    experiment kind and stage in their message.
+    1 otherwise.  Library and I/O failures (an output directory that cannot
+    be created, a file that cannot be written) propagate as exceptions that
+    carry the experiment kind and stage in their message.
     """
 
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     out = _resolve_out_dir(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _stage(config.kind, "write-artifacts"):
+        out.mkdir(parents=True, exist_ok=True)
 
     checks, report, files = _HANDLERS[config.kind](config.settings, out)
 
@@ -1233,7 +1236,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> i
         "outputs": {name: {"path": path.name, "sha256": _sha256(path)}
                     for name, path in sorted(files.items())},
     }
-    _write_json(out / "manifest.json", manifest)
+    with _stage(config.kind, "write-artifacts"):
+        _write_json(out / "manifest.json", manifest)
     return exit_code
 
 

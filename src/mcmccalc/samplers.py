@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import (
     DegenerateWeightsError,
@@ -295,14 +294,18 @@ def _plan_for(proposal, grid: Grid1D) -> _ProposalPlan:
 def _matrix_rows_at(grid: Grid1D, table: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Per-replication linear interpolation: row ``r`` of ``table`` at ``xs[r]``."""
     pos = (xs - grid.lower) / grid.h
-    idx = np.clip(pos.astype(np.int64), 0, grid.n_points - 2)
+    idx = np.minimum(np.maximum(pos.astype(np.int64), 0), grid.n_points - 2)
     frac = pos - idx
     rows = np.arange(table.shape[0])
     return table[rows, idx] * (1.0 - frac) + table[rows, idx + 1] * frac
 
 
 class _Lane:
-    """R parallel accept/reject chains against a shared or per-chain target."""
+    """R parallel accept/reject chains against a shared or per-chain target.
+
+    ``accepted`` holds the accept mask of the latest step: a chain whose
+    entry is False still sits where it was before that step.
+    """
 
     def __init__(self, grid: Grid1D, plan: _ProposalPlan, balancing,
                  x0s: np.ndarray, rngs: Sequence[np.random.Generator],
@@ -320,6 +323,7 @@ class _Lane:
         self._accept_u: Optional[np.ndarray] = None
         self.accept_count = np.zeros(len(self.rngs), dtype=np.int64)
         self.fold_count = np.zeros(len(self.rngs), dtype=np.int64)
+        self.accepted: Optional[np.ndarray] = None
         self.target: Optional[np.ndarray] = None
         self.mu_x: Optional[np.ndarray] = None
 
@@ -367,11 +371,62 @@ class _Lane:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = np.where(den > 0.0, num / den, 1.0)
         accept = u < self.balancing.g(ratio)
+        self.accepted = accept
         self.x = np.where(accept, y, self.x)
         self.mu_x = np.where(accept, np.maximum(mu_y, POSITIVE_FLOOR), self.mu_x)
         self.accept_count += accept
         self.fold_count += folded
         return self.x
+
+
+class _MixtureAccumulator:
+    """Running per-chain mixture of potential-weighted mutation rows.
+
+    Row ``r`` of ``table`` is ``sum_k G(x_r^k) M(x_r^k, .)`` over the states
+    added so far.  A chain that rejected its last move sits at the same point,
+    so its weighted row ``G(x_r) M(x_r, .)`` is kept per chain and recomputed
+    only for the chains that moved (all of them on the first step).  With the
+    quadrature vector ``wf`` of a test function, the accumulator also keeps
+    ``center_num`` and ``center_den``, the running sums of
+    ``G(x_r) M(x_r, wf)`` and ``G(x_r)``: their ratio is the realised mean of
+    the test function under row ``r``'s normalised mixture.
+    """
+
+    def __init__(self, model: FeynmanKacModel, level: int, reps: int,
+                 wf: Optional[np.ndarray] = None):
+        self._model = model
+        self._level = level
+        self._mutation = model.mutation(level)
+        self._wf = wf
+        self._fresh = True
+        self.table = np.zeros((reps, model.grid.n_points))
+        self._weighted_rows = np.empty_like(self.table)
+        if wf is not None:
+            self._g = np.empty(reps)
+            self._g_moment = np.empty(reps)
+            self.center_num = np.zeros(reps)
+            self.center_den = np.zeros(reps)
+
+    def add(self, x: np.ndarray, moved: np.ndarray) -> None:
+        """Add every chain's current state ``x``; ``moved`` flags the chains
+        whose state changed since the previous call."""
+        if self._fresh:
+            self._fresh = False
+            idx = slice(None)
+        else:
+            idx = np.flatnonzero(moved)
+        xs = x[idx]
+        if xs.size:
+            rows = self._mutation.rows(self._model.grid, xs)
+            g_at = self._model.potential_at(self._level, xs)
+            if self._wf is not None:
+                self._g[idx] = g_at
+                self._g_moment[idx] = g_at * (rows @ self._wf)
+            self._weighted_rows[idx] = np.multiply(g_at[:, None], rows, out=rows)
+        self.table += self._weighted_rows
+        if self._wf is not None:
+            self.center_num += self._g_moment
+            self.center_den += self._g
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +535,9 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
 
     ``streams[r][j]`` drives replication ``r`` at level ``j+1``.  When states
     are not collected, the mixture for the next level's target accumulates
-    on the fly, weighted sample row by weighted sample row.
+    on the fly in a :class:`_MixtureAccumulator`, one weighted sample row per
+    replication and step; a replication's row is recomputed only on the steps
+    where its chain moved, and reused from the row cache after a rejection.
     """
     grid = model.grid
     reps = len(streams)
@@ -498,18 +555,17 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                      [streams[r][level - 1] for r in range(reps)])
         lane.set_target(target)
         build_next = level < p
-        acc_table = np.zeros((reps, grid.n_points)) if (build_next and not collect_states) else None
+        mixture = (_MixtureAccumulator(model, level, reps)
+                   if (build_next and not collect_states) else None)
         states = np.empty((reps, n)) if collect_states else None
         f_sums = np.zeros(reps) if (f is not None and level == p) else None
 
-        mutation = model.mutation(level) if build_next else None
         for k in range(n):
             x = lane.step()
             if states is not None:
                 states[:, k] = x
-            if acc_table is not None:
-                rows = mutation.rows(grid, x)
-                acc_table += model.potential_at(level, x)[:, None] * rows
+            if mixture is not None:
+                mixture.add(x, lane.accepted)
             if f_sums is not None:
                 f_sums += f(x)
 
@@ -536,13 +592,13 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                     tables.append(dens.values)
                 target = np.vstack(tables) if reps > 1 else tables[0]
             else:
-                row_mass = acc_table @ weights
+                row_mass = mixture.table @ weights
                 if not np.all(np.isfinite(row_mass)) or np.any(row_mass <= 0.0):
                     raise DegenerateWeightsError(
                         "level %d target degenerate: empirical mixture carries "
                         "no weight" % (level + 1)
                     )
-                target = acc_table
+                target = mixture.table
             target_text = "mixture target level %d" % (level + 1)
             x0s = lane.x.copy() if level_init == "previous-final" else np.full(reps, float(x0))
             final_table = target if level + 1 == p + 1 else None
@@ -627,10 +683,13 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     """Advance all replications through the interacting levels in lockstep.
 
     Per step and per level ``j >= 2``: the level-``(j-1)`` chain has just
-    moved, its new point's weighted mutation row joins the running mixture,
-    and the level-``j`` chain moves against the refreshed mixture.  The
-    top level's running target mean of ``f`` accumulates incrementally for
-    the random-centered statistic.
+    stepped, its current point's weighted mutation row joins the running
+    mixture (a :class:`_MixtureAccumulator`), and the level-``j`` chain moves
+    against the refreshed mixture.  The accumulator caches each chain's
+    weighted row, potential and ``f``-moment, and recomputes them only for
+    the chains whose last step was accepted.  The top level's running target
+    mean of ``f`` accumulates incrementally for the random-centered
+    statistic.
     """
     grid = model.grid
     reps = len(streams)
@@ -651,12 +710,14 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
         frozen_table = model.transform(1, freeze_lower).values
         lanes[1].set_target(frozen_table)
 
-    mixtures = [np.zeros((reps, grid.n_points)) for _ in range(p - 1)]
-    center_num = np.zeros(reps)
-    center_den = np.zeros(reps)
     f_sums = np.zeros(reps) if f is not None else None
     center_sums = np.zeros(reps) if f is not None else None
     wf = weights * f_nodes if f_nodes is not None else None
+    mixtures = [] if frozen_table is not None else [
+        _MixtureAccumulator(model, j - 1, reps,
+                            wf if (j == p and f is not None) else None)
+        for j in range(2, p + 1)
+    ]
 
     states = np.empty((p, reps, n)) if collect_states else None
     accept0 = [lane.accept_count for lane in lanes]
@@ -681,15 +742,10 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             states[0, :, k] = x_prev
         for j in range(2, p + 1):
             if frozen_table is None:
-                table = mixtures[j - 2]
-                rows = model.mutation(j - 1).rows(grid, x_prev)
-                g_at = model.potential_at(j - 1, x_prev)
-                table += g_at[:, None] * rows
-                if j == p and f is not None:
-                    center_num += g_at * (rows @ wf)
-                    center_den += g_at
+                mixture = mixtures[j - 2]
+                mixture.add(x_prev, lanes[j - 2].accepted)
                 if k == 0:
-                    lanes[j - 1].set_target(table)
+                    lanes[j - 1].set_target(mixture.table)
                 else:
                     lanes[j - 1].refresh()
             x_prev = lanes[j - 1].step()
@@ -701,9 +757,9 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                 center_sums += float(np.sum(weights * frozen_table
                                             * f_nodes))
             else:
-                center_sums += center_num / center_den
+                center_sums += mixtures[-1].center_num / mixtures[-1].center_den
         if trace is not None and p >= 2 and frozen_table is None:
-            top = mixtures[-1][0]
+            top = mixtures[-1].table[0]
             mu = top / float(top @ weights)
             if trace["prev"] is not None:
                 delta = mu - trace["prev"]
@@ -840,14 +896,23 @@ class SchemeConfig:
 
 
 def _normality(stat: np.ndarray) -> Tuple[float, float, float]:
+    """Skewness, excess kurtosis and the one-sample Kolmogorov-Smirnov
+    distance to N(0, 1) of the standardised statistic (biased moments, the
+    operation order of ``scipy.stats.skew``/``kurtosis``/``kstest``)."""
     spread = float(np.std(stat, ddof=1))
     if spread <= 1e-12 * (1.0 + abs(float(np.mean(stat)))):
         return 0.0, 0.0, 0.0  # constant to rounding
     z = (stat - float(np.mean(stat))) / spread
-    ks = float(_scipy_stats.kstest(z, "norm").statistic)
-    return (float(_scipy_stats.skew(z)),
-            float(_scipy_stats.kurtosis(z)),
-            ks)
+    d = z - np.mean(z)
+    d2 = d * d
+    m2 = np.mean(d2)
+    skew = np.mean(d2 * d) / m2 ** 1.5
+    kurtosis = np.mean(d2 * d2) / m2 ** 2.0 - 3.0
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.sort(z)])
+    n = cdf.size
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(skew), float(kurtosis), float(max(d_plus, d_minus))
 
 
 def _sigma_functionals(family: HastingsFamily, model: FeynmanKacModel,

@@ -274,3 +274,30 @@ def gibbs_autocov_variance(w1, w2, joint_vals, f_vals, k_terms=400, tol=1e-14):
         if abs(term) < tol:
             break
     return total
+
+
+class DenseMixtureAccumulator:
+    """Per-step dense accumulation of a running reweight/mutate mixture: on
+    every step, every chain's normalised mutation row and potential are
+    recomputed from its current state, whether the chain moved or not.
+
+    Drop-in for the chain engines' accumulator (same constructor and
+    ``add``); ``moved`` is ignored.  The model is only called through its
+    ``grid``, ``mutation(level).rows`` and ``potential_at``.
+    """
+
+    def __init__(self, model, level, reps, wf=None):
+        self.model = model
+        self.level = level
+        self.wf = wf
+        self.table = np.zeros((reps, model.grid.n_points))
+        self.center_num = np.zeros(reps)
+        self.center_den = np.zeros(reps)
+
+    def add(self, x, moved):
+        rows = self.model.mutation(self.level).rows(self.model.grid, x)
+        g_at = self.model.potential_at(self.level, x)
+        self.table += g_at[:, None] * rows
+        if self.wf is not None:
+            self.center_num += g_at * (rows @ self.wf)
+            self.center_den += g_at

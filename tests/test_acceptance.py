@@ -357,6 +357,7 @@ def test_criterion_08_sampled_target_certification():
             f"kappa {cert.kappa:.4f}) across {cert.n_kernels} kernels")
 
 
+@pytest.mark.slow
 def test_criterion_09_sequential_fluctuations(smcmc_clt):
     rep, _, elapsed = smcmc_clt
     sigma2 = rep.asymptotic_variance_poisson
@@ -376,6 +377,7 @@ def test_criterion_09_sequential_fluctuations(smcmc_clt):
             f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_interacting_fluctuations(imcmc_clt):
     rep, model, elapsed = imcmc_clt
     sigma2 = rep.asymptotic_variance_poisson

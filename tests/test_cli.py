@@ -357,3 +357,21 @@ def test_module_invocation_and_help():
     bare = subprocess.run([sys.executable, "-m", "mcmccalc.cli"],
                           capture_output=True, text=True)
     assert bare.returncode == 2
+
+
+def test_unwritable_output_dir_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    rc = main(["mvi-check", "--out", str(blocker / "sub")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error [mvi-check/write-artifacts] ")
+
+
+def test_cli_import_leaves_scipy_out():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mcmccalc.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr

@@ -9,7 +9,9 @@ are checked exactly.
 import numpy as np
 import numpy.random as npr
 import pytest
+from scipy import stats as scipy_stats
 
+import oracles
 from mcmccalc.errors import (
     DegenerateWeightsError,
     InvalidInputError,
@@ -18,6 +20,7 @@ from mcmccalc.errors import (
 from mcmccalc.feynman_kac import (
     EmpiricalMeasure,
     FeynmanKacModel,
+    MutationKernel,
     default_ssm_model,
     gaussian_mutation,
 )
@@ -432,6 +435,94 @@ def test_incremental_mixture_matches_the_transform(family, model, grid):
         dens = model.transform(1, emp)
         table = running["final_table"][r]
         assert np.max(np.abs(table / (table @ w) - dens.values)) < 1e-12
+
+
+def _run_engine(monkeypatch, accumulator, scheme, p, reps, family, model):
+    """One engine run with ``accumulator`` standing in for the mixture
+    accumulator; returns the engine output and every accumulator built."""
+    built = []
+
+    class Recording(accumulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(samplers, "_MixtureAccumulator", Recording)
+    streams, _ = samplers._replication_streams(5, reps, p)
+    if scheme == "smcmc":
+        out = samplers._smcmc_engine(family, model, p, 300, streams, 0.0,
+                                     "previous-final", collect_states=False,
+                                     f=f_clip)
+    else:
+        out = samplers._imcmc_engine(family, model, p, 300, streams, 0.0,
+                                     f=f_clip, f_nodes=f_clip(model.grid.nodes),
+                                     collect_states=True)
+    return out, built
+
+
+@pytest.mark.parametrize("scheme", ["smcmc", "imcmc"])
+@pytest.mark.parametrize("reps", [1, 5])
+@pytest.mark.parametrize("p", [2, 3])
+def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
+                                                  family, model, grid):
+    cached, cached_accs = _run_engine(monkeypatch, samplers._MixtureAccumulator,
+                                      scheme, p, reps, family, model)
+    dense, dense_accs = _run_engine(monkeypatch, oracles.DenseMixtureAccumulator,
+                                    scheme, p, reps, family, model)
+    assert len(cached_accs) == len(dense_accs) == p - 1
+    w = grid.trapezoid_weights()
+    for a, b in zip(cached_accs, dense_accs):
+        if reps == 1:  # the same single-row products as the dense path
+            assert np.array_equal(a.table, b.table)
+        np.testing.assert_allclose(a.table, b.table, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(a.table @ w, b.table @ w, rtol=1e-12, atol=0.0)
+    if scheme == "smcmc":
+        for a, b in zip(cached["levels"], dense["levels"]):
+            assert np.array_equal(a["finals"], b["finals"])
+            assert np.array_equal(a["accepts"], b["accepts"])
+        assert np.array_equal(cached["levels"][-1]["f_sums"],
+                              dense["levels"][-1]["f_sums"])
+    else:
+        assert np.array_equal(cached["states"], dense["states"])
+        np.testing.assert_allclose(cached["center_sums"], dense["center_sums"],
+                                   rtol=1e-12, atol=0.0)
+        top, top_dense = cached_accs[-1], dense_accs[-1]
+        np.testing.assert_allclose(top.center_num, top_dense.center_num,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(top.center_den, top_dense.center_den,
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_mixture_recomputes_rows_only_for_moved_chains(monkeypatch, family,
+                                                       model):
+    computed = []
+    rows = MutationKernel.rows
+
+    def counting_rows(self, grid, xs):
+        out = rows(self, grid, xs)
+        computed.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(MutationKernel, "rows", counting_rows)
+    reps, n = 6, 300
+    streams, _ = samplers._replication_streams(8, reps, 2)
+    out = samplers._smcmc_engine(family, model, 2, n, streams, 0.0,
+                                 "previous-final", collect_states=False)
+    accepts = int(out["levels"][0]["accepts"].sum())
+    # every chain on the first step, then one row per accepted move
+    assert computed[0] == reps
+    assert accepts <= sum(computed) <= reps + accepts < reps * n
+
+
+def test_normality_statistics_match_scipy():
+    rng = npr.default_rng(3)
+    for sample in (rng.standard_normal(200), rng.gamma(2.0, size=150),
+                   3.0 + 0.1 * rng.standard_t(4, size=120)):
+        z = (sample - np.mean(sample)) / np.std(sample, ddof=1)
+        expected = (scipy_stats.skew(z), scipy_stats.kurtosis(z),
+                    scipy_stats.kstest(z, "norm").statistic)
+        np.testing.assert_allclose(samplers._normality(sample), expected,
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_clt_smcmc_report_matches_pinned_values(smcmc_report):
