@@ -85,7 +85,9 @@ class FtcReport:
 
     ``lhs`` is the direct kernel difference P_mu - P_nu; ``rhs`` the Simpson
     t-quadrature of derivative actions in direction mu - nu.  ``node_actions``
-    stores the integrand for refinement studies.
+    stores the integrand at the curve points ``ts`` for refinement studies.
+    ``inputs`` holds what ``verify_ftc`` was called with, so a later call can
+    reuse the integrand only for the same inputs.
     """
 
     lhs: float
@@ -93,31 +95,53 @@ class FtcReport:
     residual: float
     t_nodes: int
     node_actions: np.ndarray
+    ts: np.ndarray
     extra: dict = field(default_factory=dict)
+    inputs: tuple = field(default=(), repr=False, compare=False)
 
 
 def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
                t_nodes: int = FTC_T_NODES,
-               ratio_ceiling: float = DEFAULT_RATIO_CEILING) -> FtcReport:
+               ratio_ceiling: float = DEFAULT_RATIO_CEILING,
+               reuse: Optional[FtcReport] = None) -> FtcReport:
     """Check P_mu(start,f) - P_nu(start,f) against the t-integral of
     derivative actions along the mixture segment.
+
+    ``reuse`` is an earlier report for the same inputs (typically a finer
+    t-rule): its ``lhs`` and its actions at every t it shares with this rule
+    (matched as exact floats) are taken as they are, so only the new curve
+    points are differentiated.  The result is bit-equal to a fresh call.
 
     Raises
     ------
     PreconditionError
         If the derivative is unavailable at some curve point; the message
         names the offending t.
+    InvalidInputError
+        If ``reuse`` was built from other inputs (compared by identity).
     """
     ts, wts = _t_quadrature(t_nodes)
+    inputs = (family, mu, nu, start, f_values, ratio_ceiling)
+    known = {}
+    if reuse is not None:
+        if (len(reuse.inputs) != len(inputs)
+                or any(a is not b for a, b in zip(reuse.inputs[:5], inputs[:5]))
+                or reuse.inputs[5] != ratio_ceiling):
+            raise InvalidInputError(
+                "the reused FTC report was built from other inputs "
+                "(family, densities, start, function or ratio ceiling)"
+            )
+        known = dict(zip(reuse.ts.tolist(), reuse.node_actions.tolist()))
     curve = ContaminationCurve(mu, nu)
     chi = mu.values - nu.values   # direction matching the lhs orientation
+    f_ref = np.asarray(f_values, dtype=float)
 
-    f_ref = None
     actions = np.empty(t_nodes)
     for m, t in enumerate(ts):
+        if t in known:
+            actions[m] = known[t]
+            continue
         kern_t = family.at(curve_at(curve, t))
-        if f_ref is None:
-            f_ref = np.asarray(f_values, dtype=float)
         try:
             deriv = derivative_for_start(kern_t, start, f_ref, ratio_ceiling)
         except PreconditionError as exc:
@@ -126,11 +150,15 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
             ) from exc
         actions[m] = deriv.action(chi)
 
-    lhs = _value_at_start(family.at(mu), start, f_ref) - _value_at_start(
-        family.at(nu), start, f_ref
-    )
+    if reuse is not None:
+        lhs = reuse.lhs
+    else:
+        lhs = _value_at_start(family.at(mu), start, f_ref) - _value_at_start(
+            family.at(nu), start, f_ref
+        )
     rhs = float(wts @ actions)
-    return FtcReport(float(lhs), rhs, abs(lhs - rhs), t_nodes, actions)
+    return FtcReport(float(lhs), rhs, abs(lhs - rhs), t_nodes, actions, ts,
+                     inputs=inputs)
 
 
 def pushforward_density(mu: GridDensity, transport) -> GridDensity:
@@ -211,7 +239,7 @@ def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
 
     lhs = _value_at_start(family.at(mu), rho, f) - _value_at_start(family.at(nu), rho, f)
     rhs = float(wts @ node_vals)
-    return FtcReport(float(lhs), rhs, abs(lhs - rhs), t_nodes, node_vals,
+    return FtcReport(float(lhs), rhs, abs(lhs - rhs), t_nodes, node_vals, ts,
                      extra={"s_nodes": s_nodes, "pushforward": nu})
 
 

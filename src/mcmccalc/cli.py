@@ -114,6 +114,7 @@ from .derivative import (
     generator_function,
 )
 from .ergodicity import (
+    DRIFT_RATES,
     check_drift,
     check_log_concave_tails,
     check_resolvent_identity,
@@ -121,7 +122,7 @@ from .ergodicity import (
     find_drift_parameters,
     poisson_resolvent,
 )
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .feynman_kac import default_ssm_model
 from .kernels import (
     BalancingFunction,
@@ -496,6 +497,11 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
     if out["output_dir"] is not None and not isinstance(out["output_dir"], str):
         problems.add("output_dir", "must be a string")
         out["output_dir"] = None
+    lo, hi = out["grid"]["lower"], out["grid"]["upper"]
+    if family.get("sigma", 0.0) > (hi - lo) / 6.0:
+        problems.add("family.sigma",
+                     f"random-walk sigma {family['sigma']:g} is too wide for the window "
+                     f"[{lo:g}, {hi:g}]; at most (upper - lower)/6 = {(hi - lo) / 6.0:g}")
 
     if kind in ("derivative-check", "ftc-check", "mvi-check"):
         out["target"] = _check_density(raw.get("target"), "target", problems, two_stage,
@@ -864,7 +870,8 @@ def _run_ftc_check(settings, out_dir: Path):
     if coarse_nodes % 2 == 0:
         coarse_nodes += 1
     with _stage(kind, "coarse-integration"):
-        coarse = verify_ftc(family, mu, nu, start, f_values, t_nodes=coarse_nodes)
+        coarse = verify_ftc(family, mu, nu, start, f_values, t_nodes=coarse_nodes,
+                            reuse=fine)
 
     factor = tol["refinement_factor"]
     refined = (fine.residual <= _REFINEMENT_FLOOR
@@ -957,6 +964,11 @@ def _run_ergodicity_check(settings, out_dir: Path):
         # one certificate must hold across every sampled target: combine the
         # per-kernel displays (each is dominated by the max-parameter one)
         parts = [find_drift_parameters(k, weight) for k in kernels]
+        if None in parts:
+            raise PreconditionError(
+                "no drift certificate for sampled kernel %d at any scanned rate %s"
+                % (parts.index(None), ", ".join(f"{r:g}" for r in DRIFT_RATES))
+            )
         cert = check_drift(kernels, weight,
                            max(p.drift_rate for p in parts),
                            max(p.b for p in parts) + 1e-9,

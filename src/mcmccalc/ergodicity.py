@@ -49,6 +49,7 @@ from .measures import (
 )
 
 DRIFT_NODE_TOL = 1e-9
+DRIFT_RATES = (0.5, 0.7, 0.85, 0.95)
 POISSON_GATE = 1e-6
 
 
@@ -204,8 +205,7 @@ def check_drift(kernels: Sequence, weight: WeightFunction, drift_rate: float,
                             margin=float(margin), n_kernels=len(kernels))
 
 
-def find_drift_parameters(kernel, weight: WeightFunction,
-                          rates=(0.5, 0.7, 0.85, 0.95)):
+def find_drift_parameters(kernel, weight: WeightFunction, rates=DRIFT_RATES):
     """Scan candidate contraction rates and return the first certificate the
     grid accepts, choosing the smallest workable (b, d) for each rate.
 

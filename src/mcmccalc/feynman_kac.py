@@ -55,6 +55,12 @@ _OBSERVATION_FILE = "ssm_observations.csv"
 SSM_NOISE_STD = math.sqrt(0.5)
 
 
+def _finite_nonnegative(a: np.ndarray) -> bool:
+    """True when every entry lies in [0, inf); NaN propagates through
+    ``min`` and fails the test.  Empty input passes."""
+    return a.size == 0 or (a.min() >= 0.0 and a.max() < np.inf)
+
+
 # ---------------------------------------------------------------------------
 # mutation kernels
 # ---------------------------------------------------------------------------
@@ -87,10 +93,10 @@ class MutationKernel:
                 "mutation density returned shape %r, expected %r"
                 % (raw.shape, (xs.size, grid.n_points))
             )
-        if not np.all(np.isfinite(raw)) or np.any(raw < 0.0):
+        if not _finite_nonnegative(raw):
             raise InvalidInputError("mutation density must be finite and nonnegative")
         mass = raw @ grid.trapezoid_weights()
-        if np.any(mass <= 0.0):
+        if (mass <= 0.0).any():
             bad = float(xs[int(np.argmin(mass))])
             raise InvalidInputError(
                 "mutation row from x=%g carries no mass on the grid" % bad
@@ -185,7 +191,7 @@ def _potential_on_nodes(potential: PotentialLike, grid: Grid1D) -> np.ndarray:
             "potential evaluates to shape %r on a grid of %d nodes"
             % (vals.shape, grid.n_points)
         )
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+    if not _finite_nonnegative(vals):
         raise InvalidInputError("potential values must be finite and nonnegative")
     return vals
 
@@ -326,7 +332,7 @@ class FeynmanKacModel:
         level = self._check_level(level)
         vals = np.asarray(self.potentials[level - 1](np.asarray(xs, dtype=float)),
                           dtype=float)
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+        if not _finite_nonnegative(vals):
             raise InvalidInputError("potential values must be finite and nonnegative")
         return vals
 

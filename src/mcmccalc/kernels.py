@@ -219,11 +219,25 @@ class ProposalKernel:
     tag: str
     bounded: bool = True
     params: dict = field(default_factory=dict)
+    _matrix: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def matrix(self, grid: Grid1D) -> np.ndarray:
+        """q(node_i, node_j) on ``grid``, rows indexed by the *from* state.
+
+        The target enters an accept/reject kernel only through its ratio, so
+        this matrix is assembled once per grid and shared by every kernel
+        built on this proposal (every member of a family).  It is read-only.
+        """
+        if self._matrix is None or self._matrix[0] != grid:
+            n = grid.nodes
+            q = np.asarray(self.density(n[:, None], n[None, :]))
+            q.flags.writeable = False
+            self._matrix = (grid, q)
+        return self._matrix[1]
 
     def validate_rows(self, grid: Grid1D, tol: float = PROPOSAL_ROW_TOL) -> float:
         """Largest deviation of quadrature row mass from 1 over grid starts."""
-        q = self.density(grid.nodes[:, None], grid.nodes[None, :])
-        sums = q @ grid.trapezoid_weights()
+        sums = self.matrix(grid) @ grid.trapezoid_weights()
         worst = float(np.max(np.abs(sums - 1.0)))
         if worst > tol:
             raise InvalidInputError(
@@ -335,7 +349,6 @@ class HastingsKernel:
         self.proposal = proposal
         self.balancing = balancing
         self.grid: Grid1D = target.grid
-        self._q = None
         self._accept = None
         self._rej = None
         if validate:
@@ -345,11 +358,12 @@ class HastingsKernel:
 
     @property
     def q_matrix(self) -> np.ndarray:
-        """q(node_i, node_j), rows indexed by the *from* state."""
-        if self._q is None:
-            n = self.grid.nodes
-            self._q = self.proposal.density(n[:, None], n[None, :])
-        return self._q
+        """q(node_i, node_j), rows indexed by the *from* state.
+
+        The proposal's matrix on this grid (:meth:`ProposalKernel.matrix`):
+        shared by every kernel of a family, and read-only.
+        """
+        return self.proposal.matrix(self.grid)
 
     def ratio_matrix(self, target_values: Optional[np.ndarray] = None) -> np.ndarray:
         """r(node_i, node_j) for this kernel's target (or for substitute
@@ -358,9 +372,13 @@ class HastingsKernel:
         q = self.q_matrix
         num = mu[None, :] * q.T
         den = mu[:, None] * q
+        never = ~(den > 0.0)
+        # divide into the C-ordered ``den``: ``num`` follows q.T's F order,
+        # which would send later matrix products down another BLAS path
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r = num / den
-        return np.where(den > 0.0, r, 1.0)
+            np.divide(num, den, out=den)
+        np.copyto(den, 1.0, where=never)
+        return den
 
     def _parts(self):
         if self._accept is None:

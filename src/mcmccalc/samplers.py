@@ -246,7 +246,7 @@ def _plan_for(proposal, grid: Grid1D) -> _ProposalPlan:
         def propose(x, draws):
             z = x + sigma * draws
             folded = (z < lo) | (z > hi)
-            if np.any(folded):
+            if folded.any():
                 d = np.mod(z - lo, 2.0 * width)
                 z = np.where(folded, lo + width - np.abs(d - width), z)
             return z, folded

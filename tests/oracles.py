@@ -276,6 +276,16 @@ def gibbs_autocov_variance(w1, w2, joint_vals, f_vals, k_terms=400, tol=1e-14):
     return total
 
 
+def ratio_matrix_where(q, mu_values):
+    """Target ratio r(node_i, node_j) = mu_j q_ji / (mu_i q_ij), with 1 on
+    never-proposed pairs, in the two-temporary ``np.where`` form."""
+    num = mu_values[None, :] * q.T
+    den = mu_values[:, None] * q
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = num / den
+    return np.where(den > 0.0, r, 1.0)
+
+
 class DenseMixtureAccumulator:
     """Per-step dense accumulation of a running reweight/mutate mixture: on
     every step, every chain's normalised mutation row and potential are

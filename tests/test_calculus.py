@@ -190,6 +190,52 @@ def test_ftc_report_carries_integrand(family, mu, nu, rho, f_vals):
     assert rep.t_nodes == 9
 
 
+@pytest.mark.parametrize("fine_nodes, coarse_nodes", [(33, 17), (35, 19)])
+@pytest.mark.parametrize("two_stage", [False, True])
+def test_ftc_reuse_is_bit_equal_to_a_fresh_call(request, monkeypatch, two_stage,
+                                                 fine_nodes, coarse_nodes):
+    import mcmccalc.calculus as calculus
+
+    names = ("mu2", "nu2", "rho2", "f2_vals") if two_stage else ("mu", "nu", "rho", "f_vals")
+    mu, nu, rho, f = (request.getfixturevalue(n) for n in names)
+    family = GibbsFamily() if two_stage else request.getfixturevalue("family")
+    fine = verify_ftc(family, mu, nu, rho, f, t_nodes=fine_nodes)
+    fresh = verify_ftc(family, mu, nu, rho, f, t_nodes=coarse_nodes)
+
+    evaluated = []
+    real = calculus.derivative_for_start
+
+    def counting(kern, *args):
+        evaluated.append(kern.target)
+        return real(kern, *args)
+
+    monkeypatch.setattr(calculus, "derivative_for_start", counting)
+    reused = verify_ftc(family, mu, nu, rho, f, t_nodes=coarse_nodes, reuse=fine)
+    assert (reused.lhs, reused.rhs, reused.residual) == (fresh.lhs, fresh.rhs, fresh.residual)
+    assert reused.node_actions.tobytes() == fresh.node_actions.tobytes()
+    assert reused.ts.tobytes() == fresh.ts.tobytes()
+    new_ts = set(fresh.ts.tolist()) - set(fine.ts.tolist())
+    assert len(evaluated) == len(new_ts)
+    assert (len(new_ts) == 0) == (fine_nodes == 33)
+
+
+def test_ftc_reuse_refuses_a_report_from_other_inputs(family, mu, nu, rho, f_vals, grid):
+    fine = verify_ftc(family, mu, nu, rho, f_vals, t_nodes=9)
+    same = {"family": family, "mu": mu, "nu": nu, "start": rho, "f_values": f_vals}
+    others = {
+        "family": HastingsFamily(family.proposal, family.balancing),  # equal, not the same
+        "mu": gaussian_density(grid, 0.0, 1.0),
+        "nu": gaussian_density(grid, 0.3, 1.15),
+        "start": gaussian_density(grid, 0.0, 0.45),
+        "f_values": f_vals.copy(),
+    }
+    for key, value in others.items():
+        with pytest.raises(InvalidInputError, match="other inputs"):
+            verify_ftc(**{**same, key: value}, t_nodes=5, reuse=fine)
+    with pytest.raises(InvalidInputError, match="other inputs"):
+        verify_ftc(**same, t_nodes=5, ratio_ceiling=1e3, reuse=fine)
+
+
 # ---------------------------------------------------------------------------
 # pushforward densities and the transport-map form
 # ---------------------------------------------------------------------------

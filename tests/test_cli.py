@@ -369,6 +369,44 @@ def test_unwritable_output_dir_exits_3(tmp_path, capsys):
     assert err.startswith("error [mvi-check/write-artifacts] ")
 
 
+def test_too_wide_random_walk_exits_2_before_compute(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "kind": "derivative-check",
+        "family": {"kind": "hastings", "proposal": "random-walk", "sigma": 5.0},
+    })
+    rc = main(["derivative-check", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "family.sigma" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ergodicity_check_without_drift_certificate_exits_3(tmp_path, monkeypatch, capsys):
+    import mcmccalc.cli as cli
+
+    monkeypatch.setattr(cli, "find_drift_parameters", lambda kernel, weight: None)
+    rc = main(["ergodicity-check", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error [ergodicity-check/drift-certificate] PreconditionError")
+    assert "kernel 0" in err and "0.5, 0.7, 0.85, 0.95" in err
+
+
+def test_ftc_check_differentiates_each_curve_point_once(tmp_path, monkeypatch):
+    import mcmccalc.calculus as calculus
+
+    calls = []
+    real = calculus.derivative_for_start
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "derivative_for_start", counting)
+    assert main(["ftc-check", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 33  # the 17-node coarse rule reuses the 33-node fine one
+
+
 def test_cli_import_leaves_scipy_out():
     probe = subprocess.run(
         [sys.executable, "-c",

@@ -104,6 +104,22 @@ def test_mutation_rejects_bad_densities(grid):
         gaussian_mutation(3.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_per_step_checks_reject_nonfinite_and_negative_values(grid, eta_base, bad):
+    # clean on the grid nodes, ``bad`` only from far outside the window
+    move = MutationKernel(lambda x, y: np.where(x > 100.0, bad, 1.0) + 0.0 * y)
+    model = FeynmanKacModel(grid, [lambda y: np.where(y > 100.0, bad, 1.0)], [move],
+                            eta_base)
+    xs = np.array([0.0, 200.0])
+    with pytest.raises(InvalidInputError, match="mutation density must be finite"):
+        move.rows(grid, xs)
+    with pytest.raises(InvalidInputError, match="potential values must be finite"):
+        model.potential_at(1, xs)
+    assert move.rows(grid, xs[:1]).shape == (1, grid.n_points)
+    assert move.rows(grid, xs[:0]).shape == (0, grid.n_points)
+    assert model.potential_at(1, xs[:0]).shape == (0,)
+
+
 def test_bounded_map_registry():
     for tag in ("tanh", "arctan"):
         phi = bounded_map(tag, 0.7)

@@ -189,6 +189,39 @@ def test_hastings_ratio_never_proposed_pairs(grid, std_normal):
     assert hastings_ratio(kern, -5.0, 5.0) == 1.0
 
 
+def test_family_shares_one_read_only_proposal_matrix(grid, std_normal):
+    prop = ProposalKernel.random_walk(1.0, grid)
+    family = HastingsFamily(prop, BalancingFunction.barker())
+    q = family.at(std_normal).q_matrix
+    assert family.at(gaussian_density(grid, 0.5, 1.2)).q_matrix is q
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0
+    fresh = prop.density(grid.nodes[:, None], grid.nodes[None, :])
+    assert q.tobytes() == fresh.tobytes()
+    other = Grid1D(-8.0, 8.0, 257)
+    q_other = prop.matrix(other)
+    assert q_other.shape == (257, 257)
+    assert prop.matrix(grid) is not q  # the one-entry cache moved to the other grid
+    assert prop.matrix(grid).tobytes() == q.tobytes()
+
+
+def test_ratio_matrix_matches_where_formula(rw_barker, grid, std_normal):
+    def band(x, y):
+        d = np.abs(np.asarray(y, float) - np.asarray(x, float))
+        return np.where(d <= 1.0, 0.5, 0.0)
+
+    prop = ProposalKernel(band, lambda x, rng: (x, False), "band", True)
+    banded = HastingsKernel(std_normal, prop, BalancingFunction.min_one(), validate=False)
+    skewed = gaussian_density(grid, 0.4, 0.8).values
+    for kern, values in ((rw_barker, None), (rw_barker, skewed), (banded, None)):
+        got = kern.ratio_matrix(values)
+        mu = kern.target.values if values is None else values
+        want = oracles.ratio_matrix_where(kern.q_matrix, mu)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    assert np.any(banded.q_matrix == 0.0)  # the band has never-proposed pairs
+
+
 def test_apply_hastings_symmetry_zero(grid, std_normal):
     prop = ProposalKernel.random_walk(0.5, grid)
     kern = HastingsKernel(std_normal, prop, BalancingFunction.barker())
