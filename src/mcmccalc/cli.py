@@ -122,7 +122,7 @@ from .ergodicity import (
     find_drift_parameters,
     poisson_resolvent,
 )
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, ResourceLimitError
 from .feynman_kac import default_ssm_model
 from .kernels import (
     BalancingFunction,
@@ -144,6 +144,7 @@ from .measures import (
 from .samplers import (
     SchemeConfig,
     check_adaptation_conditions,
+    check_state_storage,
     clt_experiment,
     run_imcmc,
     run_smcmc,
@@ -222,6 +223,15 @@ def _take_number(spec, key, path, problems, default, minimum=None, exclusive_min
             problems.add(f"{path}{key}", f"must be {op} {minimum:g}, got {value:g}")
             return default
     return float(value)
+
+
+def _check_storage(states: int, key: str, what: str, problems: _Problems) -> None:
+    """Report a run that would store more states than the library allows as
+    a ``key`` problem, before anything is allocated."""
+    try:
+        check_state_storage(states)
+    except ResourceLimitError as err:
+        problems.add(key, f"{what} is too large: {err}")
 
 
 def _take_int(spec, key, path, problems, default, minimum=None, maximum=None):
@@ -530,6 +540,7 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
     if kind == "ergodicity-check":
         out["sample_sets"] = _take_int(raw, "sample_sets", "", problems, 5, minimum=2)
         out["chain_steps"] = _take_int(raw, "chain_steps", "", problems, 1500, minimum=100)
+        _check_storage(out["chain_steps"], "chain_steps", "chain_steps", problems)
     def _window_x0():
         x0 = _take_number(raw, "x0", "", problems, 0.0)
         lo, hi = out["grid"]["lower"], out["grid"]["upper"]
@@ -541,6 +552,7 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
     if kind in ("smcmc-run", "imcmc-run"):
         out["depth"] = _take_int(raw, "depth", "", problems, 2, minimum=1, maximum=9)
         out["steps"] = _take_int(raw, "steps", "", problems, 20000, minimum=1)
+        _check_storage(out["depth"] * out["steps"], "steps", "depth x steps", problems)
         out["x0"] = _window_x0()
         if "invariance_target" in raw:
             out["invariance_target"] = _check_density(raw["invariance_target"],

@@ -82,17 +82,27 @@ class MutationKernel:
         """Quadrature-normalised transition rows from the points ``xs``.
 
         Returns an array of shape ``(len(xs), grid.n_points)`` whose i-th row
-        integrates to one against the trapezoid weights.
+        integrates to one against the trapezoid weights.  A run of equal
+        consecutive points (a chain that rejected) evaluates the density
+        once and repeats the row.  The normalising matrix-vector product
+        still runs on every row: BLAS may round a row differently with
+        another set of rows, and the result must match evaluating each point.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if xs.ndim != 1:
             raise InvalidInputError("mutation rows expect a flat array of start points")
-        raw = np.asarray(self.density(xs[:, None], grid.nodes[None, :]), dtype=float)
-        if raw.shape != (xs.size, grid.n_points):
+        first = np.empty(xs.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(xs[1:], xs[:-1], out=first[1:])
+        pts = xs if first.all() else xs[first]
+        raw = np.asarray(self.density(pts[:, None], grid.nodes[None, :]), dtype=float)
+        if raw.shape != (pts.size, grid.n_points):
             raise InvalidInputError(
                 "mutation density returned shape %r, expected %r"
-                % (raw.shape, (xs.size, grid.n_points))
+                % (raw.shape, (pts.size, grid.n_points))
             )
+        if pts is not xs:
+            raw = raw[np.cumsum(first) - 1]
         if not _finite_nonnegative(raw):
             raise InvalidInputError("mutation density must be finite and nonnegative")
         mass = raw @ grid.trapezoid_weights()

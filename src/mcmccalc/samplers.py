@@ -19,9 +19,21 @@ bit-identical state sequences.  A raw ``numpy.random.Generator`` is accepted
 as an escape hatch and consumed directly (its runs record seed 0).
 
 Within a replication the per-step draw order is fixed: blocks of proposal
-draws, then blocks of acceptance uniforms, from the replication's own stream.
-Proposals vectorise for the random-walk and independence families; any other
-proposal tag is refused with instructions rather than silently looped.
+draws, then blocks of acceptance uniforms, from the replication's own stream
+(``DRAW_BLOCK`` normals or uniforms, then as many acceptance uniforms, and
+so on).  Proposals vectorise for the random-walk and independence families;
+any other proposal tag is refused with instructions rather than silently
+looped.
+
+A chain that rejects stays where it is.  So a chain against a fixed target
+whose states are only stored (the limiting chain, every level of a stored
+sequential run, level 1 of a stored interacting run) advances a rejection
+run at a time: from its state the next proposals are judged together as if
+all were rejected, and the first accepted one ends the run.  Rounds stop at draw-block ends, so the
+streams are read in the order above and the states are bit-identical to
+stepping one step at a time.  Chains whose consumers need every step (the
+replicated engines' mixtures and sums, targets that move each step) step in
+lockstep.
 
 The CLT harness validates the two asymptotic-variance displays: the
 random-centered statistic (each replication centered at its own realised
@@ -69,9 +81,10 @@ from .measures import (
 )
 
 DRAW_BLOCK = 1024
+RUN_BLOCK = 32  # proposals judged together in one rejection run (_Lane.run)
 MIN_BATCHES = 20
 MIN_REPLICATIONS = 100
-STATE_STORAGE_CAP = 200_000_000  # replications * steps kept in memory
+STATE_STORAGE_CAP = 200_000_000  # stored states (levels * replications * steps)
 _TRACE_POINTS = 48
 
 SeedLike = Union[int, np.integer, np.random.SeedSequence, np.random.Generator]
@@ -273,7 +286,7 @@ def _plan_for(proposal, grid: Grid1D) -> _ProposalPlan:
 
         def propose(x, draws):
             y = sample_from_grid_density(grid, base_vals, draws)
-            return np.asarray(y, dtype=float), np.zeros(np.shape(x), dtype=bool)
+            return np.asarray(y, dtype=float), np.zeros(np.shape(draws), dtype=bool)
 
         def q_pair(x, y):
             return (np.interp(y, grid.nodes, base_vals),
@@ -302,6 +315,13 @@ def _matrix_rows_at(grid: Grid1D, table: np.ndarray, xs: np.ndarray) -> np.ndarr
 
 class _Lane:
     """R parallel accept/reject chains against a shared or per-chain target.
+
+    :meth:`step` moves all R chains one step in lockstep, for engines whose
+    per-step consumers (mixtures, running sums, moving targets) need every
+    step.  :meth:`run` moves every chain ``n`` steps against its fixed
+    target a rejection run at a time.  Both read the same draws in the same
+    order and share the acceptance arithmetic, so a run reproduces the
+    states, counts and cursor of ``n`` calls to :meth:`step` bit for bit.
 
     ``accepted`` holds the accept mask of the latest step: a chain whose
     entry is False still sits where it was before that step.
@@ -336,12 +356,13 @@ class _Lane:
     def refresh(self) -> None:
         """Recompute the cached target value at the current states (call after
         mutating a per-chain target table in place)."""
-        self.mu_x = np.maximum(self._target_at(self.x), POSITIVE_FLOOR)
+        self.mu_x = np.maximum(self._target_at(self.target, self.x),
+                               POSITIVE_FLOOR)
 
-    def _target_at(self, xs: np.ndarray) -> np.ndarray:
-        if self.target.ndim == 1:
-            return np.interp(xs, self.grid.nodes, self.target)
-        return _matrix_rows_at(self.grid, self.target, xs)
+    def _target_at(self, table: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        if table.ndim == 1:
+            return np.interp(xs, self.grid.nodes, table)
+        return _matrix_rows_at(self.grid, table, xs)
 
     # stepping ---------------------------------------------------------------
 
@@ -356,27 +377,100 @@ class _Lane:
         self._accept_u = accept_u
         self._cursor = 0
 
+    def _proposals(self, x: np.ndarray, mu_x: np.ndarray, table: np.ndarray,
+                   d: np.ndarray, u: np.ndarray):
+        """Proposals from the states ``x`` (target values ``mu_x``) for the
+        draws ``d``, with their fold mask, target values and accept mask
+        under the uniforms ``u``.  Every operation is elementwise, so one
+        chain may pass several steps' draws at once: each is judged as if the
+        chain were still at ``x``."""
+        y, folded = self.plan.propose(x, d)
+        mu_y = self._target_at(table, y)
+        q_xy, q_yx = self.plan.q_pair(x, y)
+        num = mu_y * q_yx
+        den = mu_x * q_xy
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio = np.where(den > 0.0, num / den, 1.0)
+        return y, folded, mu_y, u < self.balancing.g(ratio)
+
     def step(self) -> np.ndarray:
+        """Move every chain one step; returns the new states."""
         if self._cursor == self._block:
             self._refill()
         d = self._draws[:, self._cursor]
         u = self._accept_u[:, self._cursor]
         self._cursor += 1
 
-        y, folded = self.plan.propose(self.x, d)
-        mu_y = self._target_at(y)
-        q_xy, q_yx = self.plan.q_pair(self.x, y)
-        num = mu_y * q_yx
-        den = self.mu_x * q_xy
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = np.where(den > 0.0, num / den, 1.0)
-        accept = u < self.balancing.g(ratio)
+        y, folded, mu_y, accept = self._proposals(self.x, self.mu_x,
+                                                  self.target, d, u)
         self.accepted = accept
         self.x = np.where(accept, y, self.x)
         self.mu_x = np.where(accept, np.maximum(mu_y, POSITIVE_FLOOR), self.mu_x)
         self.accept_count += accept
         self.fold_count += folded
         return self.x
+
+    def run(self, n: int, out: np.ndarray,
+            moved: Optional[np.ndarray] = None) -> None:
+        """Move every chain ``n`` steps against its fixed target.
+
+        Chain ``r``'s state after step ``k`` goes to ``out[r, k]`` and, when
+        ``moved`` is given, whether that step was accepted to
+        ``moved[r, k]``.  The chains do not interact, so within each draw
+        block they advance in turn, each a rejection run at a time (see
+        :meth:`_run_chain`); the cursor then moves past the block's steps,
+        so each stream is consumed as under :meth:`step`.
+        """
+        # step hands self.x to its callers; update a private copy in place
+        self.x, self.mu_x = self.x.copy(), self.mu_x.copy()
+        done = 0
+        while done < n:
+            if self._cursor == self._block:
+                self._refill()
+            m = min(n - done, self._block - self._cursor)
+            last = np.empty(len(self.rngs), dtype=bool)
+            for r in range(len(self.rngs)):
+                last[r] = self._run_chain(
+                    r, out[r, done:done + m],
+                    None if moved is None else moved[r, done:done + m])
+            self.accepted = last
+            self._cursor += m
+            done += m
+
+    def _run_chain(self, r: int, out: np.ndarray,
+                   moved: Optional[np.ndarray]) -> bool:
+        """Advance chain ``r`` ``len(out)`` steps over its draws from the
+        cursor; returns whether the last step was accepted.
+
+        A rejected chain stays where it is, so from state ``x`` the next
+        proposals are judged together as if every one were rejected, and the
+        first accepted one ends the run of rejections.  A round takes at
+        most ``RUN_BLOCK`` proposals.
+        """
+        table = self.target if self.target.ndim == 1 else self.target[r:r + 1]
+        draws = self._draws[r, self._cursor:]
+        uniforms = self._accept_u[r, self._cursor:]
+        done = 0
+        while done < len(out):
+            k = min(len(out) - done, RUN_BLOCK)
+            x = self.x[r:r + 1]
+            y, folded, mu_y, accept = self._proposals(
+                x, self.mu_x[r:r + 1], table,
+                draws[done:done + k], uniforms[done:done + k])
+            j = int(accept.argmax())
+            hit = bool(accept[j])
+            used = j + 1 if hit else k
+            out[done:done + used] = x[0]
+            if hit:
+                out[done + j] = y[j]
+                self.x[r] = y[j]
+                self.mu_x[r:r + 1] = np.maximum(mu_y[j:j + 1], POSITIVE_FLOOR)
+                self.accept_count[r] += 1
+            if moved is not None:
+                moved[done:done + used] = accept[:used]
+            self.fold_count[r] += np.count_nonzero(folded[:used])
+            done += used
+        return hit
 
 
 class _MixtureAccumulator:
@@ -433,6 +527,16 @@ class _MixtureAccumulator:
 # homogeneous chains
 # ---------------------------------------------------------------------------
 
+def check_state_storage(count: int) -> None:
+    """Refuse, before anything is allocated, a run that would keep more than
+    ``STATE_STORAGE_CAP`` states in memory; the message gives the estimate."""
+    if count > STATE_STORAGE_CAP:
+        gb = 8e-9  # one float64 state
+        raise ResourceLimitError(
+            "%d stored states need %.3g GB, above the cap of %d states (%.3g GB)"
+            % (count, gb * count, STATE_STORAGE_CAP, gb * STATE_STORAGE_CAP))
+
+
 def _check_steps(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise InvalidInputError("step count must be a nonnegative integer")
@@ -456,8 +560,7 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
     given the seed; the returned states exclude the start point.
     """
     n = _check_steps(n)
-    if n > STATE_STORAGE_CAP:
-        raise ResourceLimitError("run of %d steps exceeds the storage cap" % n)
+    check_state_storage(n)
     rng = _level_streams(seed, 1)[0]
     if isinstance(kernel, GibbsKernel):
         if n == 0:
@@ -479,8 +582,7 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
                  np.array([float(x0)]), [rng])
     lane.set_target(kernel.target.values)
     states = np.empty(n)
-    for k in range(n):
-        states[k] = lane.step()[0]
+    lane.run(n, states[None, :])
     descriptor = "%s+%s @ %s" % (kernel.proposal.tag, kernel.balancing.tag,
                                  kernel.target.description)
     accept = float(lane.accept_count[0]) / n if n else 0.0
@@ -538,6 +640,8 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     on the fly in a :class:`_MixtureAccumulator`, one weighted sample row per
     replication and step; a replication's row is recomputed only on the steps
     where its chain moved, and reused from the row cache after a rejection.
+    When states are collected, each level moves against its fixed target
+    with :meth:`_Lane.run`.
     """
     grid = model.grid
     reps = len(streams)
@@ -560,14 +664,18 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
         states = np.empty((reps, n)) if collect_states else None
         f_sums = np.zeros(reps) if (f is not None and level == p) else None
 
-        for k in range(n):
-            x = lane.step()
-            if states is not None:
-                states[:, k] = x
-            if mixture is not None:
-                mixture.add(x, lane.accepted)
+        if collect_states:
+            lane.run(n, states)
             if f_sums is not None:
-                f_sums += f(x)
+                for x in states.T:
+                    f_sums += f(x)
+        else:
+            for k in range(n):
+                x = lane.step()
+                if mixture is not None:
+                    mixture.add(x, lane.accepted)
+                if f_sums is not None:
+                    f_sums += f(x)
 
         levels.append({
             "states": states,
@@ -635,6 +743,7 @@ def run_smcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
         raise InvalidInputError('level_init must be "previous-final" or "fixed"')
     if n == 0:
         raise InvalidInputError("sequential runs need at least one step per level")
+    check_state_storage(int(p_levels) * n)
     streams = [_level_streams(seed, int(p_levels))]
     engine = _smcmc_engine(family, model, int(p_levels), n, streams,
                            float(x0), level_init, collect_states=True)
@@ -689,7 +798,9 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     weighted row, potential and ``f``-moment, and recomputes them only for
     the chains whose last step was accepted.  The top level's running target
     mean of ``f`` accumulates incrementally for the random-centered
-    statistic.
+    statistic.  Level 1 moves against a fixed target; when states are
+    collected it runs all ``n`` steps first with :meth:`_Lane.run`, and the
+    lockstep loop reads its states and accept flags.
     """
     grid = model.grid
     reps = len(streams)
@@ -724,7 +835,6 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
 
     trace = None
     if trace_weight is not None:
-        v_vals = trace_weight.values_on(grid)
         marks = _checkpoint_indices(n)
         trace = {
             "sup": np.zeros(n),
@@ -733,22 +843,30 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             "snaps": np.zeros((marks.size, grid.n_points)),
             "prev": None,
             "next_mark": 0,
-            "v_vals": v_vals,
+            "weighted_v": weights * trace_weight.values_on(grid),
         }
 
+    level1_moved = None
+    if collect_states:
+        level1_moved = np.empty((reps, n), dtype=bool)
+        lanes[0].run(n, states[0], level1_moved)
+
     for k in range(n):
-        x_prev = lanes[0].step()
-        if collect_states:
-            states[0, :, k] = x_prev
+        if level1_moved is not None:
+            x_prev, moved = states[0, :, k], level1_moved[:, k]
+        else:
+            x_prev = lanes[0].step()
+            moved = lanes[0].accepted
         for j in range(2, p + 1):
             if frozen_table is None:
                 mixture = mixtures[j - 2]
-                mixture.add(x_prev, lanes[j - 2].accepted)
+                mixture.add(x_prev, moved)
                 if k == 0:
                     lanes[j - 1].set_target(mixture.table)
                 else:
                     lanes[j - 1].refresh()
             x_prev = lanes[j - 1].step()
+            moved = lanes[j - 1].accepted
             if collect_states:
                 states[j - 1, :, k] = x_prev
         if f is not None:
@@ -764,7 +882,7 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             if trace["prev"] is not None:
                 delta = mu - trace["prev"]
                 trace["sup"][k] = float(np.max(np.abs(delta)))
-                trace["v"][k] = float(np.sum(weights * trace["v_vals"]
+                trace["v"][k] = float(np.sum(trace["weighted_v"]
                                              * np.abs(delta)))
             trace["prev"] = mu
             if (trace["next_mark"] < trace["marks"].size
@@ -824,6 +942,7 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
                          % (p_levels, p_levels - 1, model.n_levels))
     if n == 0:
         raise InvalidInputError("interacting runs need at least one step")
+    check_state_storage(int(p_levels) * n)
     streams = [_level_streams(seed, int(p_levels))]
     engine = _imcmc_engine(family, model, int(p_levels), n, streams, float(x0),
                            freeze_lower=freeze_lower, collect_states=True,

@@ -311,3 +311,20 @@ class DenseMixtureAccumulator:
         if self.wf is not None:
             self.center_num += g_at * (rows @ self.wf)
             self.center_den += g_at
+
+
+def stepped_run(lane, n, out, moved=None):
+    """The per-step loop a lane's ``run`` replaces: ``n`` calls to
+    ``lane.step()``, storing every chain's state and accept flag in column
+    ``k``.  Drop-in for ``_Lane.run`` (same signature)."""
+    for k in range(n):
+        out[:, k] = lane.step()
+        if moved is not None:
+            moved[:, k] = lane.accepted
+
+
+def mutation_rows_every_point(density, nodes, weights, xs):
+    """Quadrature-normalised mutation rows with the density evaluated at
+    every start point, repeats included."""
+    raw = np.asarray(density(xs[:, None], nodes[None, :]), dtype=float)
+    return raw / (raw @ weights)[:, None]

@@ -380,6 +380,30 @@ def test_too_wide_random_walk_exits_2_before_compute(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, over, under, message", [
+    ("smcmc-run", {"depth": 3, "steps": 334}, {"depth": 3, "steps": 333},
+     "steps: depth x steps is too large: 1002 stored states need"),
+    ("imcmc-run", {"depth": 3, "steps": 334}, {"depth": 3, "steps": 333},
+     "steps: depth x steps is too large: 1002 stored states need"),
+    ("ergodicity-check", {"chain_steps": 1001}, {"chain_steps": 1000},
+     "chain_steps: chain_steps is too large: 1001 stored states need"),
+])
+def test_state_storage_above_the_cap_exits_2_before_compute(tmp_path, monkeypatch,
+                                                            capsys, kind, over,
+                                                            under, message):
+    import mcmccalc.samplers as samplers
+
+    monkeypatch.setattr(samplers, "STATE_STORAGE_CAP", 1000)
+    cfg = write_config(tmp_path, {"kind": kind, **over})
+    rc = main([kind, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "GB" in err
+    assert not (tmp_path / "o").exists()
+    assert load_config(None, kind=kind, overrides=under)
+
+
 def test_ergodicity_check_without_drift_certificate_exits_3(tmp_path, monkeypatch, capsys):
     import mcmccalc.cli as cli
 

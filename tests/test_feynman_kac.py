@@ -17,6 +17,7 @@ from mcmccalc.feynman_kac import (
     DEFAULT_OBSERVATION_SEED,
     EmpiricalMeasure,
     FeynmanKacModel,
+    MUTATION_CHUNK,
     MutationKernel,
     SSM_NOISE_STD,
     SsmBootstrapModel,
@@ -89,6 +90,48 @@ def test_mutation_rows_are_normalised(grid):
     masses = rows @ grid.trapezoid_weights()
     assert rows.shape == (3, grid.n_points)
     assert np.max(np.abs(masses - 1.0)) < 1e-14
+
+
+def test_mutation_rows_evaluate_each_run_of_repeats_once(grid, model):
+    move = model.mutation(1)
+    evaluated = []
+
+    def counting(x, y):
+        evaluated.append(x.shape[0])
+        return move.density(x, y)
+
+    counted = MutationKernel(counting, move.tag)
+    rng = np.random.default_rng(4)
+    # runs of equal consecutive points, as a rejecting chain stores them; one
+    # run straddles the chunk boundary of the empirical transform
+    points = rng.normal(0.0, 1.5, size=900)
+    lengths = rng.integers(1, 9, size=900)
+    xs = np.repeat(points, lengths)
+    starts = np.cumsum(lengths) - lengths
+    cut = int(np.searchsorted(starts, MUTATION_CHUNK, side="right")) - 1
+    assert starts[cut] < MUTATION_CHUNK < starts[cut] + lengths[cut]
+    xs = xs[:MUTATION_CHUNK + 500]
+    w = grid.trapezoid_weights()
+    for sl in (slice(0, 7), slice(0, MUTATION_CHUNK), slice(MUTATION_CHUNK, None)):
+        evaluated.clear()
+        rows = counted.rows(grid, xs[sl])
+        expected = oracles.mutation_rows_every_point(move.density, grid.nodes, w, xs[sl])
+        assert rows.tobytes() == expected.tobytes()
+        assert evaluated == [1 + int(np.count_nonzero(np.diff(xs[sl])))]
+    # the empirical transform, chunk by chunk, against rows at every point
+    g_at = model.potential_at(1, xs)
+    acc = np.zeros(grid.n_points)
+    for start in range(0, xs.size, MUTATION_CHUNK):
+        sl = slice(start, start + MUTATION_CHUNK)
+        acc += g_at[sl] @ oracles.mutation_rows_every_point(
+            move.density, grid.nodes, w, xs[sl])
+    expected = GridDensity(grid, acc / float(g_at.sum()), normalize=True, positive=True)
+    assert np.array_equal(model.transform(1, EmpiricalMeasure(xs)).values,
+                          expected.values)
+    # distinct points keep the one-call path
+    evaluated.clear()
+    counted.rows(grid, points[:50])
+    assert evaluated == [50]
 
 
 def test_mutation_rejects_bad_densities(grid):

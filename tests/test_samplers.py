@@ -9,6 +9,7 @@ are checked exactly.
 import numpy as np
 import numpy.random as npr
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 import oracles
@@ -16,6 +17,7 @@ from mcmccalc.errors import (
     DegenerateWeightsError,
     InvalidInputError,
     RangeError,
+    ResourceLimitError,
 )
 from mcmccalc.feynman_kac import (
     EmpiricalMeasure,
@@ -189,6 +191,163 @@ def test_chain_run_record_validation():
         ChainRun(np.zeros((2, 2, 2)), 0, "k", 0.5, 0)
     run = ChainRun(np.zeros(4), 9, "kern", 0.5, 2)
     assert "kern" in run.describe() and "2 boundary folds" in run.describe()
+
+
+# ---------------------------------------------------------------------------
+# rejection runs of a lane
+# ---------------------------------------------------------------------------
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _one_chain_lane(grid, proposal, balancing, target, x0=0.0, seed=7, plan=None):
+    plan = plan or samplers._plan_for(proposal, grid)
+    lane = samplers._Lane(grid, plan, balancing, np.array([x0]),
+                          [npr.default_rng(seed)])
+    lane.set_target(target)
+    return lane
+
+
+def _assert_run_matches_stepping(make_lane, n):
+    """``run(n)`` against ``n`` steps of an identical lane: states, accept
+    flags, state, target value, counts, cursor and the next step agree bit
+    for bit.  Returns the lane that ran."""
+    ran, stepped = make_lane(), make_lane()
+    shape = (len(ran.rngs), n)
+    out, moved = np.empty(shape), np.empty(shape, dtype=bool)
+    ref, ref_moved = np.empty(shape), np.empty(shape, dtype=bool)
+    ran.run(n, out, moved)
+    oracles.stepped_run(stepped, n, ref, ref_moved)
+    assert _same(out, ref) and _same(moved, ref_moved)
+    for name in ("x", "mu_x", "accept_count", "fold_count"):
+        assert _same(getattr(ran, name), getattr(stepped, name)), name
+    assert ran._cursor == stepped._cursor
+    assert _same(ran.step(), stepped.step())
+    assert _same(ran.mu_x, stepped.mu_x) and _same(ran.accepted, stepped.accepted)
+    return ran
+
+
+def _proposal(kind, grid, sigma=1.0):
+    if kind == "random-walk":
+        return ProposalKernel.random_walk(sigma, grid)
+    return ProposalKernel.independence(gaussian_density(grid, 0.5, 2.0))
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("table", ["1-D", "(1, N)"])
+@pytest.mark.parametrize("balancing", [BalancingFunction.barker(),
+                                       BalancingFunction.min_one(),
+                                       BalancingFunction.polynomial(2)],
+                         ids=["barker", "min-one", "gj2"])
+@pytest.mark.parametrize("kind", ["random-walk", "independence"])
+def test_lane_run_matches_stepping(kind, balancing, table, n, model, grid):
+    target = (model.flow(1).values if table == "1-D"
+              else model.flow(2).values[None, :])
+    proposal = _proposal(kind, grid)
+    lane = _assert_run_matches_stepping(
+        lambda: _one_chain_lane(grid, proposal, balancing, target, x0=0.3), n)
+    assert n == 1 or lane.accept_count[0] > 0
+
+
+def test_lane_run_matches_stepping_with_folds(model, grid):
+    proposal = ProposalKernel.random_walk(2.6, grid)  # near the widest sigma
+    lane = _assert_run_matches_stepping(
+        lambda: _one_chain_lane(grid, proposal, BalancingFunction.barker(),
+                                model.flow(1).values, x0=grid.upper), 1500)
+    assert lane.fold_count[0] > 0
+
+
+def test_lane_run_matches_stepping_without_target_mass(grid):
+    proposal = ProposalKernel.random_walk(1.0, grid)
+    zero = np.zeros(grid.n_points)
+    # a massless target never accepts: every round ends without a hit
+    lane = _assert_run_matches_stepping(
+        lambda: _one_chain_lane(grid, proposal, BalancingFunction.barker(),
+                                zero, x0=1.5), 2100)
+    assert lane.accept_count[0] == 0 and lane.x[0] == 1.5
+    # a vanishing forward density puts every ratio on its fallback of 1
+    base = samplers._plan_for(proposal, grid)
+    plan = samplers._ProposalPlan(
+        base.draw, base.propose,
+        lambda x, y: (0.0 * base.q_pair(x, y)[0], base.q_pair(x, y)[1]),
+        base.tag)
+    lane = _assert_run_matches_stepping(
+        lambda: _one_chain_lane(grid, proposal, BalancingFunction.barker(),
+                                zero, x0=1.5, plan=plan), 2100)
+    assert 0.4 < lane.accept_count[0] / 2101 < 0.6  # g(1) = 1/2
+
+
+@pytest.mark.parametrize("table", ["1-D", "(R, N)"])
+def test_lane_run_of_several_chains_matches_stepping(table, grid, model):
+    plan = samplers._plan_for(ProposalKernel.random_walk(1.0, grid), grid)
+    target = (model.flow(1).values if table == "1-D"
+              else np.vstack([model.flow(j).values for j in (1, 2, 3)]))
+
+    def make_lane():
+        lane = samplers._Lane(grid, plan, BalancingFunction.barker(),
+                              np.array([-1.0, 0.3, 2.0]),
+                              [npr.default_rng(s) for s in (1, 2, 3)])
+        lane.set_target(target)
+        return lane
+
+    # 1500 steps then 1100 more: the second run starts mid-block
+    ran, stepped = make_lane(), make_lane()
+    for n in (1500, 1100):
+        out, ref = np.empty((3, n)), np.empty((3, n))
+        ran.run(n, out)
+        oracles.stepped_run(stepped, n, ref)
+        assert _same(out, ref)
+    for name in ("x", "mu_x", "accept_count", "fold_count", "accepted"):
+        assert _same(getattr(ran, name), getattr(stepped, name)), name
+    assert _same(ran.step(), stepped.step())
+    assert np.all(ran.accept_count > 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.05, 2.6),
+       x0=st.floats(-8.0, 8.0), n=st.integers(0, 1100))
+def test_lane_run_equals_stepping_on_generated_inputs(seed, sigma, x0, n, model):
+    grid = model.grid
+    proposal = ProposalKernel.random_walk(sigma, grid)
+    _assert_run_matches_stepping(
+        lambda: _one_chain_lane(grid, proposal, BalancingFunction.barker(),
+                                model.flow(1).values, x0=x0, seed=seed), n)
+
+
+@pytest.mark.parametrize("kind", ["random-walk", "independence"])
+def test_chain_runs_equal_the_stepping_engines(monkeypatch, kind, model, grid):
+    family = HastingsFamily(_proposal(kind, grid), BalancingFunction.barker())
+    weight = WeightFunction.one_plus_square()
+
+    def runs():
+        seq = [run for run, _ in run_smcmc(family, model, 3, 1500, 21)]
+        inter, trace = run_imcmc(family, model, 2, 1500, 22, trace_weight=weight)
+        lim = run_limiting_chain(family.at(model.flow(1), validate=False),
+                                 0.5, 2100, 23)
+        return seq + inter + [lim], trace
+
+    fast, fast_trace = runs()
+    monkeypatch.setattr(samplers._Lane, "run", oracles.stepped_run)
+    slow, slow_trace = runs()
+    for a, b in zip(fast, slow):
+        assert _same(a.states, b.states)
+        assert (a.acceptance_rate, a.truncation_events, a.kernel_descriptor) == (
+            b.acceptance_rate, b.truncation_events, b.kernel_descriptor)
+    for name in ("sup_increments", "v_increments", "snapshots"):
+        assert _same(getattr(fast_trace, name), getattr(slow_trace, name))
+
+
+def test_state_storage_cap_refuses_before_allocating(monkeypatch, family, model,
+                                                     flow1_kernel):
+    monkeypatch.setattr(samplers, "STATE_STORAGE_CAP", 1000)
+    for call in (lambda n: run_smcmc(family, model, 2, n, 1),
+                 lambda n: run_imcmc(family, model, 2, n, 1),
+                 lambda n: run_limiting_chain(flow1_kernel, 0.0, 2 * n, 1)):
+        with pytest.raises(ResourceLimitError, match="1002 stored states need"):
+            call(501)
+        call(500)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +578,10 @@ def test_experiment_replication_equals_standalone_run(family, model):
         for j in (0, 1):
             assert np.array_equal(levels[j][0].states,
                                   engine["levels"][j]["states"][r])
+        total = 0.0
+        for value in f_clip(levels[1][0].states):  # the stepping order
+            total += value
+        assert engine["levels"][1]["f_sums"][r] == total
 
 
 def test_incremental_mixture_matches_the_transform(family, model, grid):
