@@ -10,8 +10,9 @@ Two groups of tools:
   the second form rewriting the right side through a transport map pushing
   ``mu`` onto ``nu`` and the spatial derivative of the derivative's density.
 
-* ``hastings_mvi_constants`` / ``mh_mvi_constants`` / ``gibbs_mvi_constants``
-  produce explicit constants for the mean-value bound
+* ``mvi_constants`` (dispatching to ``hastings_mvi_constants``,
+  ``mh_mvi_constants`` or ``gibbs_mvi_constants``) produces explicit
+  constants for the mean-value bound
 
       |P_mu(start, f) - P_nu(start, f)|
           <= m_rho * ||mu - nu||_V + m_perp * <start-specific gap>
@@ -37,6 +38,7 @@ import numpy as np
 from .derivative import (
     DEFAULT_RATIO_CEILING,
     Start,
+    _pair_at_start,
     derivative_for_start,
     hastings_derivative,
 )
@@ -48,7 +50,7 @@ from .measures import (
     SignedGridFunction,
     WeightFunction,
     curve_at,
-    integrate_values,
+    interp_slice,
     simpson_weights,
     v_norm_function,
     v_norm_measure,
@@ -66,13 +68,7 @@ def _t_quadrature(t_nodes: int):
 
 def _value_at_start(kernel, start, f_values) -> float:
     """P(start, f) for one prebuilt kernel, either start kind."""
-    pf = kernel.apply_to_function(f_values)
-    if isinstance(start, GridDensity):
-        return integrate_values(kernel.grid, start.values * pf)
-    if kernel.grid.ndim == 2:
-        x2 = float(start[1])
-        return float(np.interp(x2, kernel.grid.axis2.nodes, pf[0, :]))
-    return float(np.interp(float(start), kernel.grid.nodes, pf))
+    return _pair_at_start(kernel.grid, start, kernel.apply_to_function(f_values))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +319,35 @@ def _start_kind(start) -> str:
     return "density" if isinstance(start, GridDensity) else "point"
 
 
+def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
+                                 nu: GridDensity, start: Start,
+                                 weight: WeightFunction, t_nodes: int,
+                                 ratio_ceiling: float, smooth: bool) -> MviConstants:
+    """Both accept/reject constants: ``smooth`` keeps the g' factor in the
+    main budgets; without it the singular integral is restricted to the
+    sub-level set {z : r(x, z) <= 1} instead."""
+    ts, wts = _t_quadrature(t_nodes)
+    v = weight.values_on(mu.grid)
+    if _start_kind(start) == "density":
+        vals = np.empty(t_nodes)
+        for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
+            _guard_mvi_start(kern, start.values, ratio_ceiling, ts[m])
+            vals[m] = _hastings_density_budget(kern, start.values, v, use_g_prime=smooth)
+        return MviConstants(float(wts @ vals), 0.0, weight.description, t_nodes,
+                            "density", "none")
+    x = float(start)
+    vx = float(weight(x))
+    q_to_x = None
+    mains = np.empty(t_nodes)
+    perps = np.empty(t_nodes)
+    for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
+        if q_to_x is None:
+            q_to_x = np.asarray(kern.proposal.density(kern.grid.nodes, np.asarray(x)), float)
+        mains[m], perps[m] = _hastings_point_budget(kern, x, v, vx, q_to_x, not smooth)
+    return MviConstants(float(wts @ mains), float(wts @ perps), weight.description,
+                        t_nodes, "point", "point-gap")
+
+
 def hastings_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
                            start: Start, weight: WeightFunction,
                            t_nodes: int = MVI_T_NODES,
@@ -338,26 +363,8 @@ def hastings_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDens
             f"balancing '{family.balancing.tag}' has no derivative; use the "
             "min-one constants instead"
         )
-    ts, wts = _t_quadrature(t_nodes)
-    v = weight.values_on(mu.grid)
-    if _start_kind(start) == "density":
-        vals = np.empty(t_nodes)
-        for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
-            _guard_mvi_start(kern, start.values, ratio_ceiling, ts[m])
-            vals[m] = _hastings_density_budget(kern, start.values, v, use_g_prime=True)
-        return MviConstants(float(wts @ vals), 0.0, weight.description, t_nodes,
-                            "density", "none")
-    x = float(start)
-    vx = float(weight(x))
-    q_to_x = None
-    mains = np.empty(t_nodes)
-    perps = np.empty(t_nodes)
-    for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
-        if q_to_x is None:
-            q_to_x = np.asarray(kern.proposal.density(kern.grid.nodes, np.asarray(x)), float)
-        mains[m], perps[m] = _hastings_point_budget(kern, x, v, vx, q_to_x, False)
-    return MviConstants(float(wts @ mains), float(wts @ perps), weight.description,
-                        t_nodes, "point", "point-gap")
+    return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes,
+                                        ratio_ceiling, smooth=True)
 
 
 def mh_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
@@ -371,26 +378,8 @@ def mh_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
         raise PreconditionError(
             f"these constants are for the min-one family, got '{family.balancing.tag}'"
         )
-    ts, wts = _t_quadrature(t_nodes)
-    v = weight.values_on(mu.grid)
-    if _start_kind(start) == "density":
-        vals = np.empty(t_nodes)
-        for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
-            _guard_mvi_start(kern, start.values, ratio_ceiling, ts[m])
-            vals[m] = _hastings_density_budget(kern, start.values, v, use_g_prime=False)
-        return MviConstants(float(wts @ vals), 0.0, weight.description, t_nodes,
-                            "density", "none")
-    x = float(start)
-    vx = float(weight(x))
-    q_to_x = None
-    mains = np.empty(t_nodes)
-    perps = np.empty(t_nodes)
-    for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
-        if q_to_x is None:
-            q_to_x = np.asarray(kern.proposal.density(kern.grid.nodes, np.asarray(x)), float)
-        mains[m], perps[m] = _hastings_point_budget(kern, x, v, vx, q_to_x, True)
-    return MviConstants(float(wts @ mains), float(wts @ perps), weight.description,
-                        t_nodes, "point", "point-gap")
+    return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes,
+                                        ratio_ceiling, smooth=False)
 
 
 def _guard_mvi_start(kern, rho_values, ceiling, t):
@@ -459,6 +448,17 @@ def gibbs_mvi_constants(family: GibbsFamily, mu: GridDensity, nu: GridDensity,
                         "point", "slice-mass")
 
 
+def mvi_constants(family, mu: GridDensity, nu: GridDensity, start,
+                  weight: WeightFunction, t_nodes: int = MVI_T_NODES) -> MviConstants:
+    """Mean-value constants for any family: two-stage, min-one or
+    differentiable accept/reject."""
+    if isinstance(family, GibbsFamily):
+        return gibbs_mvi_constants(family, mu, nu, start, weight, t_nodes)
+    if family.balancing.tag == "min-one":
+        return mh_mvi_constants(family, mu, nu, start, weight, t_nodes)
+    return hastings_mvi_constants(family, mu, nu, start, weight, t_nodes)
+
+
 # ---------------------------------------------------------------------------
 # probing the bounds
 # ---------------------------------------------------------------------------
@@ -471,12 +471,8 @@ def perp_gap(constants: MviConstants, mu: GridDensity, nu: GridDensity, start) -
         x = float(start)
         return abs(mu.at(x) - nu.at(x))
     grid = mu.grid
-    x2 = float(start[1])
-    pos = np.interp(x2, grid.axis2.nodes, np.arange(grid.axis2.n_points, dtype=float))
-    k = min(int(pos), grid.axis2.n_points - 2)
-    frac = pos - k
     gap = np.abs(mu.values - nu.values)
-    section = (1.0 - frac) * gap[:, k] + frac * gap[:, k + 1]
+    section = interp_slice(grid.axis2, gap.T, float(start[1]))
     return float(grid.axis1.trapezoid_weights() @ section)
 
 
@@ -554,9 +550,9 @@ def uniform_boundedness_scan(family, mu: GridDensity, nu: GridDensity,
                              t_nodes: int = 9) -> dict:
     """Point-start constants swept over starting locations.
 
-    Dispatches on the family (min-one vs differentiable accept/reject vs
-    two-stage) and reports the maxima plus an edge-growth diagnostic: the
-    ratio of the worst edge value of m_x to its median over the scan.
+    Dispatches on the family through :func:`mvi_constants` and reports the
+    maxima plus an edge-growth diagnostic: the ratio of the worst edge value
+    of m_x to its median over the scan.
     Feeding a compactly-supported scan of a two-stage family gives finite
     maxima; a random-walk family with V = 1 grows like 1 / target(x) toward
     the window edge and gets flagged.
@@ -564,12 +560,8 @@ def uniform_boundedness_scan(family, mu: GridDensity, nu: GridDensity,
     m_x = []
     m_perp = []
     for p in points:
-        if isinstance(family, GibbsFamily):
-            c = gibbs_mvi_constants(family, mu, nu, tuple(p), weight, t_nodes)
-        elif family.balancing.g_prime is None:
-            c = mh_mvi_constants(family, mu, nu, float(p), weight, t_nodes)
-        else:
-            c = hastings_mvi_constants(family, mu, nu, float(p), weight, t_nodes)
+        start = tuple(p) if isinstance(family, GibbsFamily) else float(p)
+        c = mvi_constants(family, mu, nu, start, weight, t_nodes)
         m_x.append(c.m_rho)
         m_perp.append(c.m_perp)
     m_x = np.asarray(m_x)

@@ -103,9 +103,7 @@ import numpy as np
 from . import __version__
 from .calculus import (
     empirical_mvi_check,
-    gibbs_mvi_constants,
-    hastings_mvi_constants,
-    mh_mvi_constants,
+    mvi_constants,
     verify_ftc,
 )
 from .derivative import (
@@ -143,6 +141,7 @@ from .measures import (
 )
 from .samplers import (
     SchemeConfig,
+    _partial_sum_stats,
     check_adaptation_conditions,
     check_state_storage,
     clt_experiment,
@@ -923,12 +922,7 @@ def _run_mvi_check(settings, out_dir: Path):
         weight = _build_weight(settings["weight"])
 
     with _stage(kind, "bounding-constants"):
-        if two_stage:
-            constants = gibbs_mvi_constants(family, mu, nu, start, weight)
-        elif family.balancing.tag == "min-one":
-            constants = mh_mvi_constants(family, mu, nu, start, weight)
-        else:
-            constants = hastings_mvi_constants(family, mu, nu, start, weight)
+        constants = mvi_constants(family, mu, nu, start, weight)
     with _stage(kind, "randomized-trials"):
         result = empirical_mvi_check(family, mu, nu, start, weight, constants,
                                      n_trials=settings["trials"], seed=settings["seed"])
@@ -1114,15 +1108,10 @@ def _run_imcmc(settings, out_dir: Path):
             d1_path = out_dir / "d1_statistics.csv"
             _write_csv(d1_path, ["checkpoint", "sup_stat", "v_stat"],
                        zip(trace.checkpoints,
-                           _scaled_partials(trace.sup_increments, trace.checkpoints),
-                           _scaled_partials(trace.v_increments, trace.checkpoints)))
+                           _partial_sum_stats(trace.sup_increments, trace.checkpoints),
+                           _partial_sum_stats(trace.v_increments, trace.checkpoints)))
             files["d1_statistics"] = d1_path
     return checks, report, files
-
-
-def _scaled_partials(increments: np.ndarray, marks: np.ndarray) -> np.ndarray:
-    sums = np.cumsum(increments)[np.asarray(marks, dtype=int) - 1]
-    return sums / np.sqrt(np.asarray(marks, dtype=float))
 
 
 def _run_clt_report(settings, out_dir: Path):

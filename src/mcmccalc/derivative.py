@@ -42,6 +42,7 @@ from .measures import (
     SignedGridFunction,
     curve_at,
     integrate_values,
+    interp_slice,
 )
 
 DEFAULT_RATIO_CEILING = 1e6
@@ -91,11 +92,7 @@ class KernelDerivative:
             s_x = float(np.interp(x, grid.nodes, self.singular_part))
             total += self.scale * chi_x * s_x
         if self.slice_values is not None:
-            ax2 = grid.axis2
-            pos = np.interp(self.slice_point, ax2.nodes, np.arange(ax2.n_points, dtype=float))
-            k = min(int(pos), ax2.n_points - 2)
-            f = pos - k
-            chi_slice = (1.0 - f) * chi_values[:, k] + f * chi_values[:, k + 1]
+            chi_slice = interp_slice(grid.axis2, chi_values.T, self.slice_point)
             w1 = grid.axis1.trapezoid_weights()
             total += float(np.sum(w1 * chi_slice * self.slice_values))
         return float(total)
@@ -141,16 +138,19 @@ class OracleReport:
         return self
 
 
+def _pair_at_start(grid, start, pf) -> float:
+    """P(start, f) from the node values ``pf`` of P f, either start kind."""
+    if isinstance(start, GridDensity):
+        return integrate_values(grid, start.values * pf)
+    if grid.ndim == 2:
+        # two-stage iterates depend on the second coordinate only
+        return float(np.interp(float(start[1]), grid.axis2.nodes, pf[0, :]))
+    return float(np.interp(float(start), grid.nodes, pf))
+
+
 def _family_value(family, target, start, f_values, k):
     kern = family.at(target)
-    pf = iterate_kernel(kern, f_values, k)
-    if isinstance(start, GridDensity):
-        return integrate_values(kern.grid, start.values * pf)
-    if kern.grid.ndim == 2:
-        x1, x2 = start
-        g = pf[0, :]  # two-stage iterates depend on the second coordinate only
-        return float(np.interp(float(x2), kern.grid.axis2.nodes, g))
-    return float(np.interp(float(start), kern.grid.nodes, pf))
+    return _pair_at_start(kern.grid, start, iterate_kernel(kern, f_values, k))
 
 
 def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: Start,

@@ -42,6 +42,7 @@ from .measures import (
     GridDensity,
     POSITIVE_FLOOR,
     integrate_values,
+    interp_slice,
 )
 
 NEG_REJECTION_TOL = 1e-9
@@ -206,12 +207,21 @@ def sample_from_grid_density(grid: Grid1D, values: np.ndarray, u):
 
 @dataclass
 class ProposalKernel:
-    """Proposal density with a matching sampler.
+    """Proposal density with matching samplers.
 
     ``density(x, y)`` must broadcast over arrays; ``sample(x, rng)`` returns
     one draw from ``density(x, .)`` and whether boundary folding occurred.
     ``bounded`` marks a uniformly bounded density (precondition of the
     derivative operations).
+
+    The chain drivers move many proposals at once through the vectorised
+    pair: ``draw(rng, count)`` reads ``count`` raw draws from the stream and
+    ``propose(x, draws)`` maps them to proposals from ``x`` with their fold
+    mask.  A proposal without them runs only through :func:`sample_step`.
+    ``symmetric`` marks ``density(x, y) == density(y, x)``; :meth:`q_pair`
+    then uses ``q(x, y)`` for both directions.  The random walk's mirror
+    terms round differently in the two argument orders, so this also keeps
+    the chain drivers' acceptance ratios as they were first computed.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -219,7 +229,15 @@ class ProposalKernel:
     tag: str
     bounded: bool = True
     params: dict = field(default_factory=dict)
+    draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
+    propose: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    symmetric: bool = False
     _matrix: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def q_pair(self, x, y):
+        """(q(x, y), q(y, x)) for broadcasting ``x`` and ``y``."""
+        q = self.density(x, y)
+        return (q, q) if self.symmetric else (q, self.density(y, x))
 
     def matrix(self, grid: Grid1D) -> np.ndarray:
         """q(node_i, node_j) on ``grid``, rows indexed by the *from* state.
@@ -274,13 +292,18 @@ class ProposalKernel:
                 np.exp(-d0 * d0 / s2) + np.exp(-d1 * d1 / s2) + np.exp(-d2 * d2 / s2)
             )
 
-        def sample(x, rng):
-            z = x + sigma * rng.standard_normal()
-            if lo <= z <= hi:
-                return z, False
-            return float(reflect_into(lo, hi, z)), True
+        def draw(rng, count):
+            return rng.standard_normal(count)
 
-        return ProposalKernel(density, sample, "random-walk", True, {"sigma": sigma})
+        def propose(x, draws):
+            z = x + sigma * draws
+            folded = (z < lo) | (z > hi)
+            if folded.any():
+                z = np.where(folded, reflect_into(lo, hi, z), z)
+            return z, folded
+
+        return ProposalKernel(density, _scalar_sampler(draw, propose), "random-walk",
+                              True, {"sigma": sigma}, draw, propose, symmetric=True)
 
     @staticmethod
     def independence(base: GridDensity) -> "ProposalKernel":
@@ -294,10 +317,25 @@ class ProposalKernel:
             out = np.interp(y, grid.nodes, vals)
             return np.broadcast_to(out, np.broadcast(np.asarray(x, dtype=float), y).shape).copy()
 
-        def sample(x, rng):
-            return float(sample_from_grid_density(grid, vals, rng.uniform())), False
+        def draw(rng, count):
+            return rng.uniform(size=count)
 
-        return ProposalKernel(density, sample, "independence", True, {"base": base.description})
+        def propose(x, draws):
+            y = sample_from_grid_density(grid, vals, draws)
+            return y, np.zeros(np.shape(draws), dtype=bool)
+
+        return ProposalKernel(density, _scalar_sampler(draw, propose), "independence",
+                              True, {"base": base.description}, draw, propose)
+
+
+def _scalar_sampler(draw, propose):
+    """``sample(x, rng)`` as the first proposal of ``propose(x, draw(rng, 1))``."""
+
+    def sample(x, rng):
+        y, folded = propose(x, draw(rng, 1))
+        return float(y[0]), bool(folded[0])
+
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +535,11 @@ class GibbsKernel:
 
     def conditional_first_given_second(self, x2: float) -> np.ndarray:
         """Density over the first coordinate given a (possibly off-grid) x2."""
-        a2 = self.grid.axis2
-        col = np.interp(x2, a2.nodes, np.arange(a2.n_points, dtype=float))
-        k = min(int(col), a2.n_points - 2)
-        f = col - k
-        row = (1.0 - f) * self.target.values[:, k] + f * self.target.values[:, k + 1]
+        row = interp_slice(self.grid.axis2, self.target.values.T, x2)
         return row / float(row @ self.w1)
 
     def conditional_second_given_first(self, x1: float) -> np.ndarray:
-        a1 = self.grid.axis1
-        rowpos = np.interp(x1, a1.nodes, np.arange(a1.n_points, dtype=float))
-        i = min(int(rowpos), a1.n_points - 2)
-        f = rowpos - i
-        row = (1.0 - f) * self.target.values[i, :] + f * self.target.values[i + 1, :]
+        row = interp_slice(self.grid.axis1, self.target.values, x1)
         return row / float(row @ self.w2)
 
     def conditional_mean_first(self, f_values: np.ndarray) -> np.ndarray:

@@ -152,6 +152,15 @@ def _interp1(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
     return np.interp(np.asarray(x, dtype=float), grid.nodes, values)
 
 
+def interp_slice(axis: Grid1D, rows: np.ndarray, x: float) -> np.ndarray:
+    """Linear interpolation at ``x`` between the rows of ``rows``, one per
+    node of ``axis`` (pass ``values.T`` to slice along a second axis)."""
+    pos = np.interp(x, axis.nodes, np.arange(axis.n_points, dtype=float))
+    k = min(int(pos), axis.n_points - 2)
+    f = pos - k
+    return (1.0 - f) * rows[k] + f * rows[k + 1]
+
+
 def _interp2(grid: Grid2D, values: np.ndarray, x1, x2):
     """Bilinear interpolation at (x1, x2); scalar or array arguments."""
     a1, a2 = grid.axis1, grid.axis2

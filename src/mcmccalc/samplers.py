@@ -21,9 +21,10 @@ as an escape hatch and consumed directly (its runs record seed 0).
 Within a replication the per-step draw order is fixed: blocks of proposal
 draws, then blocks of acceptance uniforms, from the replication's own stream
 (``DRAW_BLOCK`` normals or uniforms, then as many acceptance uniforms, and
-so on).  Proposals vectorise for the random-walk and independence families;
-any other proposal tag is refused with instructions rather than silently
-looped.
+so on).  The lanes draw and propose through the proposal's own vectorised
+pair (``ProposalKernel.draw`` and ``propose``, which the random-walk and
+independence families define); a proposal without it is refused with
+instructions rather than silently looped.
 
 A chain that rejects stays where it is.  So a chain against a fixed target
 whose states are only stored (the limiting chain, every level of a stored
@@ -70,7 +71,7 @@ from .kernels import (
     GibbsKernel,
     HastingsFamily,
     HastingsKernel,
-    sample_from_grid_density,
+    ProposalKernel,
     sample_step_detail,
 )
 from .measures import (
@@ -232,75 +233,6 @@ class CltReport:
 
 
 # ---------------------------------------------------------------------------
-# vectorised proposal plans
-# ---------------------------------------------------------------------------
-
-class _ProposalPlan:
-    """Vectorised draw/propose/density triple for one proposal family."""
-
-    def __init__(self, draw, propose, q_pair, tag):
-        self.draw = draw          # (rng, count) -> raw draws
-        self.propose = propose    # (x, draws) -> (y, folded_mask)
-        self.q_pair = q_pair      # (x, y) -> (q(x, y), q(y, x))
-        self.tag = tag
-
-
-def _plan_for(proposal, grid: Grid1D) -> _ProposalPlan:
-    if proposal.tag == "random-walk":
-        sigma = float(proposal.params["sigma"])
-        lo, hi = grid.lower, grid.upper
-        width = hi - lo
-        inv = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-        s2 = 2.0 * sigma * sigma
-
-        def draw(rng, count):
-            return rng.standard_normal(count)
-
-        def propose(x, draws):
-            z = x + sigma * draws
-            folded = (z < lo) | (z > hi)
-            if folded.any():
-                d = np.mod(z - lo, 2.0 * width)
-                z = np.where(folded, lo + width - np.abs(d - width), z)
-            return z, folded
-
-        def q_pair(x, y):
-            d0 = y - x
-            d1 = (2.0 * hi - y) - x
-            d2 = (2.0 * lo - y) - x
-            q = inv * (np.exp(-d0 * d0 / s2) + np.exp(-d1 * d1 / s2)
-                       + np.exp(-d2 * d2 / s2))
-            return q, q  # the folded density is symmetric
-
-        return _ProposalPlan(draw, propose, q_pair, proposal.tag)
-
-    if proposal.tag == "independence":
-        # rebuild the base table from the density itself: rows are constant
-        # in the start point, so one probe row is the whole table
-        base_vals = np.asarray(proposal.density(grid.nodes[:1, None],
-                                                grid.nodes[None, :]),
-                               dtype=float)[0]
-
-        def draw(rng, count):
-            return rng.uniform(size=count)
-
-        def propose(x, draws):
-            y = sample_from_grid_density(grid, base_vals, draws)
-            return np.asarray(y, dtype=float), np.zeros(np.shape(draws), dtype=bool)
-
-        def q_pair(x, y):
-            return (np.interp(y, grid.nodes, base_vals),
-                    np.interp(x, grid.nodes, base_vals))
-
-        return _ProposalPlan(draw, propose, q_pair, proposal.tag)
-
-    raise InvalidInputError(
-        "proposal '%s' has no vectorised sampler; the chain drivers support "
-        "the random-walk and independence families" % proposal.tag
-    )
-
-
-# ---------------------------------------------------------------------------
 # the stepping lane
 # ---------------------------------------------------------------------------
 
@@ -324,14 +256,21 @@ class _Lane:
     states, counts and cursor of ``n`` calls to :meth:`step` bit for bit.
 
     ``accepted`` holds the accept mask of the latest step: a chain whose
-    entry is False still sits where it was before that step.
+    entry is False still sits where it was before that step.  The proposal
+    must carry its vectorised pair (``ProposalKernel.draw`` and
+    ``propose``).
     """
 
-    def __init__(self, grid: Grid1D, plan: _ProposalPlan, balancing,
+    def __init__(self, grid: Grid1D, proposal: ProposalKernel, balancing,
                  x0s: np.ndarray, rngs: Sequence[np.random.Generator],
                  block: int = DRAW_BLOCK):
+        if proposal.propose is None:
+            raise InvalidInputError(
+                "proposal '%s' has no vectorised sampler; the chain drivers "
+                "support the random-walk and independence families" % proposal.tag
+            )
         self.grid = grid
-        self.plan = plan
+        self.proposal = proposal
         self.balancing = balancing
         self.x = np.array(x0s, dtype=float)
         self.rngs = list(rngs)
@@ -371,7 +310,7 @@ class _Lane:
         draws = np.empty((count, self._block))
         accept_u = np.empty((count, self._block))
         for r, rng in enumerate(self.rngs):
-            draws[r] = self.plan.draw(rng, self._block)
+            draws[r] = self.proposal.draw(rng, self._block)
             accept_u[r] = rng.uniform(size=self._block)
         self._draws = draws
         self._accept_u = accept_u
@@ -384,9 +323,9 @@ class _Lane:
         under the uniforms ``u``.  Every operation is elementwise, so one
         chain may pass several steps' draws at once: each is judged as if the
         chain were still at ``x``."""
-        y, folded = self.plan.propose(x, d)
+        y, folded = self.proposal.propose(x, d)
         mu_y = self._target_at(table, y)
-        q_xy, q_yx = self.plan.q_pair(x, y)
+        q_xy, q_yx = self.proposal.q_pair(x, y)
         num = mu_y * q_yx
         den = mu_x * q_xy
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -577,8 +516,7 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
         raise InvalidInputError(
             "run_limiting_chain drives 1-D accept/reject or two-stage kernels"
         )
-    plan = _plan_for(kernel.proposal, kernel.grid)
-    lane = _Lane(kernel.grid, plan, kernel.balancing,
+    lane = _Lane(kernel.grid, kernel.proposal, kernel.balancing,
                  np.array([float(x0)]), [rng])
     lane.set_target(kernel.target.values)
     states = np.empty(n)
@@ -625,8 +563,9 @@ def _resolve_family(family) -> HastingsFamily:
     return family
 
 
-def _level_descriptor(plan, balancing, level: int, text: str) -> str:
-    return "%s+%s @ level %d: %s" % (plan.tag, balancing.tag, level, text)
+def _level_descriptor(family: HastingsFamily, level: int, text: str) -> str:
+    return "%s+%s @ level %d: %s" % (family.proposal.tag, family.balancing.tag,
+                                     level, text)
 
 
 def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
@@ -645,7 +584,6 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     """
     grid = model.grid
     reps = len(streams)
-    plan = _plan_for(family.proposal, grid)
     weights = grid.trapezoid_weights()
 
     levels: List[Dict[str, object]] = []
@@ -655,7 +593,7 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     final_table: Optional[np.ndarray] = None
 
     for level in range(1, p + 1):
-        lane = _Lane(grid, plan, family.balancing, x0s,
+        lane = _Lane(grid, family.proposal, family.balancing, x0s,
                      [streams[r][level - 1] for r in range(reps)])
         lane.set_target(target)
         build_next = level < p
@@ -684,7 +622,7 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             "folds": lane.fold_count.copy(),
             "f_sums": f_sums,
             "target_text": target_text,
-            "descriptor": _level_descriptor(plan, family.balancing, level, target_text),
+            "descriptor": _level_descriptor(family, level, target_text),
         })
 
         if build_next:
@@ -804,12 +742,11 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     """
     grid = model.grid
     reps = len(streams)
-    plan = _plan_for(family.proposal, grid)
     weights = grid.trapezoid_weights()
 
     lanes = []
     for level in range(1, p + 1):
-        lane = _Lane(grid, plan, family.balancing, np.full(reps, float(x0)),
+        lane = _Lane(grid, family.proposal, family.balancing, np.full(reps, float(x0)),
                      [streams[r][level - 1] for r in range(reps)])
         lanes.append(lane)
     lanes[0].set_target(model.flow(1).values)
@@ -898,9 +835,9 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
         "f_sums": f_sums,
         "center_sums": center_sums,
         "descriptors": [
-            _level_descriptor(plan, family.balancing, 1, "reference flow level 1")
+            _level_descriptor(family, 1, "reference flow level 1")
         ] + [
-            _level_descriptor(plan, family.balancing, j,
+            _level_descriptor(family, j,
                               "frozen mixture" if frozen_table is not None
                               else "running mixture level %d" % j)
             for j in range(2, p + 1)

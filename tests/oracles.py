@@ -328,3 +328,32 @@ def mutation_rows_every_point(density, nodes, weights, xs):
     every start point, repeats included."""
     raw = np.asarray(density(xs[:, None], nodes[None, :]), dtype=float)
     return raw / (raw @ weights)[:, None]
+
+
+def reflected_walk_sample(x, rng, sigma, lower, upper):
+    """One scalar random-walk proposal as the sampler was first written: a
+    normal step, folded into [lower, upper] by reflection when it leaves the
+    window.  Returns (proposal, folded)."""
+    z = x + sigma * rng.standard_normal()
+    if lower <= z <= upper:
+        return z, False
+    width = upper - lower
+    d = np.mod(z - lower, 2.0 * width)
+    return float(lower + width - np.abs(d - width)), True
+
+
+def inverse_cdf_sample(nodes, h, values, rng):
+    """One scalar independence proposal as the sampler was first written: a
+    uniform through the inverse CDF of the piecewise-linear density with
+    node ``values`` (spacing ``h``), solving the cell's quadratic for the
+    offset.  Returns (proposal, False)."""
+    v = np.asarray(values, float)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (v[:-1] + v[1:]))])
+    uu = rng.uniform() * cdf[-1]
+    k = min(max(int(np.searchsorted(cdf, uu, side="right")) - 1, 0), v.size - 2)
+    a, b = v[k], v[k + 1]
+    c0 = -((uu - cdf[k]) / h)
+    disc = a * a - 4.0 * (0.5 * (b - a)) * c0
+    denom = a + np.sqrt(max(disc, 0.0))
+    s = -2.0 * c0 / denom if denom > 0.0 else 0.0
+    return float(nodes[k] + min(max(s, 0.0), 1.0) * h), False

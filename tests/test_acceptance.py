@@ -16,8 +16,7 @@ import pytest
 from mcmccalc.calculus import (
     empirical_mvi_check,
     gibbs_mvi_constants,
-    hastings_mvi_constants,
-    mh_mvi_constants,
+    mvi_constants,
     verify_ftc,
 )
 from mcmccalc.cli import main as cli_main
@@ -250,8 +249,7 @@ def test_criterion_05_mean_value_inequalities():
         start = gaussian_density(GRID, rng.uniform(-0.1, 0.1), rng.uniform(0.4, 0.5))
         weight = (WeightFunction.one_plus_square() if i % 3
                   else WeightFunction.exp_abs(rng.uniform(0.5, 1.5)))
-        maker = mh_mvi_constants if bal.tag == "min-one" else hastings_mvi_constants
-        const = maker(family, mu, nu, start, weight)
+        const = mvi_constants(family, mu, nu, start, weight)
         res = empirical_mvi_check(family, mu, nu, start, weight, const,
                                   n_trials=50, seed=1000 + i)
         trials += res["n_trials"]

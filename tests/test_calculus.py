@@ -8,6 +8,7 @@ from mcmccalc.calculus import (
     hastings_mvi_constants,
     mh_mvi_constants,
     mvi_bound,
+    mvi_constants,
     perp_gap,
     pushforward_density,
     random_bv_function,
@@ -374,6 +375,24 @@ def test_polynomial_balancing_constants_below_min_one(family, min_one_family, mu
         )
         c = hastings_mvi_constants(fam_j, mu, nu, rho, v, t_nodes=9)
         assert 0.0 < c.m_rho <= cap + 1e-9
+
+
+@pytest.mark.parametrize("start", ["density", "point"])
+@pytest.mark.parametrize("kind", ["hastings", "min-one", "two-stage"])
+def test_mvi_constants_dispatch_to_the_family_constants(request, kind, start):
+    if kind == "two-stage":
+        fam, direct = GibbsFamily(), gibbs_mvi_constants
+        mu_, nu_ = request.getfixturevalue("mu2"), request.getfixturevalue("nu2")
+        at = request.getfixturevalue("rho2") if start == "density" else (0.5, -0.75)
+    else:
+        fam = request.getfixturevalue("family" if kind == "hastings" else "min_one_family")
+        direct = hastings_mvi_constants if kind == "hastings" else mh_mvi_constants
+        mu_, nu_ = request.getfixturevalue("mu"), request.getfixturevalue("nu")
+        at = request.getfixturevalue("rho") if start == "density" else 0.5
+    v = WeightFunction.one_plus_square()
+    got = mvi_constants(fam, mu_, nu_, at, v, t_nodes=5)
+    assert repr(got) == repr(direct(fam, mu_, nu_, at, v, t_nodes=5))
+    assert got.start_kind == start
 
 
 def test_differentiable_constants_reject_min_one(min_one_family, mu, nu, rho):

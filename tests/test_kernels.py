@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mcmccalc.errors import (
     InternalConsistencyError,
@@ -166,6 +167,36 @@ def test_inverse_cdf_sampler_uniform_cells():
     u = np.linspace(0.001, 0.999, 999)
     x = sample_from_grid_density(g, vals, u)
     assert np.max(np.abs(x - u)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.05, 16.0 / 6.0),
+       x0=st.floats(-8.0, 8.0), n=st.integers(1, 40),
+       kind=st.sampled_from(["random-walk", "independence"]))
+@example(seed=1, sigma=2.6, x0=8.0, n=40, kind="random-walk")
+def test_scalar_sampler_equals_its_oracle_and_the_vectorised_pair(
+        seed, sigma, x0, n, kind, grid):
+    # n scalar draws from one stream: bit-equal to the sampler as first
+    # written, fold flags included, and to one vectorised call of n draws
+    if kind == "random-walk":
+        prop = ProposalKernel.random_walk(sigma, grid)
+
+        def oracle(rng):
+            return oracles.reflected_walk_sample(x0, rng, sigma, grid.lower, grid.upper)
+    else:
+        base = gaussian_density(grid, 0.5, sigma)
+        prop = ProposalKernel.independence(base)
+
+        def oracle(rng):
+            return oracles.inverse_cdf_sample(grid.nodes, grid.h, base.values, rng)
+    scalar_rng, oracle_rng, pair_rng = (np.random.default_rng(seed) for _ in range(3))
+    scalar = [prop.sample(x0, scalar_rng) for _ in range(n)]
+    expected = [oracle(oracle_rng) for _ in range(n)]
+    y, folded = prop.propose(x0, prop.draw(pair_rng, n))
+    ys = np.array([s[0] for s in scalar])
+    assert ys.tobytes() == np.array([e[0] for e in expected]).tobytes()
+    assert ys.tobytes() == y.tobytes()
+    assert [s[1] for s in scalar] == [e[1] for e in expected] == folded.tolist()
 
 
 # ---------------------------------------------------------------- hastings
