@@ -6,9 +6,10 @@ Three simulation schemes share one vectorised accept/reject engine:
 * :func:`run_smcmc` — sequential levels: level 1 targets the initial flow
   density, level ``p`` targets the reweight/mutate transform of the previous
   level's *completed* empirical measure;
-* :func:`run_imcmc` — interacting levels advancing in lockstep: at every step
-  the level-``p`` chain moves against the transform of the level-``(p-1)``
-  *running* empirical measure, so its target is refined each iteration.
+* :func:`run_imcmc` — interacting levels: at step ``k`` the level-``p``
+  chain moves against the transform of the level-``(p-1)`` *running*
+  empirical measure of steps ``1..k``, so its target is refined each
+  iteration.
 
 Seed discipline: every public run operation accepts an integer or a
 ``numpy.random.SeedSequence`` and derives one child stream per level via
@@ -26,15 +27,17 @@ pair (``ProposalKernel.draw`` and ``propose``, which the random-walk and
 independence families define); a proposal without it is refused with
 instructions rather than silently looped.
 
-A chain that rejects stays where it is.  So a chain against a fixed target
-whose states are only stored (the limiting chain, every level of a stored
-sequential run, level 1 of a stored interacting run) advances a rejection
-run at a time: from its state the next proposals are judged together as if
-all were rejected, and the first accepted one ends the run.  Rounds stop at draw-block ends, so the
-streams are read in the order above and the states are bit-identical to
-stepping one step at a time.  Chains whose consumers need every step (the
-replicated engines' mixtures and sums, targets that move each step) step in
-lockstep.
+A chain that rejects stays where it is.  So a chain whose states are
+stored advances a rejection run at a time: from its state the next proposals
+are judged together as if all were rejected, and the first accepted one ends
+the run.  Against a fixed target (the limiting chain, every level of a stored
+sequential run, level 1 of a stored interacting run) every proposal reads the
+one target; an upper level of a stored interacting run reads, for each
+proposal, that step's row of its running mixture, so its levels run one after
+another.  Rounds stop at draw-block ends, so the streams are read in the
+order above and the states are bit-identical to stepping one step at a time.
+The replicated engines whose states are not stored (their mixtures and
+running sums need every step of every chain) step in lockstep.
 
 The CLT harness validates the two asymptotic-variance displays: the
 random-centered statistic (each replication centered at its own realised
@@ -249,11 +252,12 @@ class _Lane:
     """R parallel accept/reject chains against a shared or per-chain target.
 
     :meth:`step` moves all R chains one step in lockstep, for engines whose
-    per-step consumers (mixtures, running sums, moving targets) need every
-    step.  :meth:`run` moves every chain ``n`` steps against its fixed
-    target a rejection run at a time.  Both read the same draws in the same
-    order and share the acceptance arithmetic, so a run reproduces the
-    states, counts and cursor of ``n`` calls to :meth:`step` bit for bit.
+    per-step consumers (mixtures, running sums) need every step.
+    :meth:`run` moves every chain ``n`` steps against its fixed target, and
+    :meth:`run_moving` against per-step tables, both a rejection run at a
+    time.  All three read the same draws in the same order and share the
+    acceptance arithmetic, so a run reproduces the states, counts and cursor
+    of stepping (with the target refreshed before each step) bit for bit.
 
     ``accepted`` holds the accept mask of the latest step: a chain whose
     entry is False still sits where it was before that step.  The proposal
@@ -360,8 +364,29 @@ class _Lane:
         :meth:`_run_chain`); the cursor then moves past the block's steps,
         so each stream is consumed as under :meth:`step`.
         """
+        self._advance(n, out, moved, None)
+
+    def run_moving(self, rows: np.ndarray, out: np.ndarray,
+                   moved: Optional[np.ndarray] = None) -> None:
+        """Move every chain ``len(rows)`` steps, step ``k`` against the
+        per-chain table ``rows[k]`` (R x N), as :meth:`run` does against a
+        fixed one.
+
+        Stepping would write ``rows[k]`` into the target, :meth:`refresh`
+        and :meth:`step`; here each proposal reads its own step's row, for
+        the current state's value as well.  Afterwards the target is (a
+        copy of) the last table.
+        """
+        self._advance(len(rows), out, moved, rows)
+        if len(rows):
+            self.target = rows[-1].copy()
+
+    def _advance(self, n: int, out: np.ndarray, moved: Optional[np.ndarray],
+                 rows: Optional[np.ndarray]) -> None:
         # step hands self.x to its callers; update a private copy in place
-        self.x, self.mu_x = self.x.copy(), self.mu_x.copy()
+        self.x = self.x.copy()
+        self.mu_x = (np.empty_like(self.x) if self.mu_x is None
+                     else self.mu_x.copy())
         done = 0
         while done < n:
             if self._cursor == self._block:
@@ -371,31 +396,40 @@ class _Lane:
             for r in range(len(self.rngs)):
                 last[r] = self._run_chain(
                     r, out[r, done:done + m],
-                    None if moved is None else moved[r, done:done + m])
+                    None if moved is None else moved[r, done:done + m],
+                    None if rows is None else rows[done:done + m, r])
             self.accepted = last
             self._cursor += m
             done += m
 
-    def _run_chain(self, r: int, out: np.ndarray,
-                   moved: Optional[np.ndarray]) -> bool:
+    def _run_chain(self, r: int, out: np.ndarray, moved: Optional[np.ndarray],
+                   rows: Optional[np.ndarray]) -> bool:
         """Advance chain ``r`` ``len(out)`` steps over its draws from the
-        cursor; returns whether the last step was accepted.
+        cursor, against its fixed target or, when given, against ``rows``
+        (its table row for each step); returns whether the last step was
+        accepted.
 
         A rejected chain stays where it is, so from state ``x`` the next
         proposals are judged together as if every one were rejected, and the
         first accepted one ends the run of rejections.  A round takes at
         most ``RUN_BLOCK`` proposals.
         """
-        table = self.target if self.target.ndim == 1 else self.target[r:r + 1]
+        if rows is None:
+            table = self.target if self.target.ndim == 1 else self.target[r:r + 1]
         draws = self._draws[r, self._cursor:]
         uniforms = self._accept_u[r, self._cursor:]
         done = 0
         while done < len(out):
             k = min(len(out) - done, RUN_BLOCK)
             x = self.x[r:r + 1]
+            if rows is None:
+                mu_x = self.mu_x[r:r + 1]
+            else:  # proposal i is judged against step i's row, as refresh does
+                table = rows[done:done + k]
+                mu_x = np.maximum(_matrix_rows_at(self.grid, table, x),
+                                  POSITIVE_FLOOR)
             y, folded, mu_y, accept = self._proposals(
-                x, self.mu_x[r:r + 1], table,
-                draws[done:done + k], uniforms[done:done + k])
+                x, mu_x, table, draws[done:done + k], uniforms[done:done + k])
             j = int(accept.argmax())
             hit = bool(accept[j])
             used = j + 1 if hit else k
@@ -405,6 +439,8 @@ class _Lane:
                 self.x[r] = y[j]
                 self.mu_x[r:r + 1] = np.maximum(mu_y[j:j + 1], POSITIVE_FLOOR)
                 self.accept_count[r] += 1
+            else:
+                self.mu_x[r] = mu_x[-1]
             if moved is not None:
                 moved[done:done + used] = accept[:used]
             self.fold_count[r] += np.count_nonzero(folded[:used])
@@ -719,6 +755,39 @@ def _checkpoint_indices(n: int, count: int = _TRACE_POINTS) -> np.ndarray:
     return pts
 
 
+class _TraceRecorder:
+    """Fills ``trace``, the adaptation trace of replication 0's top-level
+    target, from the table rows of consecutive steps, one or a block at a
+    time."""
+
+    def __init__(self, grid: Grid1D, n: int, weight: WeightFunction):
+        marks = _checkpoint_indices(n)
+        self.trace = AdaptationTrace(
+            grid=grid, sup_increments=np.zeros(n), v_increments=np.zeros(n),
+            checkpoints=marks, snapshots=np.zeros((marks.size, grid.n_points)),
+            weight_tag=weight.description)
+        self._weights = grid.trapezoid_weights()
+        self._weighted_v = self._weights * weight.values_on(grid)
+        self._prev: Optional[np.ndarray] = None
+        self._next_mark = 0
+
+    def record(self, rows: np.ndarray, k0: int) -> None:
+        """Record steps ``k0, k0 + 1, ...`` from their table rows."""
+        m = len(rows)
+        # one 1-D product per row: a stacked gemv rounds the masses differently
+        mass = np.array([row @ self._weights for row in rows])
+        mu = rows / mass[:, None]
+        prev = mu[:1] if self._prev is None else self._prev[None, :]
+        delta = np.abs(mu - np.concatenate([prev, mu[:-1]]))
+        self.trace.sup_increments[k0:k0 + m] = delta.max(axis=1)
+        self.trace.v_increments[k0:k0 + m] = (self._weighted_v * delta).sum(axis=1)
+        self._prev = mu[-1]
+        marks, snaps = self.trace.checkpoints, self.trace.snapshots
+        while self._next_mark < marks.size and marks[self._next_mark] <= k0 + m:
+            snaps[self._next_mark] = mu[marks[self._next_mark] - 1 - k0]
+            self._next_mark += 1
+
+
 def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                   n: int, streams: Sequence[Sequence[np.random.Generator]],
                   x0: float, f: Optional[Callable] = None,
@@ -727,110 +796,101 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                   collect_states: bool = False,
                   trace_weight: Optional[WeightFunction] = None
                   ) -> Dict[str, object]:
-    """Advance all replications through the interacting levels in lockstep.
+    """Advance all replications through the interacting levels.
 
-    Per step and per level ``j >= 2``: the level-``(j-1)`` chain has just
-    stepped, its current point's weighted mutation row joins the running
-    mixture (a :class:`_MixtureAccumulator`), and the level-``j`` chain moves
-    against the refreshed mixture.  The accumulator caches each chain's
-    weighted row, potential and ``f``-moment, and recomputes them only for
-    the chains whose last step was accepted.  The top level's running target
-    mean of ``f`` accumulates incrementally for the random-centered
-    statistic.  Level 1 moves against a fixed target; when states are
-    collected it runs all ``n`` steps first with :meth:`_Lane.run`, and the
-    lockstep loop reads its states and accept flags.
+    At step ``k`` the level-``j`` chain (``j >= 2``) moves against the
+    running mixture of the level-``(j-1)`` states of steps ``1..k``, a
+    :class:`_MixtureAccumulator` that caches each chain's weighted row,
+    potential and ``f``-moment and recomputes them only for the chains whose
+    last step was accepted.  The top level's running target mean of ``f``
+    accumulates incrementally for the random-centered statistic.
+
+    A level's target at step ``k`` depends on the level below only up to
+    step ``k``, so when states are collected the levels run one after
+    another: level 1 with :meth:`_Lane.run`, then each level ``j >= 2`` in
+    blocks of ``RUN_BLOCK`` steps, where the block's level-``(j-1)`` states
+    join the mixture one step at a time, each step's table is kept, and
+    :meth:`_Lane.run_moving` advances level ``j`` against them.  Otherwise
+    (the replicated CLT engine) the levels step in lockstep.  In a stored
+    depth-2 run, ``freeze_lower`` replaces the running mixture with the
+    fixed transform of a density, and level 2 runs with :meth:`_Lane.run`.
     """
     grid = model.grid
     reps = len(streams)
     weights = grid.trapezoid_weights()
+    if freeze_lower is not None and (p != 2 or not collect_states):
+        raise InvalidInputError(
+            "freezing the lower level is a depth-2 device of stored runs")
 
-    lanes = []
-    for level in range(1, p + 1):
-        lane = _Lane(grid, family.proposal, family.balancing, np.full(reps, float(x0)),
-                     [streams[r][level - 1] for r in range(reps)])
-        lanes.append(lane)
+    lanes = [_Lane(grid, family.proposal, family.balancing,
+                   np.full(reps, float(x0)),
+                   [streams[r][level - 1] for r in range(reps)])
+             for level in range(1, p + 1)]
     lanes[0].set_target(model.flow(1).values)
-
-    frozen_table = None
-    if freeze_lower is not None:
-        if p != 2:
-            raise InvalidInputError("freezing the lower level is a depth-2 device")
-        frozen_table = model.transform(1, freeze_lower).values
-        lanes[1].set_target(frozen_table)
 
     f_sums = np.zeros(reps) if f is not None else None
     center_sums = np.zeros(reps) if f is not None else None
     wf = weights * f_nodes if f_nodes is not None else None
-    mixtures = [] if frozen_table is not None else [
+    mixtures = [] if freeze_lower is not None else [
         _MixtureAccumulator(model, j - 1, reps,
                             wf if (j == p and f is not None) else None)
         for j in range(2, p + 1)
     ]
+    tracer = (_TraceRecorder(grid, n, trace_weight)
+              if trace_weight is not None else None)
 
-    states = np.empty((p, reps, n)) if collect_states else None
-    accept0 = [lane.accept_count for lane in lanes]
-
-    trace = None
-    if trace_weight is not None:
-        marks = _checkpoint_indices(n)
-        trace = {
-            "sup": np.zeros(n),
-            "v": np.zeros(n),
-            "marks": marks,
-            "snaps": np.zeros((marks.size, grid.n_points)),
-            "prev": None,
-            "next_mark": 0,
-            "weighted_v": weights * trace_weight.values_on(grid),
-        }
-
-    level1_moved = None
+    states = None
     if collect_states:
-        level1_moved = np.empty((reps, n), dtype=bool)
-        lanes[0].run(n, states[0], level1_moved)
-
-    for k in range(n):
-        if level1_moved is not None:
-            x_prev, moved = states[0, :, k], level1_moved[:, k]
-        else:
+        states = np.empty((p, reps, n))
+        # the accept flags of the level below, overwritten block by block
+        # with the current level's once they have joined its mixture
+        moved = np.empty((reps, n), dtype=bool)
+        lanes[0].run(n, states[0], moved)
+        if freeze_lower is not None:
+            frozen_table = model.transform(1, freeze_lower).values
+            lanes[1].set_target(frozen_table)
+            lanes[1].run(n, states[1], moved)
+        rows = np.empty((min(RUN_BLOCK, n), reps, grid.n_points))
+        for j, mixture in enumerate(mixtures, start=2):
+            top = j == p
+            for k0 in range(0, n, RUN_BLOCK):
+                m = min(RUN_BLOCK, n - k0)
+                for i in range(m):
+                    mixture.add(states[j - 2, :, k0 + i], moved[:, k0 + i])
+                    rows[i] = mixture.table
+                    if top and f is not None:
+                        center_sums += mixture.center_num / mixture.center_den
+                lanes[j - 1].run_moving(rows[:m], states[j - 1, :, k0:k0 + m],
+                                        moved[:, k0:k0 + m])
+                if top and tracer is not None:
+                    tracer.record(rows[:m, 0], k0)
+        if f is not None:
+            for x in states[-1].T:
+                f_sums += f(x)
+                if freeze_lower is not None:
+                    center_sums += float(np.sum(weights * frozen_table * f_nodes))
+    else:
+        for k in range(n):
             x_prev = lanes[0].step()
             moved = lanes[0].accepted
-        for j in range(2, p + 1):
-            if frozen_table is None:
-                mixture = mixtures[j - 2]
+            for mixture, lane in zip(mixtures, lanes[1:]):
                 mixture.add(x_prev, moved)
                 if k == 0:
-                    lanes[j - 1].set_target(mixture.table)
+                    lane.set_target(mixture.table)
                 else:
-                    lanes[j - 1].refresh()
-            x_prev = lanes[j - 1].step()
-            moved = lanes[j - 1].accepted
-            if collect_states:
-                states[j - 1, :, k] = x_prev
-        if f is not None:
-            f_sums += f(x_prev)
-            if frozen_table is not None:
-                center_sums += float(np.sum(weights * frozen_table
-                                            * f_nodes))
-            else:
+                    lane.refresh()
+                x_prev = lane.step()
+                moved = lane.accepted
+            if f is not None:
+                f_sums += f(x_prev)
                 center_sums += mixtures[-1].center_num / mixtures[-1].center_den
-        if trace is not None and p >= 2 and frozen_table is None:
-            top = mixtures[-1].table[0]
-            mu = top / float(top @ weights)
-            if trace["prev"] is not None:
-                delta = mu - trace["prev"]
-                trace["sup"][k] = float(np.max(np.abs(delta)))
-                trace["v"][k] = float(np.sum(trace["weighted_v"]
-                                             * np.abs(delta)))
-            trace["prev"] = mu
-            if (trace["next_mark"] < trace["marks"].size
-                    and k + 1 == trace["marks"][trace["next_mark"]]):
-                trace["snaps"][trace["next_mark"]] = mu
-                trace["next_mark"] += 1
+            if tracer is not None and mixtures:
+                tracer.record(mixtures[-1].table[:1], k)
 
     result: Dict[str, object] = {
         "states": states,
         "finals": [lane.x.copy() for lane in lanes],
-        "accepts": [c.copy() for c in accept0],
+        "accepts": [lane.accept_count.copy() for lane in lanes],
         "folds": [lane.fold_count.copy() for lane in lanes],
         "f_sums": f_sums,
         "center_sums": center_sums,
@@ -838,20 +898,13 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             _level_descriptor(family, 1, "reference flow level 1")
         ] + [
             _level_descriptor(family, j,
-                              "frozen mixture" if frozen_table is not None
+                              "frozen mixture" if freeze_lower is not None
                               else "running mixture level %d" % j)
             for j in range(2, p + 1)
         ],
     }
-    if trace is not None:
-        result["trace"] = AdaptationTrace(
-            grid=grid,
-            sup_increments=trace["sup"],
-            v_increments=trace["v"],
-            checkpoints=trace["marks"].copy(),
-            snapshots=trace["snaps"],
-            weight_tag=trace_weight.description,
-        )
+    if tracer is not None:
+        result["trace"] = tracer.trace
     return result
 
 
@@ -862,10 +915,12 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
               ) -> Union[List[ChainRun], Tuple[List[ChainRun], AdaptationTrace]]:
     """Run the interacting scheme once; one chain per level.
 
-    All levels start at ``x0`` and advance together; level ``p`` moves
-    against the transform of level ``p-1``'s running sample set, refreshed
-    every step.  ``freeze_lower`` replaces the running measure with a fixed
-    density (a depth-2 diagnostic: the top chain becomes homogeneous).
+    All levels start at ``x0``; at step ``k`` level ``p`` moves against the
+    transform of level ``p-1``'s running sample set of steps ``1..k``.  The
+    levels run one after another (see :func:`_imcmc_engine`), which gives
+    the same states as stepping them together.  ``freeze_lower`` replaces
+    the running measure with a fixed density (a depth-2 diagnostic: the top
+    chain becomes homogeneous).
     Passing ``trace_weight`` additionally returns the adaptation trace of the
     top-level target (per-step sup and weighted-norm increments, thinned
     snapshots).

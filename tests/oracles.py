@@ -323,6 +323,19 @@ def stepped_run(lane, n, out, moved=None):
             moved[:, k] = lane.accepted
 
 
+def stepped_moving_run(lane, rows, out, moved=None):
+    """The per-step loop a lane's ``run_moving`` replaces: for step ``k``,
+    write ``rows[k]`` (one target row per chain) into the target, then
+    ``refresh()`` and ``step()``.  Drop-in for ``_Lane.run_moving`` (same
+    signature)."""
+    for k, table in enumerate(rows):
+        lane.target = np.array(table)
+        lane.refresh()
+        out[:, k] = lane.step()
+        if moved is not None:
+            moved[:, k] = lane.accepted
+
+
 def mutation_rows_every_point(density, nodes, weights, xs):
     """Quadrature-normalised mutation rows with the density evaluated at
     every start point, repeats included."""

@@ -41,6 +41,7 @@ from mcmccalc.measures import (
     Grid1D,
     Grid2D,
     GridDensity,
+    POSITIVE_FLOOR,
     WeightFunction,
     gaussian2d_density,
     gaussian_density,
@@ -336,6 +337,114 @@ def test_chain_runs_equal_the_stepping_engines(monkeypatch, kind, model, grid):
             b.acceptance_rate, b.truncation_events, b.kernel_descriptor)
     for name in ("sup_increments", "v_increments", "snapshots"):
         assert _same(getattr(fast_trace, name), getattr(slow_trace, name))
+
+
+def _moving_rows(grid, n, reps=1, start=0):
+    """``n`` steps of per-chain target rows (n x reps x N): Gaussian bumps
+    whose centres swing across the window, massless below -2."""
+    k = np.arange(start, start + n)[:, None, None]
+    centres = 3.0 * np.sin(k / 40.0 + np.arange(reps)[None, :, None])
+    rows = np.exp(-0.5 * (grid.nodes - centres) ** 2)
+    rows[..., grid.nodes < -2.0] = 0.0
+    return rows
+
+
+def _moving_lane(grid, proposal, balancing, x0s, seeds):
+    return samplers._Lane(grid, proposal, balancing, np.asarray(x0s, float),
+                          [npr.default_rng(s) for s in seeds])
+
+
+def _assert_moving_run_matches_stepping(make_lane, chunks):
+    """``run_moving`` over each block of rows in ``chunks`` against the
+    stepping oracle on an identical lane: states, accept flags, state,
+    target value, counts, cursor and the next step agree bit for bit.
+    Returns the lane that ran."""
+    ran, stepped = make_lane(), make_lane()
+    for rows in chunks:
+        shape = (len(ran.rngs), len(rows))
+        out, moved = np.empty(shape), np.empty(shape, dtype=bool)
+        ref, ref_moved = np.empty(shape), np.empty(shape, dtype=bool)
+        ran.run_moving(rows, out, moved)
+        oracles.stepped_moving_run(stepped, rows, ref, ref_moved)
+        assert _same(out, ref) and _same(moved, ref_moved)
+        for name in ("x", "mu_x", "accept_count", "fold_count", "accepted"):
+            assert _same(getattr(ran, name), getattr(stepped, name)), name
+        assert ran._cursor == stepped._cursor
+    assert _same(ran.step(), stepped.step())
+    assert _same(ran.mu_x, stepped.mu_x) and _same(ran.accepted, stepped.accepted)
+    return ran
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("balancing", [BalancingFunction.barker(),
+                                       BalancingFunction.min_one(),
+                                       BalancingFunction.polynomial(2)],
+                         ids=["barker", "min-one", "gj2"])
+@pytest.mark.parametrize("kind", ["random-walk", "independence"])
+def test_lane_moving_run_matches_stepping(kind, balancing, n, grid):
+    proposal = _proposal(kind, grid)
+    lane = _assert_moving_run_matches_stepping(
+        lambda: _moving_lane(grid, proposal, balancing, [0.3], [7]),
+        [_moving_rows(grid, n)])
+    assert n == 1 or lane.accept_count[0] > 0
+
+
+def test_lane_moving_run_of_several_chains_starts_mid_block(grid):
+    proposal = ProposalKernel.random_walk(1.0, grid)
+    # 1500 steps then 1100 more: the second run starts mid-block; the
+    # chain started at -3 sits where every row is massless (floored)
+    lane = _assert_moving_run_matches_stepping(
+        lambda: _moving_lane(grid, proposal, BalancingFunction.barker(),
+                             [-3.0, 0.3, 2.0], [1, 2, 3]),
+        [_moving_rows(grid, 1500, 3), _moving_rows(grid, 1100, 3, start=1500)])
+    assert np.all(lane.accept_count > 0)
+
+
+def test_lane_moving_run_against_massless_rows(grid):
+    proposal = ProposalKernel.random_walk(1.0, grid)
+    lane = _assert_moving_run_matches_stepping(
+        lambda: _moving_lane(grid, proposal, BalancingFunction.barker(),
+                             [1.5], [4]),
+        [np.zeros((1100, 1, grid.n_points))])
+    assert lane.accept_count[0] == 0 and lane.mu_x[0] == POSITIVE_FLOOR
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.05, 2.6),
+       x0=st.floats(-8.0, 8.0), n=st.integers(1, 1100),
+       start=st.integers(0, 500))
+def test_lane_moving_run_equals_stepping_on_generated_inputs(seed, sigma, x0,
+                                                            n, start, model):
+    grid = model.grid
+    proposal = ProposalKernel.random_walk(sigma, grid)
+    _assert_moving_run_matches_stepping(
+        lambda: _moving_lane(grid, proposal, BalancingFunction.barker(),
+                             [x0], [seed]),
+        [_moving_rows(grid, n, start=start)])
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_imcmc_engine_stored_equals_lockstep(reps, p, family, model):
+    def engine(collect_states):
+        streams, _ = samplers._replication_streams(11, reps, p)
+        return samplers._imcmc_engine(
+            family, model, p, 1100, streams, 0.0, f=f_clip,
+            f_nodes=f_clip(model.grid.nodes), collect_states=collect_states,
+            trace_weight=WeightFunction.one_plus_square())
+
+    stored, lockstep = engine(True), engine(False)
+    assert stored["states"].shape == (p, reps, 1100)
+    for name in ("finals", "accepts", "folds"):
+        assert len(stored[name]) == p
+        for a, b in zip(stored[name], lockstep[name]):
+            assert _same(a, b), name
+    for name in ("f_sums", "center_sums"):
+        assert _same(stored[name], lockstep[name]), name
+    for name in ("sup_increments", "v_increments", "snapshots"):
+        assert _same(getattr(stored["trace"], name),
+                     getattr(lockstep["trace"], name)), name
+    assert np.max(stored["trace"].sup_increments) > 0.0
 
 
 def test_state_storage_cap_refuses_before_allocating(monkeypatch, family, model,
