@@ -38,6 +38,7 @@ import numpy as np
 from .derivative import (
     DEFAULT_RATIO_CEILING,
     Start,
+    _check_warm_start,
     _pair_at_start,
     derivative_for_start,
     hastings_derivative,
@@ -50,9 +51,9 @@ from .measures import (
     SignedGridFunction,
     WeightFunction,
     curve_at,
+    grid_function,
     interp_slice,
     simpson_weights,
-    v_norm_function,
     v_norm_measure,
 )
 
@@ -164,9 +165,7 @@ def pushforward_density(mu: GridDensity, transport) -> GridDensity:
     grid = mu.grid
     if grid.ndim != 1:
         raise InvalidInputError("pushforward densities are 1-D only")
-    t_vals = np.asarray(transport(grid.nodes), dtype=float)
-    if t_vals.shape != (grid.n_points,) or not np.all(np.isfinite(t_vals)):
-        raise InvalidInputError("transport map must give finite values on the grid")
+    t_vals = grid_function(grid, transport, "transport map")
     if np.any(np.diff(t_vals) <= 0.0):
         raise PreconditionError("transport map must be strictly increasing on the grid")
     inverse = np.interp(grid.nodes, t_vals, grid.nodes)
@@ -331,7 +330,13 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
     if _start_kind(start) == "density":
         vals = np.empty(t_nodes)
         for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
-            _guard_mvi_start(kern, start.values, ratio_ceiling, ts[m])
+            try:
+                _check_warm_start(start.values / kern.target.values**2, kern.grid.nodes,
+                                  ratio_ceiling)
+            except PreconditionError as exc:
+                raise PreconditionError(
+                    f"mean-value budget unavailable along the curve at t={ts[m]:.6g}: {exc}"
+                ) from exc
             vals[m] = _hastings_density_budget(kern, start.values, v, use_g_prime=smooth)
         return MviConstants(float(wts @ vals), 0.0, weight.description, t_nodes,
                             "density", "none")
@@ -380,16 +385,6 @@ def mh_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
         )
     return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes,
                                         ratio_ceiling, smooth=False)
-
-
-def _guard_mvi_start(kern, rho_values, ceiling, t):
-    ratio = rho_values / kern.target.values**2
-    worst = float(np.max(ratio))
-    if worst > ceiling:
-        raise PreconditionError(
-            f"start-to-target ratio rho/mu_t^2 = {worst:.3g} at t={t:.6g} "
-            f"exceeds ceiling {ceiling:g}"
-        )
 
 
 CONDITIONAL_CEILING = 1e12

@@ -102,6 +102,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import (
+    _start_kind,
     empirical_mvi_check,
     mvi_constants,
     verify_ftc,
@@ -572,6 +573,7 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
         out["batch_count"] = _take_int(raw, "batch_count", "", problems, 40, minimum=20)
         out["steps"] = _take_int(raw, "steps", "", problems, 100000,
                                  minimum=out["batch_count"])
+        _check_storage(out["steps"], "steps", "steps", problems)
         out["x0"] = _window_x0()
         alpha = raw.get("alpha", 0.25)
         if not _is_number(alpha) or not 0.0 < alpha < 0.5:
@@ -697,9 +699,7 @@ def _function_values(tag: str, grid) -> np.ndarray:
         n1 = grid.axis1.nodes
         n2 = grid.axis2.nodes
         return np.cos(0.6 * n1)[:, None] * np.tanh(n2)[None, :] + 0.25 * n1[:, None]
-    if tag == "cos-tanh":
-        return np.cos(0.8 * grid.nodes) + 0.3 * np.tanh(grid.nodes)
-    return np.clip(grid.nodes, grid.lower, grid.upper)
+    return _function_callable(tag, grid)(grid.nodes)
 
 
 def _function_callable(tag: str, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
@@ -774,6 +774,39 @@ def _sha256(path: Path) -> str:
 # experiment handlers; each returns (checks, report payload, files written)
 
 
+def _curve_inputs(kind, settings):
+    """Grid, family, target, direction, start and, for the kinds that take a
+    ``function``, its node values: the inputs of the three curve kinds."""
+    two_stage = settings["family"]["kind"] == "two-stage"
+    with _stage(kind, "build-inputs"):
+        grid = _build_grid2(settings) if two_stage else _build_grid(settings)
+        family = _build_family(settings["family"], grid)
+        mu = _build_density(settings["target"], grid)
+        nu = _build_density(settings["direction"], grid)
+        start = _build_start(settings["start"], grid)
+        f_values = (_function_values(settings["function"], grid)
+                    if "function" in settings else None)
+    return grid, family, mu, nu, start, f_values
+
+
+def _level_reports(runs):
+    """One report entry per level of a chain run."""
+    return [
+        {"level": i + 1, "descriptor": run.kernel_descriptor,
+         "acceptance_rate": run.acceptance_rate,
+         "truncation_events": run.truncation_events,
+         "mean_state": float(np.mean(run.states))}
+        for i, run in enumerate(runs)
+    ]
+
+
+def _write_d1_statistics(out_dir: Path, checkpoints, sup_stats, v_stats) -> Path:
+    path = out_dir / "d1_statistics.csv"
+    _write_csv(path, ["checkpoint", "sup_stat", "v_stat"],
+               zip(checkpoints, sup_stats, v_stats))
+    return path
+
+
 def _chain_csv_rows(runs):
     for level, run in enumerate(runs, start=1):
         for step, state in enumerate(run.states, start=1):
@@ -802,13 +835,7 @@ def _run_derivative_check(settings, out_dir: Path):
     kind = "derivative-check"
     two_stage = settings["family"]["kind"] == "two-stage"
     tol = settings["tolerance"]
-    with _stage(kind, "build-inputs"):
-        grid = _build_grid2(settings) if two_stage else _build_grid(settings)
-        family = _build_family(settings["family"], grid)
-        mu = _build_density(settings["target"], grid)
-        nu = _build_density(settings["direction"], grid)
-        start = _build_start(settings["start"], grid)
-        f_values = _function_values(settings["function"], grid)
+    grid, family, mu, nu, start, f_values = _curve_inputs(kind, settings)
 
     checks = []
     report = {}
@@ -844,7 +871,7 @@ def _run_derivative_check(settings, out_dir: Path):
         "relative_gap": float(rel_gap),
         "centering_residual": float(centering),
         "generator_gap": gen_gap,
-        "start_kind": "point" if "point" in settings["start"] else "density",
+        "start_kind": _start_kind(start),
     })
 
     files = {}
@@ -859,17 +886,10 @@ def _run_derivative_check(settings, out_dir: Path):
 
 def _run_ftc_check(settings, out_dir: Path):
     kind = "ftc-check"
-    two_stage = settings["family"]["kind"] == "two-stage"
     tol = settings["tolerance"]
-    with _stage(kind, "build-inputs"):
-        grid = _build_grid2(settings) if two_stage else _build_grid(settings)
-        family = _build_family(settings["family"], grid)
-        mu = _build_density(settings["target"], grid)
-        nu = _build_density(settings["direction"], grid)
-        start = _build_start(settings["start"], grid)
-        f_values = _function_values(settings["function"], grid)
+    grid, family, mu, nu, start, f_values = _curve_inputs(kind, settings)
 
-    start_kind = "point" if "point" in settings["start"] else "density"
+    start_kind = _start_kind(start)
     bound = tol["residual"]
     if bound is None:
         bound = 1e-5 if start_kind == "point" else 1e-6
@@ -912,13 +932,8 @@ def _run_ftc_check(settings, out_dir: Path):
 
 def _run_mvi_check(settings, out_dir: Path):
     kind = "mvi-check"
-    two_stage = settings["family"]["kind"] == "two-stage"
+    grid, family, mu, nu, start, _ = _curve_inputs(kind, settings)
     with _stage(kind, "build-inputs"):
-        grid = _build_grid2(settings) if two_stage else _build_grid(settings)
-        family = _build_family(settings["family"], grid)
-        mu = _build_density(settings["target"], grid)
-        nu = _build_density(settings["direction"], grid)
-        start = _build_start(settings["start"], grid)
         weight = _build_weight(settings["weight"])
 
     with _stage(kind, "bounding-constants"):
@@ -1047,13 +1062,7 @@ def _run_smcmc(settings, out_dir: Path):
                            level_init=settings["level_init"])
     runs = [run for run, _ in levels]
 
-    report = {"levels": [
-        {"level": i + 1, "descriptor": run.kernel_descriptor,
-         "acceptance_rate": run.acceptance_rate,
-         "truncation_events": run.truncation_events,
-         "mean_state": float(np.mean(run.states))}
-        for i, run in enumerate(runs)
-    ]}
+    report = {"levels": _level_reports(runs)}
     checks = _invariance_checks(kind, settings, family, model, report)
     finite = all(np.all(np.isfinite(run.states)) for run in runs)
     checks.append(_check_row("states-finite", finite,
@@ -1077,13 +1086,7 @@ def _run_imcmc(settings, out_dir: Path):
                                 seed=settings["seed"], x0=settings["x0"],
                                 trace_weight=weight)
 
-    report = {"levels": [
-        {"level": i + 1, "descriptor": run.kernel_descriptor,
-         "acceptance_rate": run.acceptance_rate,
-         "truncation_events": run.truncation_events,
-         "mean_state": float(np.mean(run.states))}
-        for i, run in enumerate(runs)
-    ]}
+    report = {"levels": _level_reports(runs)}
     checks = _invariance_checks(kind, settings, family, model, report)
     if settings["depth"] >= 2:
         with _stage(kind, "adaptation-diagnostics"):
@@ -1105,12 +1108,10 @@ def _run_imcmc(settings, out_dir: Path):
         _write_csv(path, ["level", "step", "state"], _chain_csv_rows(runs))
         files["chains"] = path
         if settings["depth"] >= 2:
-            d1_path = out_dir / "d1_statistics.csv"
-            _write_csv(d1_path, ["checkpoint", "sup_stat", "v_stat"],
-                       zip(trace.checkpoints,
-                           _partial_sum_stats(trace.sup_increments, trace.checkpoints),
-                           _partial_sum_stats(trace.v_increments, trace.checkpoints)))
-            files["d1_statistics"] = d1_path
+            files["d1_statistics"] = _write_d1_statistics(
+                out_dir, trace.checkpoints,
+                _partial_sum_stats(trace.sup_increments, trace.checkpoints),
+                _partial_sum_stats(trace.v_increments, trace.checkpoints))
     return checks, report, files
 
 
@@ -1180,10 +1181,8 @@ def _run_clt_report(settings, out_dir: Path):
     files = {}
     if rep.d1_sup_stats is not None:
         with _stage(kind, "write-artifacts"):
-            d1_path = out_dir / "d1_statistics.csv"
-            _write_csv(d1_path, ["checkpoint", "sup_stat", "v_stat"],
-                       zip(rep.d1_checkpoints, rep.d1_sup_stats, rep.d1_v_stats))
-            files["d1_statistics"] = d1_path
+            files["d1_statistics"] = _write_d1_statistics(
+                out_dir, rep.d1_checkpoints, rep.d1_sup_stats, rep.d1_v_stats)
     return checks, report, files
 
 

@@ -40,7 +40,9 @@ from .measures import (
     ContaminationCurve,
     GridDensity,
     SignedGridFunction,
+    check_count,
     curve_at,
+    grid_function,
     integrate_values,
     interp_slice,
 )
@@ -82,9 +84,8 @@ class KernelDerivative:
 
     def action(self, chi) -> float:
         grid = self.at.grid
-        chi_values = chi.values if isinstance(chi, SignedGridFunction) else np.asarray(chi, float)
-        if chi_values.shape != grid.shape():
-            raise InvalidInputError("direction shape does not match the grid")
+        chi_values = (chi.values if isinstance(chi, SignedGridFunction)
+                      else grid_function(grid, chi, "direction"))
         total = integrate_values(grid, chi_values * self.density_part)
         if self.singular_part is not None:
             x = float(self.start)
@@ -205,14 +206,15 @@ def _require_differentiable(kernel: HastingsKernel):
         )
 
 
-def _check_warm_start(kernel, rho_values, ceiling, power=2):
-    mu = kernel.target.values if kernel.grid.ndim == 1 else None
-    ratio = rho_values / mu**power
+def _check_warm_start(ratio: np.ndarray, nodes: np.ndarray, ceiling: float,
+                      label: str = "ratio rho/mu^2") -> None:
+    """Refuse a start whose start-to-target ``ratio`` (one value per node of
+    ``nodes``) exceeds ``ceiling``; the message names the worst node."""
     worst = int(np.argmax(ratio))
     if ratio[worst] > ceiling:
         raise PreconditionError(
-            f"start-to-target ratio rho/mu^{power} = {ratio[worst]:.3g} at node "
-            f"{kernel.grid.nodes[worst]:.6g} exceeds ceiling {ceiling:g}"
+            f"start-to-target {label} = {ratio[worst]:.3g} at node "
+            f"{nodes[worst]:.6g} exceeds ceiling {ceiling:g}"
         )
 
 
@@ -255,8 +257,9 @@ def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values,
     if rho.grid != kernel.grid:
         raise InvalidInputError("start density lives on a different grid")
     if check_start:
-        _check_warm_start(kernel, rho.values, ratio_ceiling)
-    f = _as_f(kernel, f_values)
+        _check_warm_start(rho.values / kernel.target.values**2, kernel.grid.nodes,
+                          ratio_ceiling)
+    f = grid_function(kernel.grid, f_values)
     dens = _hastings_derivative_values(kernel, rho.values, f)
     return KernelDerivative(kernel.target, rho, f, dens)
 
@@ -271,7 +274,7 @@ def hastings_derivative_at_point(kernel: HastingsKernel, x: float, f_values) -> 
     grid = kernel.grid
     if not grid.contains(float(x)):
         raise InvalidInputError(f"start point {x} lies outside the grid window")
-    f = _as_f(kernel, f_values)
+    f = grid_function(kernel.grid, f_values)
     nodes = grid.nodes
     w = grid.trapezoid_weights()
     mu = kernel.target.values
@@ -317,15 +320,10 @@ def gibbs_derivative(kernel: GibbsKernel, rho: GridDensity, f_values,
     ``ratio_ceiling`` times the target's)."""
     if rho.grid != kernel.grid:
         raise InvalidInputError("start density lives on a different grid")
-    rho2 = kernel.w1 @ rho.values
-    ratio = rho2 / kernel.marginal2
-    worst = int(np.argmax(ratio))
-    if check_start and ratio[worst] > ratio_ceiling:
-        raise PreconditionError(
-            f"start-to-target second-marginal ratio {ratio[worst]:.3g} at node "
-            f"{kernel.grid.axis2.nodes[worst]:.6g} exceeds ceiling {ratio_ceiling:g}"
-        )
-    f = _as_f(kernel, f_values)
+    if check_start:
+        _check_warm_start((kernel.w1 @ rho.values) / kernel.marginal2,
+                          kernel.grid.axis2.nodes, ratio_ceiling, "second-marginal ratio")
+    f = grid_function(kernel.grid, f_values)
     dens = _gibbs_derivative_values(kernel, rho.values, f)
     return KernelDerivative(kernel.target, rho, f, dens)
 
@@ -342,7 +340,7 @@ def gibbs_derivative_at_point(kernel: GibbsKernel, x, f_values) -> KernelDerivat
     if not grid.contains(x):
         raise InvalidInputError(f"start point {x} lies outside the grid window")
     x2 = float(x[1])
-    f = _as_f(kernel, f_values)
+    f = grid_function(kernel.grid, f_values)
     mf = kernel.conditional_mean_first(f)
     c1x = kernel.conditional_first_given_second(x2)
     mu2_x2 = float(np.interp(x2, grid.axis2.nodes, kernel.marginal2))
@@ -372,17 +370,6 @@ def derivative_for_start(kernel, start: Start, f_values,
     return hastings_derivative_at_point(kernel, float(start), f_values)
 
 
-def _as_f(kernel, f):
-    f = np.asarray(f(kernel.grid.nodes) if callable(f) else f, dtype=float)
-    if f.shape != kernel.grid.shape():
-        raise InvalidInputError(
-            f"test function shape {f.shape} does not match grid {kernel.grid.shape()}"
-        )
-    if not np.all(np.isfinite(f)):
-        raise InvalidInputError("test function contains non-finite values")
-    return f
-
-
 # ---------------------------------------------------------------------------
 # iterated derivative (product rule through k steps)
 # ---------------------------------------------------------------------------
@@ -397,10 +384,8 @@ def iterated_derivative(kernel, start: Start, f_values, k: int,
     propagate as an atom plus a density; both pieces are differentiated and
     combined linearly.
     """
-    if int(k) != k or k < 1:
-        raise InvalidInputError(f"step count must be a positive integer, got {k}")
-    k = int(k)
-    f = _as_f(kernel, f_values)
+    k = check_count(k, minimum=1)
+    f = grid_function(kernel.grid, f_values)
 
     f_seq = [f]
     for _ in range(k - 1):
@@ -456,7 +441,7 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     below ``tol`` and an overall geometric decay profile.
     """
     kernel = family.at(mu)
-    f = _as_f(kernel, f_values)
+    f = grid_function(kernel.grid, f_values)
     chi = nu.values - mu.values
     target = integrate_values(kernel.grid, chi * f)
 
@@ -504,7 +489,7 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
 def generator_function(kernel, f_values) -> np.ndarray:
     """The derivative density at the stationary start, which collapses to
     ``f - P f`` (checked elsewhere to rounding error)."""
-    f = _as_f(kernel, f_values)
+    f = grid_function(kernel.grid, f_values)
     if isinstance(kernel, GibbsKernel):
         return _gibbs_derivative_values(kernel, kernel.target.values, f)
     return _hastings_derivative_values(kernel, kernel.target.values, f)
@@ -544,7 +529,7 @@ def interchange_margin(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
     integrand mass at t in {0, 1/2, 1}.
     """
     kernel0 = family.at(mu)
-    f = np.abs(_as_f(kernel0, f_values))
+    f = np.abs(grid_function(kernel0.grid, f_values))
     grid = kernel0.grid
     w = grid.trapezoid_weights()
     q = kernel0.q_matrix

@@ -44,6 +44,7 @@ from .kernels import (
 from .measures import (
     GridDensity,
     WeightFunction,
+    check_count,
     integrate_values,
     v_norm_function,
 )
@@ -678,9 +679,7 @@ def check_v_moment_growth(kernels: Sequence, weight: WeightFunction, j_power: in
     standard errors of Monte Carlo slack.
     """
     kernels = list(kernels)
-    if int(j_power) != j_power or j_power < 1:
-        raise InvalidInputError(f"moment power must be an integer >= 1, got {j_power}")
-    j_power = int(j_power)
+    j_power = check_count(j_power, "moment power", minimum=1)
     moments = []
     jensen_worst = -np.inf
     propagated_worst = -np.inf

@@ -43,7 +43,7 @@ from .errors import (
     InvalidInputError,
     RangeError,
 )
-from .measures import Grid1D, GridDensity, gaussian_density
+from .measures import Grid1D, GridDensity, check_count, gaussian_density, grid_function
 
 MUTATION_CHUNK = 4096
 DEFAULT_OBSERVATION_SEED = 11
@@ -248,7 +248,7 @@ def boltzmann_gibbs(eta: MeasureLike,
         g_at = np.asarray(potential(eta.samples), dtype=float)
         if g_at.shape != eta.samples.shape:
             raise InvalidInputError("potential must return one value per sample")
-        if not np.all(np.isfinite(g_at)) or np.any(g_at < 0.0):
+        if not _finite_nonnegative(g_at):
             raise InvalidInputError("potential values must be finite and nonnegative")
         total = float(g_at.sum())
         if not math.isfinite(total) or total <= 0.0:
@@ -337,6 +337,15 @@ class FeynmanKacModel:
                 "level %d outside 1..%d" % (level, self.n_levels)
             )
         return int(level)
+
+    def check_depth(self, p) -> int:
+        """``p`` as an ``int`` after checking that a depth-``p`` scheme fits:
+        levels ``1..p`` are fed by the pairs ``1..p-1``."""
+        p = check_count(p, "depth", minimum=1)
+        if p - 1 > self.n_levels:
+            raise RangeError("depth %d needs %d reweight/mutate pairs, model has %d"
+                             % (p, p - 1, self.n_levels))
+        return p
 
     def potential_at(self, level: int, xs: np.ndarray) -> np.ndarray:
         level = self._check_level(level)
@@ -466,17 +475,6 @@ class SsmBootstrapModel(FeynmanKacModel):
 # lookahead operators and the first-order decomposition
 # ---------------------------------------------------------------------------
 
-def _as_grid_function(f_values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    vals = np.asarray(f_values, dtype=float)
-    if vals.shape != (grid.n_points,):
-        raise InvalidInputError(
-            "grid function has shape %r, expected (%d,)" % (vals.shape, grid.n_points)
-        )
-    if not np.all(np.isfinite(vals)):
-        raise InvalidInputError("grid function values must be finite")
-    return vals
-
-
 def q_bar_operator(model: FeynmanKacModel, level: int,
                    f_values: np.ndarray) -> np.ndarray:
     """One-level lookahead: weight by the potential, mutate, rescale.
@@ -489,7 +487,7 @@ def q_bar_operator(model: FeynmanKacModel, level: int,
     function, so the operator composes.
     """
     level = model._check_level(level)
-    f_vals = _as_grid_function(f_values, model.grid)
+    f_vals = grid_function(model.grid, f_values)
     m_f = model.mutation_matrix(level) @ (model.grid.trapezoid_weights() * f_vals)
     return model.potential_nodes(level) * m_f / model.flow_potential_mass(level)
 
@@ -498,7 +496,7 @@ def _q_bar_at_points(model: FeynmanKacModel, level: int,
                      f_values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Same operator, evaluated exactly at off-grid points (no interpolation)."""
     level = model._check_level(level)
-    f_vals = _as_grid_function(f_values, model.grid)
+    f_vals = grid_function(model.grid, f_values)
     xs = np.asarray(xs, dtype=float)
     weighted_f = model.grid.trapezoid_weights() * f_vals
     out = np.empty(xs.size)
@@ -524,7 +522,7 @@ def q_bar_chain(model: FeynmanKacModel, j: int, p: int,
             "chain indices must satisfy 0 <= j <= p <= %d, got j=%d, p=%d"
             % (model.n_levels, j, p)
         )
-    g_vals = _as_grid_function(f_values, model.grid)
+    g_vals = grid_function(model.grid, f_values)
     for level in range(int(p), int(j), -1):
         g_vals = q_bar_operator(model, level, g_vals)
     return g_vals
@@ -548,7 +546,7 @@ def fk_decomposition_check(model: FeynmanKacModel,
     rounding error regardless of how far ``eta_n`` is from the flow.
     """
     level = model._check_level(level)
-    f_vals = _as_grid_function(f_values, model.grid)
+    f_vals = grid_function(model.grid, f_values)
     weights = model.grid.trapezoid_weights()
     eta_ref = model.flow(level)
     phi_ref = model.flow(level + 1)
@@ -598,13 +596,7 @@ def smcmc_variance_recursion(model: FeynmanKacModel,
     useful for comparing the two readings but does not match the two-level
     expansion once ``p > 1``.
     """
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
-        raise InvalidInputError("depth p must be a positive integer")
-    p = int(p)
-    if p - 1 > model.n_levels:
-        raise RangeError(
-            "depth %d needs %d levels, model has %d" % (p, p - 1, model.n_levels)
-        )
+    p = model.check_depth(p)
     if centering not in ("final", "per-level"):
         raise InvalidInputError('centering must be "final" or "per-level"')
     functionals = list(sigma2_functionals)
@@ -616,7 +608,7 @@ def smcmc_variance_recursion(model: FeynmanKacModel,
     for j, fn in enumerate(functionals[:p], start=1):
         if not callable(fn):
             raise InvalidInputError("level-%d variance estimate is not callable" % j)
-    f_vals = _as_grid_function(f_values, model.grid)
+    f_vals = grid_function(model.grid, f_values)
 
     final_center = model.flow(p).expect(f_vals)
     terms: List[float] = []
@@ -646,12 +638,11 @@ def simulate_ssm_observations(phi: Callable[[np.ndarray], np.ndarray],
                               seed: int,
                               w0: float = 0.0) -> np.ndarray:
     """Draw an observation record from the state-space pair itself."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InvalidInputError("observation count must be a positive integer")
+    count = check_count(count, "observation count", minimum=1)
     rng = np.random.default_rng(seed)
     w = float(w0)
-    out = np.empty(int(count))
-    for i in range(int(count)):
+    out = np.empty(count)
+    for i in range(count):
         w = float(rng.normal(float(phi(np.asarray(w))), SSM_NOISE_STD))
         out[i] = rng.normal(w, SSM_NOISE_STD)
     return out

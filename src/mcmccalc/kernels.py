@@ -30,17 +30,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    InvalidInputError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import InternalConsistencyError, InvalidInputError
 from .measures import (
     Grid1D,
     Grid2D,
     GridDensity,
     POSITIVE_FLOOR,
+    check_count,
+    grid_function,
     integrate_values,
     interp_slice,
 )
@@ -615,7 +612,7 @@ def hastings_ratio(kernel: HastingsKernel, x: float, y: float) -> float:
 
 def apply_hastings(kernel: HastingsKernel, x: float, f_values) -> float:
     """One-step expectation P(x, f) from a (possibly off-grid) point."""
-    f_values = _as_grid_values(kernel.grid, f_values)
+    f_values = grid_function(kernel.grid, f_values)
     row, rej = kernel.point_row(x)
     fx = float(np.interp(x, kernel.grid.nodes, f_values))
     return integrate_values(kernel.grid, row * f_values) + rej * fx
@@ -623,37 +620,28 @@ def apply_hastings(kernel: HastingsKernel, x: float, f_values) -> float:
 
 def apply_hastings_to_density(kernel: HastingsKernel, rho: GridDensity, f_values) -> float:
     """P(rho, f) = integral of P(x, f) under the start density rho."""
-    f_values = _as_grid_values(kernel.grid, f_values)
+    f_values = grid_function(kernel.grid, f_values)
     pf = kernel.apply_to_function(f_values)
     return integrate_values(kernel.grid, rho.values * pf)
 
 
 def apply_gibbs(kernel: GibbsKernel, x, f_values) -> float:
     """One-step expectation of the two-stage kernel from x = (x1, x2)."""
-    f_values = np.asarray(f_values, dtype=float)
-    if f_values.shape != kernel.grid.shape():
-        raise InvalidInputError("test function shape does not match the joint grid")
-    return kernel.apply_from_x2(float(x[1]), f_values)
+    return kernel.apply_from_x2(float(x[1]), grid_function(kernel.grid, f_values))
 
 
 def apply_gibbs_to_density(kernel: GibbsKernel, rho: GridDensity, f_values) -> float:
-    f_values = np.asarray(f_values, dtype=float)
+    f_values = grid_function(kernel.grid, f_values)
     rho2 = kernel.w1 @ rho.values
     g = kernel.apply_over_second(f_values)
     return float((kernel.w2 * rho2) @ g)
 
 
 def iterate_kernel(kernel: Kernel, f_values, steps: int, max_steps: int = DEFAULT_MAX_ITER):
-    """P^steps f on the grid; steps = 0 returns the input values unchanged."""
-    if int(steps) != steps or steps < 0:
-        raise InvalidInputError(f"step count must be a nonnegative integer, got {steps}")
-    if steps > max_steps:
-        raise ResourceLimitError(f"step count {steps} exceeds budget {max_steps}")
-    out = np.array(
-        _as_grid_values(kernel.grid, f_values) if kernel.grid.ndim == 1 else f_values,
-        dtype=float,
-    )
-    for _ in range(int(steps)):
+    """P^steps f on the grid; steps = 0 returns a copy of the input values."""
+    steps = check_count(steps, budget=max_steps)
+    out = np.array(grid_function(kernel.grid, f_values))
+    for _ in range(steps):
         out = kernel.apply_to_function(out)
     return out
 
@@ -661,12 +649,9 @@ def iterate_kernel(kernel: Kernel, f_values, steps: int, max_steps: int = DEFAUL
 def iterate_density(kernel: Kernel, rho: GridDensity, steps: int,
                     max_steps: int = DEFAULT_MAX_ITER) -> np.ndarray:
     """(rho P^steps) node values."""
-    if int(steps) != steps or steps < 0:
-        raise InvalidInputError(f"step count must be a nonnegative integer, got {steps}")
-    if steps > max_steps:
-        raise ResourceLimitError(f"step count {steps} exceeds budget {max_steps}")
+    steps = check_count(steps, budget=max_steps)
     out = np.array(rho.values, dtype=float)
-    for _ in range(int(steps)):
+    for _ in range(steps):
         out = kernel.propagate_density(out)
     return out
 
@@ -717,12 +702,3 @@ def check_invariance(kernel: Kernel, candidate: Optional[GridDensity] = None) ->
     out = kernel.propagate_density(cand.values)
     diff = np.abs(out - cand.values)
     return integrate_values(kernel.grid, diff)
-
-
-def _as_grid_values(grid: Grid1D, f) -> np.ndarray:
-    if callable(f):
-        return np.asarray(f(grid.nodes), dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.shape():
-        raise InvalidInputError(f"function values shape {f.shape} != grid {grid.shape()}")
-    return f

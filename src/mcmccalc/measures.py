@@ -13,7 +13,9 @@ module owns that representation:
 
 plus the basic operations on them: integration, weighted norms of functions
 and of signed measures, curve evaluation, and CSV/JSON serialization with
-bit-exact round-trips.
+bit-exact round-trips.  It also holds the two input rules every module
+shares: :func:`grid_function` for node-value functions and
+:func:`check_count` for step counts and other integer counts.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, RangeError
+from .errors import InvalidInputError, RangeError, ResourceLimitError
 
 # Densities flagged `positive` are floored at this value so ratios of densities
 # stay finite on the whole grid.
@@ -393,18 +395,50 @@ def curve_at(curve: ContaminationCurve, t: float) -> GridDensity:
                        description=f"curve(t={t:g})")
 
 
-def integrate(f_values, rho: GridDensity) -> float:
-    """Expectation of a node-value function under a grid density.
+def grid_function(grid, f, what: str = "test function") -> np.ndarray:
+    """Node values of the function ``f`` on ``grid``, checked.
+
+    ``f`` is an array of the grid's shape, or a callable evaluated at the
+    nodes of a 1-D grid.  ``grid`` may also be a bare shape tuple, for values
+    whose grid is not at hand.
 
     Raises
     ------
     InvalidInputError
-        If the function values contain NaN/inf or have the wrong shape.
+        If the values have the wrong shape or contain NaN/inf.
     """
-    f_values = np.asarray(f_values, dtype=float)
-    if not np.all(np.isfinite(f_values)):
-        raise InvalidInputError("test function contains non-finite values")
-    return rho.expect(f_values)
+    shape = grid if isinstance(grid, tuple) else grid.shape()
+    vals = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float)
+    if vals.shape != shape:
+        raise InvalidInputError(f"{what} has shape {vals.shape}, expected {shape}")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInputError(f"{what} must be finite on the grid")
+    return vals
+
+
+def check_count(value, what: str = "step count", minimum: int = 0,
+                budget: Optional[int] = None) -> int:
+    """``value`` as an ``int`` after checking that it is an integer (not a
+    bool, not an integral float) of at least ``minimum``.
+
+    Raises
+    ------
+    InvalidInputError
+        If the value is not such an integer.
+    ResourceLimitError
+        If ``budget`` is given and the value exceeds it.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if budget is not None and value > budget:
+        raise ResourceLimitError(f"{what} {value} exceeds budget {budget}")
+    return int(value)
+
+
+def integrate(f_values, rho: GridDensity) -> float:
+    """Expectation of a node-value function under a grid density (see
+    :func:`grid_function` for what ``f_values`` may be and what it refuses)."""
+    return rho.expect(grid_function(rho.grid, f_values))
 
 
 def v_norm_function(f_values, weight_values, grid=None) -> float:
@@ -413,16 +447,12 @@ def v_norm_function(f_values, weight_values, grid=None) -> float:
     ``weight_values`` may be a node-value array or a :class:`WeightFunction`
     (in which case ``grid`` must be given).
     """
-    f_values = np.asarray(f_values, dtype=float)
-    if not np.all(np.isfinite(f_values)):
-        raise InvalidInputError("function values contain non-finite entries")
     if isinstance(weight_values, WeightFunction):
         if grid is None:
             raise InvalidInputError("grid required when passing a WeightFunction")
         weight_values = weight_values.values_on(grid)
     weight_values = np.asarray(weight_values, dtype=float)
-    if weight_values.shape != f_values.shape:
-        raise InvalidInputError("function and weight arrays must share a shape")
+    f_values = grid_function(weight_values.shape, f_values, "function values")
     return float(np.max(np.abs(f_values) / weight_values))
 
 

@@ -82,6 +82,9 @@ from .measures import (
     GridDensity,
     POSITIVE_FLOOR,
     WeightFunction,
+    check_count,
+    grid_function,
+    v_norm_function,
 )
 
 DRAW_BLOCK = 1024
@@ -512,12 +515,6 @@ def check_state_storage(count: int) -> None:
             % (count, gb * count, STATE_STORAGE_CAP, gb * STATE_STORAGE_CAP))
 
 
-def _check_steps(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise InvalidInputError("step count must be a nonnegative integer")
-    return int(n)
-
-
 def _gibbs_chain(kernel: GibbsKernel, x0, n: int, rng) -> Tuple[np.ndarray, int]:
     states = np.empty((n, 2))
     x = (float(x0[0]), float(x0[1]))
@@ -534,7 +531,7 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
     step through their conditional inverse CDFs.  The run is deterministic
     given the seed; the returned states exclude the start point.
     """
-    n = _check_steps(n)
+    n = check_count(n)
     check_state_storage(n)
     rng = _level_streams(seed, 1)[0]
     if isinstance(kernel, GibbsKernel):
@@ -573,18 +570,15 @@ def batch_means_variance(run: ChainRun, f: Callable[[np.ndarray], np.ndarray],
     """
     if not callable(f):
         raise InvalidInputError("batch means needs a callable test function")
-    if not isinstance(batch_count, (int, np.integer)) or batch_count < MIN_BATCHES:
-        raise InvalidInputError(
-            "batch count must be an integer >= %d" % MIN_BATCHES
-        )
+    batch_count = check_count(batch_count, "batch count", minimum=MIN_BATCHES)
     n = run.n_steps
-    size = n // int(batch_count)
+    size = n // batch_count
     if size < 1:
         raise InvalidInputError(
             "run of %d steps cannot fill %d batches" % (n, batch_count)
         )
     vals = np.asarray(f(run.states[n - size * batch_count:]), dtype=float)
-    means = vals.reshape(int(batch_count), size).mean(axis=1)
+    means = vals.reshape(batch_count, size).mean(axis=1)
     grand = float(vals.mean())
     return float(size * np.sum((means - grand) ** 2) / (batch_count - 1))
 
@@ -597,6 +591,11 @@ def _resolve_family(family) -> HastingsFamily:
     if not isinstance(family, HastingsFamily):
         raise InvalidInputError("the chain drivers take a HastingsFamily")
     return family
+
+
+def _check_level_init(level_init: str) -> None:
+    if level_init not in ("previous-final", "fixed"):
+        raise InvalidInputError('level_init must be "previous-final" or "fixed"')
 
 
 def _level_descriptor(family: HastingsFamily, level: int, text: str) -> str:
@@ -626,7 +625,6 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     x0s = np.full(reps, float(x0))
     target: np.ndarray = model.flow(1).values
     target_text = "reference flow level 1"
-    final_table: Optional[np.ndarray] = None
 
     for level in range(1, p + 1):
         lane = _Lane(grid, family.proposal, family.balancing, x0s,
@@ -683,7 +681,6 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                 target = mixture.table
             target_text = "mixture target level %d" % (level + 1)
             x0s = lane.x.copy() if level_init == "previous-final" else np.full(reps, float(x0))
-            final_table = target if level + 1 == p + 1 else None
 
     # the level-p target in table form, for the random centering
     if p == 1:
@@ -707,19 +704,12 @@ def run_smcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     (``level_init="fixed"`` restarts every level at ``x0``).
     """
     family = _resolve_family(family)
-    n = _check_steps(n)
-    if not isinstance(p_levels, (int, np.integer)) or p_levels < 1:
-        raise InvalidInputError("p_levels must be a positive integer")
-    if p_levels - 1 > model.n_levels:
-        raise RangeError("depth %d needs %d reweight/mutate pairs, model has %d"
-                         % (p_levels, p_levels - 1, model.n_levels))
-    if level_init not in ("previous-final", "fixed"):
-        raise InvalidInputError('level_init must be "previous-final" or "fixed"')
-    if n == 0:
-        raise InvalidInputError("sequential runs need at least one step per level")
-    check_state_storage(int(p_levels) * n)
-    streams = [_level_streams(seed, int(p_levels))]
-    engine = _smcmc_engine(family, model, int(p_levels), n, streams,
+    n = check_count(n, minimum=1)
+    p_levels = model.check_depth(p_levels)
+    _check_level_init(level_init)
+    check_state_storage(p_levels * n)
+    streams = [_level_streams(seed, p_levels)]
+    engine = _smcmc_engine(family, model, p_levels, n, streams,
                            float(x0), level_init, collect_states=True)
     digest = _seed_digest(seed)
     out = []
@@ -926,22 +916,16 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     snapshots).
     """
     family = _resolve_family(family)
-    n = _check_steps(n)
-    if not isinstance(p_levels, (int, np.integer)) or p_levels < 1:
-        raise InvalidInputError("p_levels must be a positive integer")
-    if p_levels - 1 > model.n_levels:
-        raise RangeError("depth %d needs %d reweight/mutate pairs, model has %d"
-                         % (p_levels, p_levels - 1, model.n_levels))
-    if n == 0:
-        raise InvalidInputError("interacting runs need at least one step")
-    check_state_storage(int(p_levels) * n)
-    streams = [_level_streams(seed, int(p_levels))]
-    engine = _imcmc_engine(family, model, int(p_levels), n, streams, float(x0),
+    n = check_count(n, minimum=1)
+    p_levels = model.check_depth(p_levels)
+    check_state_storage(p_levels * n)
+    streams = [_level_streams(seed, p_levels)]
+    engine = _imcmc_engine(family, model, p_levels, n, streams, float(x0),
                            freeze_lower=freeze_lower, collect_states=True,
                            trace_weight=trace_weight)
     digest = _seed_digest(seed)
     runs = []
-    for j in range(int(p_levels)):
+    for j in range(p_levels):
         runs.append(ChainRun(
             engine["states"][j][0], digest, engine["descriptors"][j],
             float(engine["accepts"][j][0]) / n, int(engine["folds"][j][0])))
@@ -965,7 +949,7 @@ def v_alpha_norm(f_values: np.ndarray, weight_values: np.ndarray,
         raise InvalidInputError("function and weight values must align")
     if np.any(v_vals < 1.0 - 1e-12):
         raise InvalidInputError("weight values must be >= 1")
-    return float(np.max(np.abs(f_vals) / v_vals ** alpha))
+    return v_norm_function(f_vals, v_vals ** alpha)
 
 
 @dataclass
@@ -985,25 +969,17 @@ class SchemeConfig:
         _resolve_family(self.family)
         if not isinstance(self.model, FeynmanKacModel):
             raise InvalidInputError("config needs a reweight/mutate model")
-        if not isinstance(self.p_levels, (int, np.integer)) or self.p_levels < 1:
-            raise InvalidInputError("p_levels must be a positive integer")
-        if self.p_levels - 1 > self.model.n_levels:
-            raise RangeError("depth %d needs %d reweight/mutate pairs, model has %d"
-                             % (self.p_levels, self.p_levels - 1,
-                                self.model.n_levels))
+        self.model.check_depth(self.p_levels)
         if not (math.isfinite(self.x0)
                 and self.model.grid.lower <= self.x0 <= self.model.grid.upper):
             raise InvalidInputError("x0 must sit inside the grid window")
-        if self.level_init not in (None, "previous-final", "fixed"):
-            raise InvalidInputError('level_init must be "previous-final" or "fixed"')
+        if self.level_init is not None:
+            _check_level_init(self.level_init)
         if not (0.0 < self.alpha < 0.5):
             raise RangeError("alpha must lie in (0, 1/2), got %g" % self.alpha)
         if self.weight is None:
             self.weight = WeightFunction.one_plus_square()
-        if (not isinstance(self.batch_count, (int, np.integer))
-                or self.batch_count < MIN_BATCHES):
-            raise InvalidInputError("batch count must be an integer >= %d"
-                                    % MIN_BATCHES)
+        check_count(self.batch_count, "batch count", minimum=MIN_BATCHES)
 
 
 def _normality(stat: np.ndarray) -> Tuple[float, float, float]:
@@ -1063,17 +1039,16 @@ def clt_experiment(scheme: str, config: SchemeConfig,
     if (not isinstance(replications, (int, np.integer))
             or replications < MIN_REPLICATIONS):
         raise InvalidInputError("need at least %d replications" % MIN_REPLICATIONS)
-    n = _check_steps(n)
+    n = check_count(n)
     if n < config.batch_count:
         raise InvalidInputError("run length %d below the batch count" % n)
+    check_state_storage(n)  # the limiting chain's states
 
     model = config.model
     grid = model.grid
     p = int(config.p_levels)
     reps = int(replications)
-    f_nodes = np.asarray(f(grid.nodes), dtype=float)
-    if f_nodes.shape != (grid.n_points,) or not np.all(np.isfinite(f_nodes)):
-        raise InvalidInputError("test function must be finite on the grid")
+    f_nodes = grid_function(grid, f)
     fractional_norm = v_alpha_norm(f_nodes, config.weight.values_on(grid),
                                    config.alpha)
     if scheme == "imcmc" and p != 2:

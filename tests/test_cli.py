@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -369,6 +370,16 @@ def test_unwritable_output_dir_exits_3(tmp_path, capsys):
     assert err.startswith("error [mvi-check/write-artifacts] ")
 
 
+def test_readme_json_examples_pass_validation(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block, encoding="utf-8")
+        assert load_config(str(path)).kind == json.loads(block)["kind"]
+
+
 def test_too_wide_random_walk_exits_2_before_compute(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "kind": "derivative-check",
@@ -387,6 +398,8 @@ def test_too_wide_random_walk_exits_2_before_compute(tmp_path, capsys):
      "steps: depth x steps is too large: 1002 stored states need"),
     ("ergodicity-check", {"chain_steps": 1001}, {"chain_steps": 1000},
      "chain_steps: chain_steps is too large: 1001 stored states need"),
+    ("clt-report", {"steps": 1001}, {"steps": 1000},
+     "steps: steps is too large: 1001 stored states need"),
 ])
 def test_state_storage_above_the_cap_exits_2_before_compute(tmp_path, monkeypatch,
                                                             capsys, kind, over,

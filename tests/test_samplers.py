@@ -456,6 +456,15 @@ def test_state_storage_cap_refuses_before_allocating(monkeypatch, family, model,
         with pytest.raises(ResourceLimitError, match="1002 stored states need"):
             call(501)
         call(500)
+    # a CLT run stores only its limiting chain, and is refused before any
+    # replication runs
+    engine_calls = []
+    monkeypatch.setattr(samplers, "_smcmc_engine",
+                        lambda *args, **kwargs: engine_calls.append(args))
+    config = SchemeConfig(family=family, model=model)
+    with pytest.raises(ResourceLimitError, match="1002 stored states need"):
+        clt_experiment("smcmc", config, f_smooth, 1002, 100, 1)
+    assert engine_calls == []
 
 
 # ---------------------------------------------------------------------------
