@@ -89,6 +89,7 @@ if _THREADS.isdigit() and int(_THREADS) > 0:
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -750,12 +751,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: List[str], rows) -> None:
+    """Write ``rows`` of Python numbers (``tolist()`` values, not numpy
+    scalars) under ``header``; the csv module writes a float as its repr."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in row])
+        writer.writerows(rows)
 
 
 def _check_row(name: str, passed: bool, detail: str) -> dict:
@@ -803,14 +804,14 @@ def _level_reports(runs):
 def _write_d1_statistics(out_dir: Path, checkpoints, sup_stats, v_stats) -> Path:
     path = out_dir / "d1_statistics.csv"
     _write_csv(path, ["checkpoint", "sup_stat", "v_stat"],
-               zip(checkpoints, sup_stats, v_stats))
+               zip(checkpoints.tolist(), sup_stats.tolist(), v_stats.tolist()))
     return path
 
 
 def _chain_csv_rows(runs):
     for level, run in enumerate(runs, start=1):
-        for step, state in enumerate(run.states, start=1):
-            yield (level, step, state)
+        yield from zip(itertools.repeat(level), itertools.count(1),
+                       run.states.tolist())
 
 
 def _invariance_checks(kind, settings, family, model, out):
@@ -879,7 +880,8 @@ def _run_derivative_check(settings, out_dir: Path):
         with _stage(kind, "write-artifacts"):
             path = out_dir / "derivative_density.csv"
             _write_csv(path, ["node", "density"],
-                       zip(grid.nodes, np.asarray(deriv.density_part, dtype=float)))
+                       zip(grid.nodes.tolist(),
+                           np.asarray(deriv.density_part, dtype=float).tolist()))
             files["derivative_density"] = path
     return checks, report, files
 
@@ -926,7 +928,7 @@ def _run_ftc_check(settings, out_dir: Path):
     with _stage(kind, "write-artifacts"):
         path = out_dir / "ftc_actions.csv"
         ts = np.linspace(0.0, 1.0, t_nodes)
-        _write_csv(path, ["t", "action"], zip(ts, fine.node_actions))
+        _write_csv(path, ["t", "action"], zip(ts.tolist(), fine.node_actions.tolist()))
     return checks, report, {"ftc_actions": path}
 
 

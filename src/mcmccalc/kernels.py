@@ -215,10 +215,10 @@ class ProposalKernel:
     pair: ``draw(rng, count)`` reads ``count`` raw draws from the stream and
     ``propose(x, draws)`` maps them to proposals from ``x`` with their fold
     mask.  A proposal without them runs only through :func:`sample_step`.
-    ``symmetric`` marks ``density(x, y) == density(y, x)``; :meth:`q_pair`
-    then uses ``q(x, y)`` for both directions.  The random walk's mirror
-    terms round differently in the two argument orders, so this also keeps
-    the chain drivers' acceptance ratios as they were first computed.
+    ``symmetric`` marks ``density(x, y) == density(y, x)``: ``q`` then
+    cancels from the chain drivers' Hastings ratio, which reads only the
+    target, ``mu(y) / mu(x)``.  The drivers read :meth:`q_pair` only for
+    asymmetric proposals.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -232,7 +232,9 @@ class ProposalKernel:
     _matrix: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def q_pair(self, x, y):
-        """(q(x, y), q(y, x)) for broadcasting ``x`` and ``y``."""
+        """(q(x, y), q(y, x)) for broadcasting ``x`` and ``y``; a symmetric
+        proposal evaluates ``q(x, y)`` once for both, since the random walk's
+        mirror terms round differently in the two argument orders."""
         q = self.density(x, y)
         return (q, q) if self.symmetric else (q, self.density(y, x))
 

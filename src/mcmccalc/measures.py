@@ -399,16 +399,25 @@ def grid_function(grid, f, what: str = "test function") -> np.ndarray:
     """Node values of the function ``f`` on ``grid``, checked.
 
     ``f`` is an array of the grid's shape, or a callable evaluated at the
-    nodes of a 1-D grid.  ``grid`` may also be a bare shape tuple, for values
-    whose grid is not at hand.
+    nodes of a 1-D grid or on the node mesh of a 2-D one.  ``grid`` may also
+    be a bare shape tuple, for values whose grid is not at hand.
 
     Raises
     ------
     InvalidInputError
-        If the values have the wrong shape or contain NaN/inf.
+        If the values have the wrong shape or contain NaN/inf, or if a
+        callable comes with a bare shape.
     """
-    shape = grid if isinstance(grid, tuple) else grid.shape()
-    vals = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float)
+    if isinstance(grid, tuple):
+        if callable(f):
+            raise InvalidInputError(f"{what} is a callable but no grid is given "
+                                    "to evaluate it on; pass its node values")
+        shape = grid
+    else:
+        shape = grid.shape()
+        if callable(f):
+            f = f(grid.nodes) if grid.ndim == 1 else f(*grid.mesh())
+    vals = np.asarray(f, dtype=float)
     if vals.shape != shape:
         raise InvalidInputError(f"{what} has shape {vals.shape}, expected {shape}")
     if not np.all(np.isfinite(vals)):

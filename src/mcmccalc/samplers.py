@@ -25,7 +25,10 @@ draws, then blocks of acceptance uniforms, from the replication's own stream
 so on).  The lanes draw and propose through the proposal's own vectorised
 pair (``ProposalKernel.draw`` and ``propose``, which the random-walk and
 independence families define); a proposal without it is refused with
-instructions rather than silently looped.
+instructions rather than silently looped.  A proposal ``y`` from ``x`` is
+accepted when a uniform falls below ``g`` of the Hastings ratio
+``mu(y) q(y, x) / (mu(x) q(x, y))``; a symmetric proposal's ``q`` cancels, so
+its chains read only the target, ``mu(y) / mu(x)``.
 
 A chain that rejects stays where it is.  So a chain whose states are
 stored advances a rejection run at a time: from its state the next proposals
@@ -34,10 +37,11 @@ the run.  Against a fixed target (the limiting chain, every level of a stored
 sequential run, level 1 of a stored interacting run) every proposal reads the
 one target; an upper level of a stored interacting run reads, for each
 proposal, that step's row of its running mixture, so its levels run one after
-another.  Rounds stop at draw-block ends, so the streams are read in the
-order above and the states are bit-identical to stepping one step at a time.
-The replicated engines whose states are not stored (their mixtures and
-running sums need every step of every chain) step in lockstep.
+another, and each block of the mixture's rows is built at once from the block
+of states below.  Rounds stop at draw-block ends, so the streams are read in
+the order above and the states are bit-identical to stepping one step at a
+time.  The replicated engines whose states are not stored (their mixtures
+and running sums need every step of every chain) step in lockstep.
 
 The CLT harness validates the two asymptotic-variance displays: the
 random-centered statistic (each replication centered at its own realised
@@ -51,6 +55,7 @@ restriction uses); the report records the fractional exponent alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -242,13 +247,24 @@ class CltReport:
 # the stepping lane
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _row_starts(rows: int, n_points: int) -> np.ndarray:
+    """Flat offsets of the rows of a C-ordered ``rows`` x ``n_points`` table
+    (read-only: every caller shares it)."""
+    starts = np.arange(0, rows * n_points, n_points)
+    starts.flags.writeable = False
+    return starts
+
+
 def _matrix_rows_at(grid: Grid1D, table: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Per-replication linear interpolation: row ``r`` of ``table`` at ``xs[r]``."""
+    """Per-row linear interpolation: row ``r`` of ``table`` at ``xs[..., r]``
+    (``xs`` broadcasts against the rows), gathered from the flat table."""
     pos = (xs - grid.lower) / grid.h
     idx = np.minimum(np.maximum(pos.astype(np.int64), 0), grid.n_points - 2)
     frac = pos - idx
-    rows = np.arange(table.shape[0])
-    return table[rows, idx] * (1.0 - frac) + table[rows, idx + 1] * frac
+    at = idx + _row_starts(*table.shape)
+    flat = table.reshape(-1)
+    return flat[at] * (1.0 - frac) + flat[at + 1] * frac
 
 
 class _Lane:
@@ -323,21 +339,41 @@ class _Lane:
         self._accept_u = accept_u
         self._cursor = 0
 
-    def _proposals(self, x: np.ndarray, mu_x: np.ndarray, table: np.ndarray,
-                   d: np.ndarray, u: np.ndarray):
+    def _proposals(self, x: np.ndarray, mu_x: Optional[np.ndarray],
+                   table: np.ndarray, d: np.ndarray, u: np.ndarray):
         """Proposals from the states ``x`` (target values ``mu_x``) for the
-        draws ``d``, with their fold mask, target values and accept mask
-        under the uniforms ``u``.  Every operation is elementwise, so one
-        chain may pass several steps' draws at once: each is judged as if the
-        chain were still at ``x``."""
+        draws ``d``, with their fold mask, the target values at ``x`` and at
+        the proposals, and the accept mask under the uniforms ``u``.  Every
+        operation is elementwise, so one chain may pass several steps' draws
+        at once: each is judged as if the chain were still at ``x``.  With
+        ``mu_x`` None, ``table`` holds one row per draw, and the value at
+        ``x`` is read from each row in the same gather as the proposal's."""
         y, folded = self.proposal.propose(x, d)
-        mu_y = self._target_at(table, y)
+        if mu_x is None:
+            xy = np.empty((2, y.size))
+            xy[0] = x
+            xy[1] = y
+            mu_x, mu_y = _matrix_rows_at(self.grid, table, xy)
+            mu_x = np.maximum(mu_x, POSITIVE_FLOOR)
+        else:
+            mu_y = self._target_at(table, y)
+        ratio = self._hastings_ratio(x, mu_x, y, mu_y)
+        return y, folded, mu_x, mu_y, u < self.balancing.g(ratio)
+
+    def _hastings_ratio(self, x: np.ndarray, mu_x: np.ndarray, y: np.ndarray,
+                        mu_y: np.ndarray) -> np.ndarray:
+        """``mu(y) q(y, x) / (mu(x) q(x, y))``, and 1 where the denominator
+        vanishes.  A symmetric proposal's ``q`` cancels, and ``mu_x`` is at
+        least ``POSITIVE_FLOOR``, so its ratio is ``mu_y / mu_x``; that may
+        overflow to inf, which the packaged balancing functions map to 1."""
+        if self.proposal.symmetric:
+            with np.errstate(over="ignore"):
+                return mu_y / mu_x
         q_xy, q_yx = self.proposal.q_pair(x, y)
         num = mu_y * q_yx
         den = mu_x * q_xy
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = np.where(den > 0.0, num / den, 1.0)
-        return y, folded, mu_y, u < self.balancing.g(ratio)
+            return np.where(den > 0.0, num / den, 1.0)
 
     def step(self) -> np.ndarray:
         """Move every chain one step; returns the new states."""
@@ -347,8 +383,8 @@ class _Lane:
         u = self._accept_u[:, self._cursor]
         self._cursor += 1
 
-        y, folded, mu_y, accept = self._proposals(self.x, self.mu_x,
-                                                  self.target, d, u)
+        y, folded, _, mu_y, accept = self._proposals(self.x, self.mu_x,
+                                                     self.target, d, u)
         self.accepted = accept
         self.x = np.where(accept, y, self.x)
         self.mu_x = np.where(accept, np.maximum(mu_y, POSITIVE_FLOOR), self.mu_x)
@@ -429,9 +465,8 @@ class _Lane:
                 mu_x = self.mu_x[r:r + 1]
             else:  # proposal i is judged against step i's row, as refresh does
                 table = rows[done:done + k]
-                mu_x = np.maximum(_matrix_rows_at(self.grid, table, x),
-                                  POSITIVE_FLOOR)
-            y, folded, mu_y, accept = self._proposals(
+                mu_x = None
+            y, folded, mu_x, mu_y, accept = self._proposals(
                 x, mu_x, table, draws[done:done + k], uniforms[done:done + k])
             j = int(accept.argmax())
             hit = bool(accept[j])
@@ -482,11 +517,64 @@ class _MixtureAccumulator:
     def add(self, x: np.ndarray, moved: np.ndarray) -> None:
         """Add every chain's current state ``x``; ``moved`` flags the chains
         whose state changed since the previous call."""
+        self._recompute(x, slice(None) if self._fresh else np.flatnonzero(moved))
+        self.table += self._weighted_rows
+        if self._wf is not None:
+            self.center_num += self._g_moment
+            self.center_den += self._g
+
+    def add_steps(self, xs: np.ndarray, moved: np.ndarray,
+                  out: np.ndarray) -> Optional[np.ndarray]:
+        """Add ``m`` consecutive steps: column ``i`` of the R x m arrays
+        ``xs`` and ``moved`` is what :meth:`add` takes for step ``i``, and
+        ``out[i]`` (``out`` is m x R x N) receives the table after step ``i``.  With ``wf``,
+        returns the m x R realised means ``center_num / center_den`` after
+        each step.
+
+        Rows, potentials and moments are recomputed only on the steps where
+        some chain moved, for the same chains as :meth:`add`, so each
+        normalising product rounds as there; the other steps repeat the
+        cached values.  Each running sum is one accumulate seeded with its
+        running value, which adds in the order of :meth:`add`.
+        """
+        m = xs.shape[1]
+        live = moved.any(axis=0)
+        every = moved.all(axis=0)
         if self._fresh:
-            self._fresh = False
-            idx = slice(None)
-        else:
-            idx = np.flatnonzero(moved)
+            live[0] = every[0] = True
+        steps = np.flatnonzero(live).tolist()
+        first = steps[0] if steps else m
+        centers = self._wf is not None
+        out[:first] = self._weighted_rows
+        if centers:
+            g_sums = np.empty((m, len(self.table)))
+            moment_sums = np.empty_like(g_sums)
+            g_sums[:first] = self._g
+            moment_sums[:first] = self._g_moment
+        for i, end in zip(steps, steps[1:] + [m]):
+            self._recompute(xs[:, i],
+                            slice(None) if every[i] else np.flatnonzero(moved[:, i]))
+            out[i:end] = self._weighted_rows
+            if centers:
+                g_sums[i:end] = self._g
+                moment_sums[i:end] = self._g_moment
+        out[0] += self.table
+        np.cumsum(out, axis=0, out=out)
+        self.table[...] = out[-1]
+        if not centers:
+            return None
+        moment_sums[0] += self.center_num
+        g_sums[0] += self.center_den
+        np.cumsum(moment_sums, axis=0, out=moment_sums)
+        np.cumsum(g_sums, axis=0, out=g_sums)
+        self.center_num[...] = moment_sums[-1]
+        self.center_den[...] = g_sums[-1]
+        return moment_sums / g_sums
+
+    def _recompute(self, x: np.ndarray, idx) -> None:
+        """Recompute the cached weighted rows (and potentials and moments)
+        of the chains ``idx`` at their states in ``x``."""
+        self._fresh = False
         xs = x[idx]
         if xs.size:
             rows = self._mutation.rows(self._model.grid, xs)
@@ -495,10 +583,6 @@ class _MixtureAccumulator:
                 self._g[idx] = g_at
                 self._g_moment[idx] = g_at * (rows @ self._wf)
             self._weighted_rows[idx] = np.multiply(g_at[:, None], rows, out=rows)
-        self.table += self._weighted_rows
-        if self._wf is not None:
-            self.center_num += self._g_moment
-            self.center_den += self._g
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +883,13 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     step ``k``, so when states are collected the levels run one after
     another: level 1 with :meth:`_Lane.run`, then each level ``j >= 2`` in
     blocks of ``RUN_BLOCK`` steps, where the block's level-``(j-1)`` states
-    join the mixture one step at a time, each step's table is kept, and
-    :meth:`_Lane.run_moving` advances level ``j`` against them.  Otherwise
-    (the replicated CLT engine) the levels step in lockstep.  In a stored
-    depth-2 run, ``freeze_lower`` replaces the running mixture with the
-    fixed transform of a density, and level 2 runs with :meth:`_Lane.run`.
+    join the mixture together (:meth:`_MixtureAccumulator.add_steps` keeps
+    each step's table, computing rows only on steps where a chain moved),
+    and :meth:`_Lane.run_moving` advances level ``j`` against those tables.
+    Otherwise (the replicated CLT engine) the levels step in lockstep, and
+    the mixture takes one step at a time.  In a stored depth-2 run,
+    ``freeze_lower`` replaces the running mixture with the fixed transform
+    of a density, and level 2 runs with :meth:`_Lane.run`.
     """
     grid = model.grid
     reps = len(streams)
@@ -845,11 +931,11 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             top = j == p
             for k0 in range(0, n, RUN_BLOCK):
                 m = min(RUN_BLOCK, n - k0)
-                for i in range(m):
-                    mixture.add(states[j - 2, :, k0 + i], moved[:, k0 + i])
-                    rows[i] = mixture.table
-                    if top and f is not None:
-                        center_sums += mixture.center_num / mixture.center_den
+                means = mixture.add_steps(states[j - 2, :, k0:k0 + m],
+                                          moved[:, k0:k0 + m], rows[:m])
+                if top and f is not None:
+                    means[0] += center_sums
+                    center_sums = np.cumsum(means, axis=0)[-1]
                 lanes[j - 1].run_moving(rows[:m], states[j - 1, :, k0:k0 + m],
                                         moved[:, k0:k0 + m])
                 if top and tracer is not None:

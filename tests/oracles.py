@@ -312,6 +312,29 @@ class DenseMixtureAccumulator:
             self.center_num += g_at * (rows @ self.wf)
             self.center_den += g_at
 
+    def add_steps(self, xs, moved, out):
+        """Step ``i`` of ``xs`` through :meth:`add`, then a copy of the
+        table into ``out[i]``; returns the realised means after each step
+        when a test function is given."""
+        means = []
+        for i in range(xs.shape[1]):
+            self.add(xs[:, i], moved[:, i])
+            out[i] = self.table
+            if self.wf is not None:
+                means.append(self.center_num / self.center_den)
+        return np.array(means) if self.wf is not None else None
+
+
+def hastings_ratio_with_q(proposal, x, mu_x, y, mu_y):
+    """The chain's Hastings ratio with the proposal density in both
+    directions, as first written: ``mu_y q(y, x) / (mu_x q(x, y))``, and 1
+    where the denominator vanishes."""
+    q_xy, q_yx = proposal.q_pair(x, y)
+    num = mu_y * q_yx
+    den = mu_x * q_xy
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, 1.0)
+
 
 def stepped_run(lane, n, out, moved=None):
     """The per-step loop a lane's ``run`` replaces: ``n`` calls to

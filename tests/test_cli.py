@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -235,6 +237,33 @@ def test_smcmc_chains_are_byte_identical_across_runs(tmp_path):
     assert main(["smcmc-run", "--config", cfg, "--seed", "7",
                  "--out", str(out_c)]) == 0
     assert bytes_a != (out_c / "chains.csv").read_bytes()
+
+
+# chains.csv sha256 of depth-2, 3000-step runs at two BLAS threads: a change
+# to the chain engines or the CSV writer that moves one byte fails here
+PINNED_CHAIN_CSVS = {
+    ("smcmc-run", 1): "c39206f730f2e0d7da862006f307ceaa4ef214f348540f63adff50a18bbb7c25",
+    ("smcmc-run", 5): "0aafdcb25cbd0a05e0e29668a3bff49180fd31b726c0dc6e881bd40d68644116",
+    ("imcmc-run", 1): "c1830805efa00c8ff4375e42565b4959ad4ff8df448a8f80d160072eb6f3c545",
+    ("imcmc-run", 5): "2897af4fd23ec1578b8c21771898850aa63948cf9be71367835c3c7986ba592c",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED_CHAIN_CSVS))
+def test_chain_csv_keeps_its_pinned_bytes(tmp_path, kind, seed):
+    cfg = write_config(tmp_path, {"kind": kind, "depth": 2, "steps": 3000, "seed": seed})
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["MCMCCALC_THREADS"] = "2"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "mcmccalc.cli", kind, "--config", cfg,
+                          "--out", str(out)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256((out / "chains.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_CHAIN_CSVS[kind, seed]
+    assert read_manifest(out)["outputs"]["chains"]["sha256"] == digest
 
 
 def test_chain_csv_covers_every_level(tmp_path):

@@ -123,6 +123,19 @@ def test_grid_function_takes_a_callable_at_the_nodes():
         grid_function(GRID, np.ones(64))
 
 
+def test_grid_function_takes_a_callable_on_the_2d_mesh():
+    values = grid_function(GRID2, lambda x1, x2: np.cos(0.6 * x1) * np.tanh(x2))
+    assert np.array_equal(values, F2)
+    # a two-stage entry accepts the callable as it accepts its values
+    assert np.array_equal(apply_gibbs(GIBBS, (0.0, 0.0), lambda x1, x2: x1),
+                          apply_gibbs(GIBBS, (0.0, 0.0), X1))
+
+
+def test_grid_function_refuses_a_callable_without_a_grid():
+    with pytest.raises(InvalidInputError, match="no grid"):
+        grid_function(GRID.shape(), np.cos)
+
+
 def test_warm_start_refusals_name_the_node():
     cold = gaussian_density(GRID, 0.0, 2.5)
     ratio = cold.values / MU.values**2

@@ -270,7 +270,7 @@ def test_lane_run_matches_stepping_without_target_mass(grid):
                                 zero, x0=1.5), 2100)
     assert lane.accept_count[0] == 0 and lane.x[0] == 1.5
     # a vanishing forward density puts every ratio on its fallback of 1
-    vanishing = dataclasses.replace(proposal)
+    vanishing = dataclasses.replace(proposal, symmetric=False)
     vanishing.q_pair = lambda x, y: (0.0 * proposal.q_pair(x, y)[0],
                                      proposal.q_pair(x, y)[1])
     lane = _assert_run_matches_stepping(
@@ -421,6 +421,30 @@ def test_lane_moving_run_equals_stepping_on_generated_inputs(seed, sigma, x0,
         lambda: _moving_lane(grid, proposal, BalancingFunction.barker(),
                              [x0], [seed]),
         [_moving_rows(grid, n, start=start)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.05, 2.6),
+       x0=st.floats(-8.0, 8.0), start=st.integers(0, 500),
+       balancing=st.sampled_from([BalancingFunction.barker(),
+                                  BalancingFunction.min_one(),
+                                  BalancingFunction.polynomial(2)]))
+def test_symmetric_ratio_matches_the_ratio_with_q(seed, sigma, x0, start,
+                                                  balancing, model):
+    grid = model.grid
+    proposal = ProposalKernel.random_walk(sigma, grid)
+    lane = _moving_lane(grid, proposal, balancing, [x0], [seed])
+    # a row massless below -2: starts there sit on the floor
+    lane.set_target(_moving_rows(grid, 1, start=start)[0])
+    rng = npr.default_rng(seed)
+    x = lane.x
+    d, u = rng.standard_normal(samplers.RUN_BLOCK), rng.uniform(size=samplers.RUN_BLOCK)
+    y, _, mu_x, mu_y, accept = lane._proposals(x, lane.mu_x, lane.target, d, u)
+    ratio = lane._hastings_ratio(x, mu_x, y, mu_y)
+    with_q = oracles.hastings_ratio_with_q(proposal, x, mu_x, y, mu_y)
+    assert np.all(np.abs(ratio - with_q)
+                  <= 4.0 * np.spacing(np.maximum(ratio, with_q)))
+    assert _same(accept, u < balancing.g(with_q))
 
 
 @pytest.mark.parametrize("reps", [1, 3])
@@ -771,6 +795,52 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(top.center_den, top_dense.center_den,
                                    rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("with_f", [False, True], ids=["no-f", "f"])
+@pytest.mark.parametrize("reps", [1, 3])
+def test_mixture_add_steps_equals_adding_step_by_step(reps, with_f, model, grid):
+    wf = grid.trapezoid_weights() * f_clip(grid.nodes) if with_f else None
+    blocks, still = [5, 4, 1, 9, 1], 1  # the second block moves no chain
+    n = sum(blocks)
+    rng = npr.default_rng(reps)
+    moved = rng.uniform(size=(reps, n)) < 0.4
+    moved[:, 5:9] = False
+    xs = np.cumsum(np.where(moved, rng.standard_normal((reps, n)), 0.0), axis=1)
+    stepped = samplers._MixtureAccumulator(model, 1, reps, wf)
+    blocked = samplers._MixtureAccumulator(model, 1, reps, wf)
+    mutation, row_calls = blocked._mutation, []
+
+    class Counting:
+        def rows(self, grid, xs):
+            row_calls.append(len(xs))
+            return mutation.rows(grid, xs)
+
+    blocked._mutation = Counting()
+    k0 = 0
+    for b, m in enumerate(blocks):
+        ref, out = np.empty((m, reps, grid.n_points)), np.empty((m, reps, grid.n_points))
+        ref_means = np.empty((m, reps))
+        calls_before = len(row_calls)
+        for i in range(m):
+            stepped.add(xs[:, k0 + i], moved[:, k0 + i])
+            ref[i] = stepped.table
+            if with_f:
+                ref_means[i] = stepped.center_num / stepped.center_den
+        means = blocked.add_steps(xs[:, k0:k0 + m], moved[:, k0:k0 + m], out)
+        assert _same(out, ref)
+        assert _same(blocked.table, stepped.table)
+        if with_f:
+            assert _same(means, ref_means)
+            assert _same(blocked.center_num, stepped.center_num)
+            assert _same(blocked.center_den, stepped.center_den)
+        else:
+            assert means is None
+        live = moved[:, k0:k0 + m].any(axis=0)
+        live[0] |= k0 == 0
+        assert len(row_calls) - calls_before == np.count_nonzero(live)
+        assert b != still or len(row_calls) == calls_before
+        k0 += m
 
 
 def test_mixture_recomputes_rows_only_for_moved_chains(monkeypatch, family,
