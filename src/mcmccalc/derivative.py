@@ -225,17 +225,19 @@ def _hastings_derivative_values(kernel: HastingsKernel, rho_values: np.ndarray,
     grid = kernel.grid
     w = grid.trapezoid_weights()
     mu = kernel.target.values
-    q = kernel.q_matrix
-    gp = kernel.balancing.g_prime(kernel.ratio_matrix())
+    r = kernel.ratio_matrix()
     f = np.asarray(f_values, dtype=float)
 
-    m1 = gp.T * q            # [i, j] = g'(r(z_j, y_i)) q(y_i, z_j)
+    # m2[i, j] = q(z_j, y_i) g'(r(y_i, z_j)), and m1 = m2.T holds the same
+    # products; m1 is copied C-ordered, which keeps its matrix-vector products
+    # (and their rounding) on the row-major BLAS path
+    m2 = np.multiply(kernel.q_matrix_t, kernel.balancing.g_prime(r), out=r)
+    m1 = np.ascontiguousarray(m2.T)  # [i, j] = g'(r(z_j, y_i)) q(y_i, z_j)
     s = w * (rho_values / mu)
     a = m1 @ s
     b = m1 @ (s * f)
     term1 = f * a - b
 
-    m2 = q.T * gp            # [i, j] = q(z_j, y_i) g'(r(y_i, z_j))
     wm = w * mu
     c = m2 @ (wm * f)
     d = m2 @ wm
@@ -285,9 +287,8 @@ def hastings_derivative_at_point(kernel: HastingsKernel, x: float, f_values) -> 
     gp_from_x = kernel.balancing.g_prime(kernel.ratio_at(float(x), nodes))
     dens = (f - fx) * gp_from_x * q_to_x / mu_x
 
-    q = kernel.q_matrix
-    gp = kernel.balancing.g_prime(kernel.ratio_matrix())
-    m2 = q.T * gp
+    r = kernel.ratio_matrix()
+    m2 = np.multiply(kernel.q_matrix_t, kernel.balancing.g_prime(r), out=r)
     wm = w * mu
     c = m2 @ (wm * f)
     d = m2 @ wm
@@ -533,13 +534,14 @@ def interchange_margin(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
     grid = kernel0.grid
     w = grid.trapezoid_weights()
     q = kernel0.q_matrix
+    qt = kernel0.q_matrix_t
     m = np.minimum(mu.values, nu.values)
     big = np.maximum(mu.values, nu.values)
 
     fsum = f[:, None] + f[None, :]
     env = fsum * (
         (rho.values / m)[None, :] * q
-        + (rho.values / m**2)[:, None] * big[None, :] * q.T
+        + (rho.values / m**2)[:, None] * big[None, :] * qt
     )
     envelope_mass = float(w @ env @ w)
 
@@ -551,7 +553,7 @@ def interchange_margin(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
         gp = np.abs(kernel0.balancing.g_prime(kt.ratio_matrix()))
         integrand = fsum * (
             (rho.values / mut.values)[None, :] * q * gp.T
-            + (rho.values / mut.values**2)[:, None] * mut.values[None, :] * q.T * gp
+            + (rho.values / mut.values**2)[:, None] * mut.values[None, :] * qt * gp
         )
         actual[t] = float(w @ integrand @ w)
     worst = max(actual.values())

@@ -330,13 +330,12 @@ class FeynmanKacModel:
         return len(self.potentials)
 
     def _check_level(self, level: int) -> int:
-        if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
-            raise InvalidInputError("level index must be an integer")
+        level = check_count(level, "level index", minimum=None)
         if not 1 <= level <= self.n_levels:
             raise RangeError(
                 "level %d outside 1..%d" % (level, self.n_levels)
             )
-        return int(level)
+        return level
 
     def check_depth(self, p) -> int:
         """``p`` as an ``int`` after checking that a depth-``p`` scheme fits:
@@ -387,8 +386,7 @@ class FeynmanKacModel:
 
     def flow(self, p: int) -> GridDensity:
         """Reference flow at level ``p`` (1-based; defined up to n_levels+1)."""
-        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-            raise InvalidInputError("flow level must be an integer")
+        p = check_count(p, "flow level", minimum=None)
         if not 1 <= p <= self.n_levels + 1:
             raise RangeError("flow level %d outside 1..%d" % (p, self.n_levels + 1))
         while len(self._flows) < p:
@@ -514,16 +512,15 @@ def q_bar_chain(model: FeynmanKacModel, j: int, p: int,
     ``j = p`` is the identity (empty composition); ``j = 0`` is allowed and
     starts the chain at the first level.  Requires ``0 <= j <= p <= n_levels``.
     """
-    for name, value in (("j", j), ("p", p)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InvalidInputError("chain index %s must be an integer" % name)
+    j = check_count(j, "chain index j", minimum=None)
+    p = check_count(p, "chain index p", minimum=None)
     if not 0 <= j <= p <= model.n_levels:
         raise RangeError(
             "chain indices must satisfy 0 <= j <= p <= %d, got j=%d, p=%d"
             % (model.n_levels, j, p)
         )
     g_vals = grid_function(model.grid, f_values)
-    for level in range(int(p), int(j), -1):
+    for level in range(p, j, -1):
         g_vals = q_bar_operator(model, level, g_vals)
     return g_vals
 

@@ -121,17 +121,23 @@ class BalancingFunction:
 
     @staticmethod
     def barker() -> "BalancingFunction":
+        # each body fills one buffer shaped like ``t`` (0-d for a scalar)
         def g(t):
             t = np.asarray(t, dtype=float)
+            out = np.add(1.0, t, out=np.empty_like(t))
             with np.errstate(invalid="ignore"):
-                out = t / (1.0 + t)
-            return np.where(np.isinf(t), 1.0, out)
+                np.divide(t, out, out=out)
+            np.copyto(out, 1.0, where=np.isinf(t))
+            return out
 
         def gp(t):
             t = np.asarray(t, dtype=float)
+            out = np.add(1.0, t, out=np.empty_like(t))
             with np.errstate(over="ignore"):
-                out = 1.0 / (1.0 + t) ** 2
-            return np.where(np.isinf(t), 0.0, out)
+                np.square(out, out=out)
+                np.divide(1.0, out, out=out)
+            np.copyto(out, 0.0, where=np.isinf(t))
+            return out
 
         return BalancingFunction(g, gp, "barker", small_value_factor=0.5)
 
@@ -219,6 +225,13 @@ class ProposalKernel:
     cancels from the chain drivers' Hastings ratio, which reads only the
     target, ``mu(y) / mu(x)``.  The drivers read :meth:`q_pair` only for
     asymmetric proposals.
+
+    On a grid, :meth:`matrix` gives ``q`` at the node pairs and
+    :meth:`matrix_t` its transpose as a C-ordered array, so that every
+    product with ``q(y, x)`` reads memory in order instead of through the
+    strided view ``matrix(grid).T``.  When the matrix equals its transpose
+    bit for bit (a random walk on a grid of exactly representable nodes),
+    :meth:`matrix_t` returns the matrix itself and costs no memory.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -245,12 +258,23 @@ class ProposalKernel:
         this matrix is assembled once per grid and shared by every kernel
         built on this proposal (every member of a family).  It is read-only.
         """
+        return self._matrices(grid)[0]
+
+    def matrix_t(self, grid: Grid1D) -> np.ndarray:
+        """q(node_j, node_i) on ``grid``: the transpose of :meth:`matrix`,
+        C-ordered and read-only; :meth:`matrix` itself when it is symmetric
+        bit for bit."""
+        return self._matrices(grid)[1]
+
+    def _matrices(self, grid: Grid1D) -> tuple:
         if self._matrix is None or self._matrix[0] != grid:
             n = grid.nodes
             q = np.asarray(self.density(n[:, None], n[None, :]))
             q.flags.writeable = False
-            self._matrix = (grid, q)
-        return self._matrix[1]
+            qt = q if np.array_equal(q, q.T) else np.ascontiguousarray(q.T)
+            qt.flags.writeable = False
+            self._matrix = (grid, q, qt)
+        return self._matrix[1:]
 
     def validate_rows(self, grid: Grid1D, tol: float = PROPOSAL_ROW_TOL) -> float:
         """Largest deviation of quadrature row mass from 1 over grid starts."""
@@ -402,16 +426,19 @@ class HastingsKernel:
         """
         return self.proposal.matrix(self.grid)
 
+    @property
+    def q_matrix_t(self) -> np.ndarray:
+        """q(node_j, node_i), C-ordered (:meth:`ProposalKernel.matrix_t`)."""
+        return self.proposal.matrix_t(self.grid)
+
     def ratio_matrix(self, target_values: Optional[np.ndarray] = None) -> np.ndarray:
         """r(node_i, node_j) for this kernel's target (or for substitute
-        target values, used when sweeping along contamination curves)."""
+        target values, used when sweeping along contamination curves), as a
+        fresh C-ordered array the caller may overwrite."""
         mu = self.target.values if target_values is None else np.asarray(target_values)
-        q = self.q_matrix
-        num = mu[None, :] * q.T
-        den = mu[:, None] * q
+        den = mu[:, None] * self.q_matrix
+        num = mu[None, :] * self.q_matrix_t
         never = ~(den > 0.0)
-        # divide into the C-ordered ``den``: ``num`` follows q.T's F order,
-        # which would send later matrix products down another BLAS path
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(num, den, out=den)
         np.copyto(den, 1.0, where=never)
@@ -419,7 +446,8 @@ class HastingsKernel:
 
     def _parts(self):
         if self._accept is None:
-            a = self.q_matrix * self.balancing.g(self.ratio_matrix())
+            r = self.ratio_matrix()
+            a = np.multiply(self.q_matrix, self.balancing.g(r), out=r)
             row = a @ self.grid.trapezoid_weights()
             rej = 1.0 - row
             worst = float(rej.min())

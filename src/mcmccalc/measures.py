@@ -154,12 +154,18 @@ def _interp1(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
     return np.interp(np.asarray(x, dtype=float), grid.nodes, values)
 
 
+def slice_weights(axis: Grid1D, x: float) -> tuple:
+    """``(k, f)``: linear interpolation at ``x`` weighs node ``k`` of ``axis``
+    by ``1 - f`` and node ``k + 1`` by ``f``."""
+    pos = np.interp(x, axis.nodes, np.arange(axis.n_points, dtype=float))
+    k = min(int(pos), axis.n_points - 2)
+    return k, pos - k
+
+
 def interp_slice(axis: Grid1D, rows: np.ndarray, x: float) -> np.ndarray:
     """Linear interpolation at ``x`` between the rows of ``rows``, one per
     node of ``axis`` (pass ``values.T`` to slice along a second axis)."""
-    pos = np.interp(x, axis.nodes, np.arange(axis.n_points, dtype=float))
-    k = min(int(pos), axis.n_points - 2)
-    f = pos - k
+    k, f = slice_weights(axis, x)
     return (1.0 - f) * rows[k] + f * rows[k + 1]
 
 
@@ -425,10 +431,11 @@ def grid_function(grid, f, what: str = "test function") -> np.ndarray:
     return vals
 
 
-def check_count(value, what: str = "step count", minimum: int = 0,
+def check_count(value, what: str = "step count", minimum: Optional[int] = 0,
                 budget: Optional[int] = None) -> int:
     """``value`` as an ``int`` after checking that it is an integer (not a
-    bool, not an integral float) of at least ``minimum``.
+    bool, not an integral float) of at least ``minimum`` (of any size when
+    ``minimum`` is None, for indices whose range the caller checks).
 
     Raises
     ------
@@ -437,8 +444,10 @@ def check_count(value, what: str = "step count", minimum: int = 0,
     ResourceLimitError
         If ``budget`` is given and the value exceeds it.
     """
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
-        raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        least = "" if minimum is None else f" >= {minimum}"
+        raise InvalidInputError(f"{what} must be an integer{least}, got {value!r}")
     if budget is not None and value > budget:
         raise ResourceLimitError(f"{what} {value} exceeds budget {budget}")
     return int(value)

@@ -393,3 +393,61 @@ def inverse_cdf_sample(nodes, h, values, rng):
     denom = a + np.sqrt(max(disc, 0.0))
     s = -2.0 * c0 / denom if denom > 0.0 else 0.0
     return float(nodes[k] + min(max(s, 0.0), 1.0) * h), False
+
+
+def barker_g_where(t):
+    """Barker's rule t / (1 + t), 1 at t = inf, in the ``np.where`` form."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = t / (1.0 + t)
+    return np.where(np.isinf(t), 1.0, out)
+
+
+def barker_g_prime_where(t):
+    """Derivative 1 / (1 + t)^2 of Barker's rule, 0 at t = inf."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + t) ** 2
+    return np.where(np.isinf(t), 0.0, out)
+
+
+def hastings_derivative_strided(q, gp, mu, w, rho, f):
+    """Accept/reject derivative pieces from the proposal matrix ``q`` and
+    ``gp = g'(r)`` at the node pairs, each transpose read as a strided view:
+    (density part for the density start ``rho``, point-start coefficient)."""
+    m1 = gp.T * q
+    s = w * (rho / mu)
+    term1 = f * (m1 @ s) - m1 @ (s * f)
+    m2 = q.T * gp
+    wm = w * mu
+    c = m2 @ (wm * f)
+    d = m2 @ wm
+    return term1 - (rho / mu**2) * (c - f * d), -(c - f * d) / mu**2
+
+
+def hastings_density_budget_strided(q, gp_abs, mu, w, rho, v):
+    """Two-term mean-value budget of one curve point for a density start,
+    with ``gp_abs = |g'(r)|`` at the node pairs (None: no g' factor), both
+    terms maximised over the first axis of strided products."""
+    vv = v[:, None] + v[None, :]
+    fac1, fac2 = (1.0, 1.0) if gp_abs is None else (gp_abs.T, gp_abs)
+    a = vv * (rho / mu)[None, :] * q * fac1 / v[:, None]
+    b = vv * mu[None, :] * q.T * fac2 * (rho / mu**2)[:, None] / v[:, None]
+    return float(w @ np.max(a, axis=0) + w @ np.max(b, axis=0))
+
+
+def mvi_trials_per_trial(kernels, w, nodes, start, fs, bound):
+    """Mean-value trials scored by applying both kernels to every test
+    function.  ``kernels`` holds (accept matrix, rejection vector) for mu
+    and for nu; ``start`` is density node values or a point.  Returns
+    (worst |P_mu f - P_nu f|, worst ratio to ``bound``, violations)."""
+    def value(a, rej, f):
+        pf = a @ (w * f) + rej * f
+        if np.ndim(start):
+            return float(np.sum(w * start * pf))
+        return float(np.interp(start, nodes, pf))
+
+    (a_mu, rej_mu), (a_nu, rej_nu) = kernels
+    lhs = np.array([abs(value(a_mu, rej_mu, f) - value(a_nu, rej_nu, f)) for f in fs])
+    violations = int(np.sum(lhs > bound * (1.0 + 1e-9) + 1e-15))
+    return float(lhs.max()), float(lhs.max() / bound), violations

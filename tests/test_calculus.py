@@ -502,6 +502,40 @@ def test_empirical_check_degenerates_cleanly_when_nu_is_mu(family, mu, rho):
     assert out["max_ratio"] == 0.0
 
 
+@pytest.mark.parametrize("start", ["density", 0.37, 0.0, -8.0, 8.0])
+@pytest.mark.parametrize("fam", ["family", "min_one_family"])
+def test_empirical_check_representer_matches_per_trial_kernels(request, fam, start, mu, nu,
+                                                               rho, grid):
+    family = request.getfixturevalue(fam)
+    start = rho if start == "density" else start
+    v = WeightFunction.one_plus_square()
+    fs = [random_bv_function(grid, v.values_on(grid), np.random.default_rng(child))
+          for child in np.random.SeedSequence(21).spawn(300)]
+    kernels = [(k.accept_matrix, k.rejection_vector) for k in (family.at(mu), family.at(nu))]
+
+    def per_trial(bound):
+        return oracles.mvi_trials_per_trial(kernels, grid.trapezoid_weights(), grid.nodes,
+                                            rho.values if start is rho else start, fs, bound)
+
+    c = mvi_constants(family, mu, nu, start, v, t_nodes=5)
+    out = empirical_mvi_check(family, mu, nu, start, v, c, n_trials=300, seed=21)
+    worst, ratio, _ = per_trial(out["bound"])
+    if worst == 0.0:
+        # min-one from a window edge: the two laws differ by about 1e-52, below
+        # the rounding of each P(start, f), which the per-trial form rounds away
+        assert out["worst_lhs"] < 1e-40
+        return
+    # shrink the budget below the worst trial, so that some trials violate it
+    c = MviConstants(0.7 * ratio * c.m_rho, 0.7 * ratio * c.m_perp, c.v_tag, c.t_nodes,
+                     c.start_kind, c.perp_pairing)
+    out = empirical_mvi_check(family, mu, nu, start, v, c, n_trials=300, seed=21)
+    worst, ratio, violations = per_trial(out["bound"])
+    assert out["worst_lhs"] == pytest.approx(worst, rel=1e-13, abs=0.0)
+    assert out["max_ratio"] == pytest.approx(ratio, rel=1e-13, abs=0.0)
+    assert out["violations"] == violations
+    assert 0 < violations < 300
+
+
 # ---------------------------------------------------------------------------
 # scanning point-start constants over the window
 # ---------------------------------------------------------------------------

@@ -479,3 +479,44 @@ def test_cli_import_leaves_scipy_out():
          "import sys, mcmccalc.cli; assert 'scipy' not in sys.modules"],
         capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
+
+
+def _run_at_threads(threads, args):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["MCMCCALC_THREADS"] = threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# the one-step law that the mean-value trials pair with, from the default
+# mvi-check inputs on the benchmark's 1025-point grid
+_START_LAW_DIGEST = """
+import hashlib
+import mcmccalc.cli  # caps the BLAS threads before numpy loads
+from mcmccalc.calculus import _hastings_start_law
+from mcmccalc.kernels import BalancingFunction, HastingsFamily, ProposalKernel
+from mcmccalc.measures import Grid1D, gaussian_density
+grid = Grid1D(-8.0, 8.0, 1025)
+family = HastingsFamily(ProposalKernel.random_walk(1.0, grid), BalancingFunction.barker())
+law = _hastings_start_law(family.at(gaussian_density(grid, 0.0, 1.0)),
+                          gaussian_density(grid, 0.0, 0.45))
+print(hashlib.sha256(law.tobytes()).hexdigest())
+"""
+
+
+def test_mvi_check_does_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg = write_config(tmp_path, {"kind": "mvi-check", "trials": 100,
+                                  "grid": {"lower": -8.0, "upper": 8.0, "points": 1025}})
+    reports, laws = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        _run_at_threads(threads, ["-m", "mcmccalc.cli", "mvi-check", "--config", cfg,
+                                  "--out", str(out)])
+        reports.append((out / "mvi_check_report.json").read_bytes())
+        laws.append(_run_at_threads(threads, ["-c", _START_LAW_DIGEST]))
+    assert reports[0] == reports[1]
+    assert laws[0] == laws[1]
