@@ -31,7 +31,7 @@ window to expose boundary growth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,12 +39,12 @@ from .derivative import (
     DEFAULT_RATIO_CEILING,
     Start,
     _check_warm_start,
-    _pair_at_start,
+    _value_at_start,
     derivative_for_start,
     hastings_derivative,
 )
 from .errors import InvalidInputError, PreconditionError
-from .kernels import GibbsFamily, GibbsKernel, HastingsFamily, HastingsKernel
+from .kernels import GibbsFamily, HastingsFamily, HastingsKernel
 from .measures import (
     ContaminationCurve,
     GridDensity,
@@ -67,11 +67,6 @@ def _t_quadrature(t_nodes: int):
     if t_nodes % 2 == 0 or t_nodes < 5:
         raise InvalidInputError(f"t-quadrature needs an odd node count >= 5, got {t_nodes}")
     return np.linspace(0.0, 1.0, t_nodes), simpson_weights(t_nodes, 1.0)
-
-
-def _value_at_start(kernel, start, f_values) -> float:
-    """P(start, f) for one prebuilt kernel, either start kind."""
-    return _pair_at_start(kernel.grid, start, kernel.apply_to_function(f_values))
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +498,19 @@ def _hastings_start_law(kern: HastingsKernel, start) -> np.ndarray:
     A density start's law is ``rho P``.  Its vector-matrix product runs in
     numpy's own single-threaded loop (``einsum``), in a fixed order: a BLAS
     product of either orientation can round differently at another BLAS
-    thread count.  A point start's law interpolates the laws of the two
-    nodes that bracket it; a node's rejection mass is an atom, which on the
-    nodes is its mass over the node's quadrature weight.
+    thread count.  A point start's law is the kernel's own row from that
+    point (:meth:`HastingsKernel.point_row`), the law :func:`apply_hastings`
+    integrates against.  Its rejection atom is split on the two nodes that
+    bracket the point, each share over the node's quadrature weight.
     """
-    grid = kern.grid
-    a, rej = kern.accept_matrix, kern.rejection_vector
-    w = grid.trapezoid_weights()
+    w = kern.grid.trapezoid_weights()
     if isinstance(start, GridDensity):
-        rho = start.values
+        a, rej, rho = kern.accept_matrix, kern.rejection_vector, start.values
         return np.einsum("ij,i->j", a, w * rho) + rej * rho
-    k, frac = slice_weights(grid, float(start))
-    law = (1.0 - frac) * a[k] + frac * a[k + 1]
-    law[k] += (1.0 - frac) * rej[k] / w[k]
-    law[k + 1] += frac * rej[k + 1] / w[k + 1]
+    law, rej = kern.point_row(float(start))
+    k, frac = slice_weights(kern.grid, float(start))
+    law[k] += (1.0 - frac) * rej / w[k]
+    law[k + 1] += frac * rej / w[k + 1]
     return law
 
 

@@ -38,7 +38,9 @@ Spec vocabularies
                 (derivative-check / ftc-check / mvi-check only)
     weight      {"kind": "one-plus-square"} or {"kind": "exp-abs", "rate": r}
     start       {"density": <density spec>} or {"point": x} / {"point": [a, b]}
-                [gaussian, mean 0, std 0.45; two-stage: product of those]
+                [gaussian, mean 0, std 0.45; two-stage: product of those];
+                a point may sit anywhere in the grid window, on or between
+                nodes, and is read through the kernel's own law from it
     function    "cos-tanh" | "clipped-identity" | "cos2d-mix" (two-stage)
     model       {"phi_bar": 1.0}   bound used by the packaged observation model
 
@@ -46,7 +48,7 @@ Per-kind keys
     derivative-check   family target direction start function
                        tolerance {derivative_rel 1e-3, centering 1e-6,
                                   generator 1e-6, invariance 1e-8}
-    ftc-check          family target direction start function t_nodes [33]
+    ftc-check          family target direction start function t_nodes [33, odd, >= 7]
                        tolerance {residual 1e-6 density / 1e-5 point,
                                   refinement_factor 2.0}
     mvi-check          family target direction start weight trials [1000]
@@ -111,7 +113,6 @@ from .calculus import (
 from .derivative import (
     derivative_for_start,
     fd_directional_derivative,
-    generator_function,
 )
 from .ergodicity import (
     DRIFT_RATES,
@@ -420,7 +421,16 @@ def _check_weight(spec, problems, path="weight") -> dict:
     return {"kind": "one-plus-square"}
 
 
-def _check_start(spec, problems, two_stage: bool) -> dict:
+def _in_window(coords, grid: dict, path: str, problems) -> bool:
+    """Whether every coordinate lies in the grid window; reports it if not."""
+    lo, hi = grid["lower"], grid["upper"]
+    if all(lo <= v <= hi for v in coords):
+        return True
+    problems.add(path, f"must sit inside the grid window [{lo:g}, {hi:g}]")
+    return False
+
+
+def _check_start(spec, problems, two_stage: bool, grid: dict) -> dict:
     default = {"density": dict(_DEFAULT_START_2D if two_stage else _DEFAULT_START)}
     obj = _expect_object(spec, "start", problems)
     if obj is None or not obj:
@@ -435,11 +445,12 @@ def _check_start(spec, problems, two_stage: bool) -> dict:
             if not (isinstance(pt, list) and len(pt) == 2 and all(_is_number(v) for v in pt)):
                 problems.add("start.point", "two-stage starts are pairs of numbers")
                 return default
-            return {"point": [float(v) for v in pt]}
-        if not _is_number(pt):
+        elif not _is_number(pt):
             problems.add("start.point", "must be a finite number")
             return default
-        return {"point": float(pt)}
+        if not _in_window(pt if two_stage else [pt], grid, "start.point", problems):
+            return default
+        return {"point": [float(v) for v in pt] if two_stage else float(pt)}
     return {"density": _check_density(obj.get("density"), "start.density", problems,
                                       two_stage, default["density"])}
 
@@ -521,7 +532,7 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
                                           two_stage,
                                           _DEFAULT_DIRECTION_2D if two_stage
                                           else _DEFAULT_DIRECTION)
-        out["start"] = _check_start(raw.get("start"), problems, two_stage)
+        out["start"] = _check_start(raw.get("start"), problems, two_stage, out["grid"])
     if kind in ("derivative-check", "ftc-check", "ergodicity-check", "clt-report"):
         default_fn = ("cos2d-mix" if two_stage
                       else "clipped-identity" if kind == "clt-report" else "cos-tanh")
@@ -530,7 +541,7 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
         out["model"] = _check_model(raw.get("model"), problems)
 
     if kind == "ftc-check":
-        t_nodes = _take_int(raw, "t_nodes", "", problems, 33, minimum=5)
+        t_nodes = _take_int(raw, "t_nodes", "", problems, 33, minimum=7)
         if t_nodes % 2 == 0:
             problems.add("t_nodes", f"the interpolation rule needs an odd count, got {t_nodes}")
             t_nodes = 33
@@ -544,11 +555,7 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
         _check_storage(out["chain_steps"], "chain_steps", "chain_steps", problems)
     def _window_x0():
         x0 = _take_number(raw, "x0", "", problems, 0.0)
-        lo, hi = out["grid"]["lower"], out["grid"]["upper"]
-        if not lo <= x0 <= hi:
-            problems.add("x0", f"must sit inside the grid window [{lo:g}, {hi:g}]")
-            return 0.0
-        return x0
+        return x0 if _in_window([x0], out["grid"], "x0", problems) else 0.0
 
     if kind in ("smcmc-run", "imcmc-run"):
         out["depth"] = _take_int(raw, "depth", "", problems, 2, minimum=1, maximum=9)
@@ -837,17 +844,19 @@ def _run_derivative_check(settings, out_dir: Path):
     two_stage = settings["family"]["kind"] == "two-stage"
     tol = settings["tolerance"]
     grid, family, mu, nu, start, f_values = _curve_inputs(kind, settings)
+    with _stage(kind, "build-inputs"):
+        kern = family.at(mu)
 
     checks = []
     report = {}
     if not two_stage:
         with _stage(kind, "invariance"):
-            residual = check_invariance(family.at(mu))
+            residual = check_invariance(kern)
             report["invariance_residual"] = float(residual)
             checks.append(_residual_row("target-invariance", residual, tol["invariance"]))
 
     with _stage(kind, "analytic-derivative"):
-        deriv = derivative_for_start(family.at(mu), start, f_values)
+        deriv = derivative_for_start(kern, start, f_values)
         analytic = deriv.action(SignedGridFunction.difference(nu, mu))
         centering = deriv.centering_residual()
     with _stage(kind, "difference-oracle"):
@@ -860,9 +869,10 @@ def _run_derivative_check(settings, out_dir: Path):
     checks.append(_residual_row("centering", centering, tol["centering"]))
 
     with _stage(kind, "generator-identity"):
-        kern = family.at(mu)
+        # f - P f by applying the kernel, independently of the derivative formulas
         at_target = derivative_for_start(kern, mu, f_values, check_start=False)
-        gen_gap = float(np.max(np.abs(at_target.density_part - generator_function(kern, f_values))))
+        direct = f_values - kern.apply_to_function(f_values)
+        gen_gap = float(np.max(np.abs(at_target.density_part - direct)))
     checks.append(_residual_row("generator-identity", gen_gap, tol["generator"]))
 
     report.update({

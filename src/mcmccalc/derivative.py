@@ -22,7 +22,7 @@ differentiation-under-the-integral step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -30,10 +30,11 @@ import numpy as np
 from .errors import InvalidInputError, PreconditionError
 from .kernels import (
     AtomPlusDensity,
-    GibbsFamily,
     GibbsKernel,
     HastingsFamily,
     HastingsKernel,
+    apply_gibbs,
+    apply_hastings,
     iterate_kernel,
 )
 from .measures import (
@@ -63,12 +64,13 @@ class KernelDerivative:
     """The derivative of ``pi -> P_pi(start, f)`` at ``pi = at``.
 
     ``density_part`` holds the grid values of the absolutely continuous
-    component.  For accept/reject point starts, ``singular_part`` holds the
-    coefficient S(y) whose pairing is the point evaluation
-    ``chi(start) * S(start)``.  For two-stage point starts the second
-    component concentrates on the line ``y2 = start[1]`` instead of a point:
+    component.  For accept/reject point starts, ``singular_part`` is the
+    scalar coefficient S of the point mass at the start, paired as
+    ``chi(start) * S``.  For two-stage point starts the second component
+    concentrates on the line ``y2 = start[1]`` instead of a point:
     ``slice_values`` (over first-coordinate nodes) is paired with
-    ``chi(., slice_point)``.
+    ``chi(., slice_point)``.  A point start may sit anywhere in the window;
+    both components differentiate the kernel's own law from that point.
 
     ``action(chi)`` evaluates the derivative against a zero-mass direction.
     """
@@ -77,7 +79,7 @@ class KernelDerivative:
     start: Start
     test_function: np.ndarray
     density_part: np.ndarray
-    singular_part: Optional[np.ndarray] = None
+    singular_part: Optional[float] = None
     slice_point: Optional[float] = None
     slice_values: Optional[np.ndarray] = None
     scale: float = 1.0  # start mass carried through linear combinations
@@ -88,10 +90,8 @@ class KernelDerivative:
                       else grid_function(grid, chi, "direction"))
         total = integrate_values(grid, chi_values * self.density_part)
         if self.singular_part is not None:
-            x = float(self.start)
-            chi_x = float(np.interp(x, grid.nodes, chi_values))
-            s_x = float(np.interp(x, grid.nodes, self.singular_part))
-            total += self.scale * chi_x * s_x
+            chi_x = float(np.interp(float(self.start), grid.nodes, chi_values))
+            total += self.scale * chi_x * self.singular_part
         if self.slice_values is not None:
             chi_slice = interp_slice(grid.axis2, chi_values.T, self.slice_point)
             w1 = grid.axis1.trapezoid_weights()
@@ -139,19 +139,19 @@ class OracleReport:
         return self
 
 
-def _pair_at_start(grid, start, pf) -> float:
-    """P(start, f) from the node values ``pf`` of P f, either start kind."""
+def _value_at_start(kernel, start, f_values) -> float:
+    """P(start, f) for one kernel: a density start integrates P f, and a point
+    start reads the kernel's own law from that point."""
     if isinstance(start, GridDensity):
-        return integrate_values(grid, start.values * pf)
-    if grid.ndim == 2:
-        # two-stage iterates depend on the second coordinate only
-        return float(np.interp(float(start[1]), grid.axis2.nodes, pf[0, :]))
-    return float(np.interp(float(start), grid.nodes, pf))
+        return integrate_values(kernel.grid, start.values * kernel.apply_to_function(f_values))
+    if isinstance(kernel, GibbsKernel):
+        return apply_gibbs(kernel, start, f_values)
+    return apply_hastings(kernel, float(start), f_values)
 
 
 def _family_value(family, target, start, f_values, k):
     kern = family.at(target)
-    return _pair_at_start(kern.grid, start, iterate_kernel(kern, f_values, k))
+    return _value_at_start(kern, start, iterate_kernel(kern, f_values, k - 1))
 
 
 def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: Start,
@@ -168,6 +168,7 @@ def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: S
         abs(steps[i] / steps[i + 1] - 2.0) < 1e-12 for i in range(2)
     ):
         raise InvalidInputError("oracle steps must halve twice, e.g. (1e-2, 5e-3, 2.5e-3)")
+    k = check_count(k, minimum=1)
     f_values = np.asarray(f_values, dtype=float)
     curve = ContaminationCurve(mu, nu)
     base = _family_value(family, mu, start, f_values, k)
@@ -267,10 +268,11 @@ def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values,
 
 
 def hastings_derivative_at_point(kernel: HastingsKernel, x: float, f_values) -> KernelDerivative:
-    """Derivative for a point start ``delta_x``.
+    """Derivative of :func:`apply_hastings` for a point start ``delta_x``.
 
-    The result has an absolutely continuous part and a point coefficient
-    ``S(y)`` paired as ``chi(x) * S(x)``.
+    The result has an absolutely continuous part and the point coefficient
+    ``S = -int mu * density_part / mu(x)``, paired as ``chi(x) * S``, so its
+    pairing with the target itself vanishes.  It reads one row, in O(N).
     """
     _require_differentiable(kernel)
     grid = kernel.grid
@@ -278,21 +280,13 @@ def hastings_derivative_at_point(kernel: HastingsKernel, x: float, f_values) -> 
         raise InvalidInputError(f"start point {x} lies outside the grid window")
     f = grid_function(kernel.grid, f_values)
     nodes = grid.nodes
-    w = grid.trapezoid_weights()
-    mu = kernel.target.values
     fx = float(np.interp(x, nodes, f))
     mu_x = kernel.target_at(x)
 
     q_to_x = kernel.proposal.density(nodes, np.asarray(float(x)))
     gp_from_x = kernel.balancing.g_prime(kernel.ratio_at(float(x), nodes))
     dens = (f - fx) * gp_from_x * q_to_x / mu_x
-
-    r = kernel.ratio_matrix()
-    m2 = np.multiply(kernel.q_matrix_t, kernel.balancing.g_prime(r), out=r)
-    wm = w * mu
-    c = m2 @ (wm * f)
-    d = m2 @ wm
-    singular = -(c - f * d) / mu**2
+    singular = -integrate_values(grid, kernel.target.values * dens) / mu_x
     return KernelDerivative(kernel.target, float(x), f, dens, singular_part=singular)
 
 

@@ -412,9 +412,9 @@ def barker_g_prime_where(t):
 
 
 def hastings_derivative_strided(q, gp, mu, w, rho, f):
-    """Accept/reject derivative pieces from the proposal matrix ``q`` and
-    ``gp = g'(r)`` at the node pairs, each transpose read as a strided view:
-    (density part for the density start ``rho``, point-start coefficient)."""
+    """Accept/reject derivative density for the density start ``rho``, from
+    the proposal matrix ``q`` and ``gp = g'(r)`` at the node pairs, each
+    transpose read as a strided view."""
     m1 = gp.T * q
     s = w * (rho / mu)
     term1 = f * (m1 @ s) - m1 @ (s * f)
@@ -422,7 +422,7 @@ def hastings_derivative_strided(q, gp, mu, w, rho, f):
     wm = w * mu
     c = m2 @ (wm * f)
     d = m2 @ wm
-    return term1 - (rho / mu**2) * (c - f * d), -(c - f * d) / mu**2
+    return term1 - (rho / mu**2) * (c - f * d)
 
 
 def hastings_density_budget_strided(q, gp_abs, mu, w, rho, v):
@@ -436,18 +436,27 @@ def hastings_density_budget_strided(q, gp_abs, mu, w, rho, v):
     return float(w @ np.max(a, axis=0) + w @ np.max(b, axis=0))
 
 
-def mvi_trials_per_trial(kernels, w, nodes, start, fs, bound):
+def mvi_trials_per_trial(kernels, w, nodes, start, fs, bound, q, g):
     """Mean-value trials scored by applying both kernels to every test
-    function.  ``kernels`` holds (accept matrix, rejection vector) for mu
-    and for nu; ``start`` is density node values or a point.  Returns
-    (worst |P_mu f - P_nu f|, worst ratio to ``bound``, violations)."""
-    def value(a, rej, f):
-        pf = a @ (w * f) + rej * f
+    function.  ``kernels`` holds (accept matrix, rejection vector, target
+    node values) for mu and for nu; ``start`` is density node values or a
+    point.  A point x is scored by its exact row, built here from the
+    proposal density ``q`` and the balancing rule ``g``: acceptance density
+    q(x, y) g(r(x, y)) with r = mu(y) q(y, x) / (mu(x) q(x, y)) (1 where the
+    denominator vanishes; mu(x) interpolated, floored at 1e-300), and the
+    rejected mass left at x.  Returns (worst |P_mu f - P_nu f|, worst ratio
+    to ``bound``, violations)."""
+    def value(a, rej, mu, f):
         if np.ndim(start):
-            return float(np.sum(w * start * pf))
-        return float(np.interp(start, nodes, pf))
+            return float(np.sum(w * start * (a @ (w * f) + rej * f)))
+        q_xy, q_yx = q(start, nodes), q(nodes, start)
+        den = max(float(np.interp(start, nodes, mu)), 1e-300) * q_xy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.where(den > 0.0, mu * q_yx / den, 1.0)
+        row = q_xy * g(r)
+        stay = max(1.0 - float(np.sum(w * row)), 0.0)
+        return float(np.sum(w * row * f)) + stay * float(np.interp(start, nodes, f))
 
-    (a_mu, rej_mu), (a_nu, rej_nu) = kernels
-    lhs = np.array([abs(value(a_mu, rej_mu, f) - value(a_nu, rej_nu, f)) for f in fs])
+    lhs = np.array([abs(value(*kernels[0], f) - value(*kernels[1], f)) for f in fs])
     violations = int(np.sum(lhs > bound * (1.0 + 1e-9) + 1e-15))
     return float(lhs.max()), float(lhs.max() / bound), violations

@@ -511,11 +511,13 @@ def test_empirical_check_representer_matches_per_trial_kernels(request, fam, sta
     v = WeightFunction.one_plus_square()
     fs = [random_bv_function(grid, v.values_on(grid), np.random.default_rng(child))
           for child in np.random.SeedSequence(21).spawn(300)]
-    kernels = [(k.accept_matrix, k.rejection_vector) for k in (family.at(mu), family.at(nu))]
+    kernels = [(k.accept_matrix, k.rejection_vector, k.target.values)
+               for k in (family.at(mu), family.at(nu))]
 
     def per_trial(bound):
         return oracles.mvi_trials_per_trial(kernels, grid.trapezoid_weights(), grid.nodes,
-                                            rho.values if start is rho else start, fs, bound)
+                                            rho.values if start is rho else start, fs, bound,
+                                            family.proposal.density, family.balancing.g)
 
     c = mvi_constants(family, mu, nu, start, v, t_nodes=5)
     out = empirical_mvi_check(family, mu, nu, start, v, c, n_trials=300, seed=21)

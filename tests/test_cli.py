@@ -420,6 +420,35 @@ def test_too_wide_random_walk_exits_2_before_compute(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", ["derivative-check", "ftc-check", "mvi-check"])
+@pytest.mark.parametrize("over, window", [
+    ({"start": {"point": 20.0}}, "[-8, 8]"),
+    ({"start": {"point": [0.5, 20.0]}, "family": {"kind": "two-stage"}}, "[-6, 6]"),
+    ({"start": {"point": [-7.0, 0.0]}, "family": {"kind": "two-stage"}}, "[-6, 6]"),
+], ids=["point", "two-stage-second", "two-stage-first"])
+def test_point_start_outside_the_window_exits_2_before_compute(tmp_path, capsys, kind,
+                                                               over, window):
+    cfg = write_config(tmp_path, {"kind": kind, **over})
+    rc = main([kind, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"start.point: must sit inside the grid window {window}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    edge = [-6.0, 6.0] if "family" in over else 8.0
+    assert load_config(None, kind=kind,
+                       overrides=dict(over, start={"point": edge})).settings["start"] == {
+        "point": edge}
+
+
+def test_ftc_check_refuses_a_coarse_rule_equal_to_the_fine_one(tmp_path, capsys):
+    # at 5 nodes the coarse rule would be the 5-node rule itself
+    cfg = write_config(tmp_path, {"kind": "ftc-check", "t_nodes": 5})
+    rc = main(["ftc-check", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "t_nodes: must be >= 7, got 5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert load_config(None, kind="ftc-check", overrides={"t_nodes": 7}).settings["t_nodes"] == 7
+
+
 @pytest.mark.parametrize("kind, over, under, message", [
     ("smcmc-run", {"depth": 3, "steps": 334}, {"depth": 3, "steps": 333},
      "steps: depth x steps is too large: 1002 stored states need"),
