@@ -64,8 +64,8 @@ MVI_T_NODES = 17
 
 
 def _t_quadrature(t_nodes: int):
-    if t_nodes % 2 == 0 or t_nodes < 5:
-        raise InvalidInputError(f"t-quadrature needs an odd node count >= 5, got {t_nodes}")
+    if t_nodes < 5:
+        raise InvalidInputError(f"t-quadrature needs at least 5 nodes, got {t_nodes}")
     return np.linspace(0.0, 1.0, t_nodes), simpson_weights(t_nodes, 1.0)
 
 
@@ -401,17 +401,16 @@ CONDITIONAL_CEILING = 1e12
 
 
 def gibbs_mvi_constants(family: GibbsFamily, mu: GridDensity, nu: GridDensity,
-                        start, weight: WeightFunction, t_nodes: int = MVI_T_NODES,
-                        perp_at_t0: bool = False) -> MviConstants:
+                        start, weight: WeightFunction,
+                        t_nodes: int = MVI_T_NODES) -> MviConstants:
     """Mean-value constants for the two-stage family.
 
     Density starts: the four-term t-quadrature built from the conditional
     V-averages, ``m_perp = 0``.  Point starts: the absolutely continuous
     budget uses |f(y) - (conditional V-average)(y1)| <= V(y) + (V-average)(y1)
     and the singular budget bounds the slice functional, so ``m_perp`` pairs
-    with the slice mass of |mu - nu| at x2 — not with a point gap.  By
-    default the slice budget is t-integrated like its siblings;
-    ``perp_at_t0`` freezes it at t = 0 instead.
+    with the slice mass of |mu - nu| at x2 — not with a point gap.  The
+    slice budget is t-integrated like its siblings.
     """
     ts, wts = _t_quadrature(t_nodes)
     v2 = weight.values_on(mu.grid)
@@ -448,8 +447,7 @@ def gibbs_mvi_constants(family: GibbsFamily, mu: GridDensity, nu: GridDensity,
     if kind == "density":
         return MviConstants(float(wts @ mains), 0.0, weight.description, t_nodes,
                             "density", "none")
-    m_perp = float(perps[0]) if perp_at_t0 else float(wts @ perps)
-    return MviConstants(float(wts @ mains), m_perp, weight.description, t_nodes,
+    return MviConstants(float(wts @ mains), float(wts @ perps), weight.description, t_nodes,
                         "point", "slice-mass")
 
 
@@ -514,17 +512,20 @@ def _hastings_start_law(kern: HastingsKernel, start) -> np.ndarray:
     return law
 
 
-def random_bv_function(grid, weight_values, rng, n_terms: int = 6) -> np.ndarray:
-    """A random function with |f| <= V: V times a trigonometric mixture whose
-    coefficients have absolute sum 1."""
-    coeffs = rng.uniform(-1.0, 1.0, n_terms)
+BV_TERMS = 6
+
+
+def random_bv_function(grid, weight_values, rng) -> np.ndarray:
+    """A random function with |f| <= V: V times a ``BV_TERMS``-term
+    trigonometric mixture whose coefficients have absolute sum 1."""
+    coeffs = rng.uniform(-1.0, 1.0, BV_TERMS)
     coeffs /= np.sum(np.abs(coeffs))
-    freqs = rng.uniform(0.25, 3.0, (n_terms, grid.ndim))
-    phases = rng.uniform(0.0, 2.0 * np.pi, (n_terms, grid.ndim))
+    freqs = rng.uniform(0.25, 3.0, (BV_TERMS, grid.ndim))
+    phases = rng.uniform(0.0, 2.0 * np.pi, (BV_TERMS, grid.ndim))
     if grid.ndim == 1:
         base = sum(
             coeffs[k] * np.sin(freqs[k, 0] * grid.nodes + phases[k, 0])
-            for k in range(n_terms)
+            for k in range(BV_TERMS)
         )
     else:
         x1, x2 = grid.mesh()
@@ -532,7 +533,7 @@ def random_bv_function(grid, weight_values, rng, n_terms: int = 6) -> np.ndarray
             coeffs[k]
             * np.sin(freqs[k, 0] * x1 + phases[k, 0])
             * np.sin(freqs[k, 1] * x2 + phases[k, 1])
-            for k in range(n_terms)
+            for k in range(BV_TERMS)
         )
     return weight_values * base
 

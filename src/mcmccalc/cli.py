@@ -14,9 +14,10 @@ Every run writes a ``manifest.json`` next to its reports: config digest,
 package version, timestamps, one pass/fail row per configured check, and a
 sha256 for each file written.  The process exit code is a pure function of
 the check rows: 0 when all passed, 1 when any failed, 2 for a config problem
-(every problem is reported, not just the first), 3 when a library routine
-raised while running or an output could not be written (the message names
-the experiment kind and stage).
+(every problem is reported before any output exists; a value the library
+would refuse is refused by its own rule, in its words), 3 when a library
+routine raised while running or an output could not be written (the message
+names the experiment kind and stage).
 
 Config reference -- any key may be omitted; defaults in brackets.
 
@@ -32,6 +33,7 @@ Spec vocabularies
                 {"shape": "gaussian2d", "mean": [a, b], "cov": [[..], [..]]}
     family      {"kind": "hastings", "proposal": "random-walk", "sigma": 1.0,
                  "balancing": "barker"}                                  [as shown]
+                with sigma <= (upper - lower)/6;
                 proposal "independence" takes "base" (a density spec);
                 balancing is "barker", "min-one", or {"exponent": j};
                 {"kind": "two-stage"} selects the coordinate-scan kernel
@@ -54,16 +56,17 @@ Per-kind keys
     mvi-check          family target direction start weight trials [1000]
     ergodicity-check   model family function sample_sets [5] chain_steps [1500]
                        tolerance {poisson 1e-6, identity 1e-5}
-    smcmc-run          model family depth [2] steps [20000] x0 [0.0]
-                       level_init ["previous-final"] invariance_target
+    smcmc-run          model family depth [2, at most 9] steps [20000] x0 [0.0]
+                       level_init ["previous-final" or "fixed"] invariance_target
                        tolerance {invariance 1e-8}
-    imcmc-run          model family depth [2] steps [20000] x0 [0.0]
+    imcmc-run          model family depth [2, at most 9] steps [20000] x0 [0.0]
                        weight invariance_target tolerance {invariance 1e-8}
-    clt-report         scheme ["smcmc"] model family depth [2] steps [100000]
-                       replications [200] function ["clipped-identity"]
-                       alpha [0.25] batch_count [40] x0 [0.0] level_init
-                       tolerance {variance_rel 0.2, skew 0.25,
-                                  excess_kurtosis 0.5, ks 0.08}
+    clt-report         scheme ["smcmc"; "imcmc" needs depth 2 and level_init
+                       "fixed" or unset] model family depth [2] steps [100000]
+                       replications [200, >= 100] function ["clipped-identity"]
+                       alpha [0.25, in (0, 1/2)] batch_count [40, >= 20, <= steps]
+                       x0 [0.0] level_init [unset] tolerance {variance_rel 0.2,
+                       skew 0.25, excess_kurtosis 0.5, ks 0.08}
 
 The clt-report defaults are the reference fluctuation protocol (about two
 minutes of compute) and its default seed is 1234; the gate statistics are
@@ -124,13 +127,14 @@ from .ergodicity import (
     poisson_resolvent,
 )
 from .errors import ConfigError, PreconditionError, ResourceLimitError
-from .feynman_kac import default_ssm_model
+from .feynman_kac import DEFAULT_OBSERVATION_COUNT, check_depth, default_ssm_model
 from .kernels import (
     BalancingFunction,
     GibbsFamily,
     HastingsFamily,
     ProposalKernel,
     check_invariance,
+    check_random_walk_sigma,
 )
 from .measures import (
     Grid1D,
@@ -138,14 +142,28 @@ from .measures import (
     GridDensity,
     SignedGridFunction,
     WeightFunction,
+    check_count,
+    check_covariance,
+    check_mixture,
+    check_positive,
+    check_window,
     gaussian2d_density,
     gaussian_density,
     gaussian_mixture_density,
+    simpson_weights,
 )
 from .samplers import (
     SchemeConfig,
     _partial_sum_stats,
     check_adaptation_conditions,
+    check_alpha,
+    check_batch_count,
+    check_level_init,
+    check_replications,
+    check_run_length,
+    check_scheme,
+    check_scheme_depth,
+    check_scheme_start,
     check_state_storage,
     clt_experiment,
     run_imcmc,
@@ -213,39 +231,36 @@ class _Problems:
         self.items.append(f"{path}: {message}" if path else message)
 
 
-def _take_number(spec, key, path, problems, default, minimum=None, exclusive_min=False):
+def _take_number(spec, key, path, problems, default, positive=None):
+    """A finite number; with ``positive`` (the quantity's name), a positive one."""
     value = spec.get(key, default)
     if not _is_number(value):
         problems.add(f"{path}{key}", "must be a finite number")
         return default
-    if minimum is not None:
-        bad = value <= minimum if exclusive_min else value < minimum
-        if bad:
-            op = ">" if exclusive_min else ">="
-            problems.add(f"{path}{key}", f"must be {op} {minimum:g}, got {value:g}")
-            return default
+    if positive and not _rule(problems, f"{path}{key}", check_positive, value, positive):
+        return default
     return float(value)
 
 
-def _check_storage(states: int, key: str, what: str, problems: _Problems) -> None:
-    """Report a run that would store more states than the library allows as
-    a ``key`` problem, before anything is allocated."""
+def _rule(problems: _Problems, path: str, check, *args, lead: str = "") -> bool:
+    """Whether the library's own input rule ``check(*args)`` holds; a refusal
+    is reported under ``path`` in the library's words (after ``lead``).  The
+    library's input errors are ValueErrors."""
     try:
-        check_state_storage(states)
-    except ResourceLimitError as err:
-        problems.add(key, f"{what} is too large: {err}")
+        check(*args)
+    except (ValueError, ResourceLimitError) as err:
+        problems.add(path, f"{lead}{err}")
+        return False
+    return True
 
 
-def _take_int(spec, key, path, problems, default, minimum=None, maximum=None):
+def _take_int(spec, key, path, problems, default, minimum=None):
     value = spec.get(key, default)
     if not _is_int(value):
         problems.add(f"{path}{key}", "must be an integer")
         return default
     if minimum is not None and value < minimum:
         problems.add(f"{path}{key}", f"must be >= {minimum}, got {value}")
-        return default
-    if maximum is not None and value > maximum:
-        problems.add(f"{path}{key}", f"must be <= {maximum}, got {value}")
         return default
     return int(value)
 
@@ -287,8 +302,7 @@ def _check_grid(spec, problems, two_stage: bool) -> dict:
     lower = _take_number(obj, "lower", "grid.", problems, default["lower"])
     upper = _take_number(obj, "upper", "grid.", problems, default["upper"])
     points = _take_int(obj, "points", "grid.", problems, default["points"], minimum=33)
-    if lower >= upper:
-        problems.add("grid", f"needs lower < upper, got [{lower:g}, {upper:g}]")
+    if not _rule(problems, "grid", check_window, lower, upper):
         return default
     return {"lower": lower, "upper": upper, "points": points}
 
@@ -312,24 +326,18 @@ def _check_density(spec, path, problems, two_stage: bool, default: dict) -> dict
         return {
             "shape": "gaussian",
             "mean": _take_number(obj, "mean", f"{path}.", problems, 0.0),
-            "std": _take_number(obj, "std", f"{path}.", problems, 1.0, minimum=0.0,
-                                exclusive_min=True),
+            "std": _take_number(obj, "std", f"{path}.", problems, 1.0, "gaussian std"),
         }
     if shape == "mixture":
         _reject_unknown(obj, {"shape", "means", "stds", "weights"}, f"{path}.", problems)
         out = {"shape": "mixture"}
-        for key, positive in (("means", False), ("stds", True), ("weights", True)):
+        for key in ("means", "stds", "weights"):
             seq = obj.get(key)
-            if (not isinstance(seq, list) or not seq
-                    or not all(_is_number(v) for v in seq)
-                    or (positive and any(v <= 0 for v in seq))):
-                problems.add(f"{path}.{key}",
-                             "must be a non-empty list of %s" %
-                             ("positive numbers" if positive else "finite numbers"))
+            if not isinstance(seq, list) or not all(_is_number(v) for v in seq):
+                problems.add(f"{path}.{key}", "must be a list of finite numbers")
                 return dict(default)
             out[key] = [float(v) for v in seq]
-        if not len(out["means"]) == len(out["stds"]) == len(out["weights"]):
-            problems.add(path, "means, stds and weights must have equal length")
+        if not _rule(problems, path, check_mixture, out["means"], out["stds"], out["weights"]):
             return dict(default)
         return out
     _reject_unknown(obj, {"shape", "mean", "cov"}, f"{path}.", problems)
@@ -343,8 +351,7 @@ def _check_density(spec, path, problems, two_stage: bool, default: dict) -> dict
             or any(not _is_number(v) for row in flat for v in row)):
         problems.add(f"{path}.cov", "must be a 2x2 matrix of numbers")
         return dict(default)
-    if abs(flat[0][1] - flat[1][0]) > 1e-12 or flat[0][0] <= 0 or flat[1][1] <= 0:
-        problems.add(f"{path}.cov", "must be symmetric with positive diagonal")
+    if not _rule(problems, f"{path}.cov", check_covariance, flat):
         return dict(default)
     return {"shape": "gaussian2d", "mean": [float(v) for v in mean],
             "cov": [[float(v) for v in row] for row in flat]}
@@ -384,8 +391,7 @@ def _check_family(spec, problems, kind: str) -> dict:
     if proposal == "random-walk":
         if "base" in obj:
             problems.add("family.base", "only the independence proposal takes a base density")
-        out["sigma"] = _take_number(obj, "sigma", "family.", problems, 1.0,
-                                    minimum=0.0, exclusive_min=True)
+        out["sigma"] = _take_number(obj, "sigma", "family.", problems, 1.0)
     else:
         if "sigma" in obj:
             problems.add("family.sigma", "only the random-walk proposal takes a width")
@@ -416,7 +422,7 @@ def _check_weight(spec, problems, path="weight") -> dict:
         _reject_unknown(obj, {"kind", "rate"}, f"{path}.", problems)
         return {"kind": "exp-abs",
                 "rate": _take_number(obj, "rate", f"{path}.", problems, 1.0,
-                                     minimum=0.0, exclusive_min=True)}
+                                     "exp-gamma-abs gamma")}
     _reject_unknown(obj, {"kind"}, f"{path}.", problems)
     return {"kind": "one-plus-square"}
 
@@ -460,8 +466,7 @@ def _check_model(spec, problems) -> dict:
     if obj is None or not obj:
         return {"phi_bar": 1.0}
     _reject_unknown(obj, {"phi_bar"}, "model.", problems)
-    return {"phi_bar": _take_number(obj, "phi_bar", "model.", problems, 1.0,
-                                    minimum=0.0, exclusive_min=True)}
+    return {"phi_bar": _take_number(obj, "phi_bar", "model.", problems, 1.0, "phi_bar")}
 
 
 def _check_tolerance(spec, problems, kind: str) -> dict:
@@ -475,7 +480,7 @@ def _check_tolerance(spec, problems, kind: str) -> dict:
         if key in obj:
             out[key] = _take_number(obj, key, "tolerance.", problems,
                                     fallback if fallback is not None else 1e-6,
-                                    minimum=0.0, exclusive_min=True)
+                                    f"{key} tolerance")
         else:
             out[key] = fallback
     return out
@@ -519,11 +524,9 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
     if out["output_dir"] is not None and not isinstance(out["output_dir"], str):
         problems.add("output_dir", "must be a string")
         out["output_dir"] = None
-    lo, hi = out["grid"]["lower"], out["grid"]["upper"]
-    if family.get("sigma", 0.0) > (hi - lo) / 6.0:
-        problems.add("family.sigma",
-                     f"random-walk sigma {family['sigma']:g} is too wide for the window "
-                     f"[{lo:g}, {hi:g}]; at most (upper - lower)/6 = {(hi - lo) / 6.0:g}")
+    if "sigma" in family:
+        _rule(problems, "family.sigma", check_random_walk_sigma, family["sigma"],
+              out["grid"]["lower"], out["grid"]["upper"])
 
     if kind in ("derivative-check", "ftc-check", "mvi-check"):
         out["target"] = _check_density(raw.get("target"), "target", problems, two_stage,
@@ -541,62 +544,59 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
         out["model"] = _check_model(raw.get("model"), problems)
 
     if kind == "ftc-check":
-        t_nodes = _take_int(raw, "t_nodes", "", problems, 33, minimum=7)
-        if t_nodes % 2 == 0:
-            problems.add("t_nodes", f"the interpolation rule needs an odd count, got {t_nodes}")
-            t_nodes = 33
-        out["t_nodes"] = t_nodes
+        out["t_nodes"] = _take_int(raw, "t_nodes", "", problems, 33, minimum=7)
+        _rule(problems, "t_nodes", simpson_weights, out["t_nodes"])  # refuses an even count
     if kind == "mvi-check":
         out["weight"] = _check_weight(raw.get("weight"), problems)
         out["trials"] = _take_int(raw, "trials", "", problems, 1000, minimum=1)
     if kind == "ergodicity-check":
         out["sample_sets"] = _take_int(raw, "sample_sets", "", problems, 5, minimum=2)
         out["chain_steps"] = _take_int(raw, "chain_steps", "", problems, 1500, minimum=100)
-        _check_storage(out["chain_steps"], "chain_steps", "chain_steps", problems)
+        _rule(problems, "chain_steps", check_state_storage, out["chain_steps"],
+              lead="chain_steps is too large: ")
+
     def _window_x0():
         x0 = _take_number(raw, "x0", "", problems, 0.0)
         return x0 if _in_window([x0], out["grid"], "x0", problems) else 0.0
 
+    if kind in ("smcmc-run", "imcmc-run", "clt-report"):
+        out["depth"] = raw.get("depth", 2)
+        if not _rule(problems, "depth", check_depth, out["depth"], DEFAULT_OBSERVATION_COUNT):
+            out["depth"] = 2
     if kind in ("smcmc-run", "imcmc-run"):
-        out["depth"] = _take_int(raw, "depth", "", problems, 2, minimum=1, maximum=9)
-        out["steps"] = _take_int(raw, "steps", "", problems, 20000, minimum=1)
-        _check_storage(out["depth"] * out["steps"], "steps", "depth x steps", problems)
+        out["steps"] = raw.get("steps", 20000)
+        if _rule(problems, "steps", check_count, out["steps"], "step count", 1):
+            _rule(problems, "steps", check_state_storage, out["depth"] * out["steps"],
+                  lead="depth x steps is too large: ")
         out["x0"] = _window_x0()
         if "invariance_target" in raw:
             out["invariance_target"] = _check_density(raw["invariance_target"],
                                                       "invariance_target", problems,
                                                       False, _DEFAULT_TARGET)
     if kind == "smcmc-run":
-        out["level_init"] = _take_choice(raw, "level_init", "", problems,
-                                         "previous-final", ("previous-final", "fixed"))
+        out["level_init"] = raw.get("level_init", "previous-final")
+        _rule(problems, "level_init", check_level_init, out["level_init"])
     if kind == "imcmc-run":
         out["weight"] = _check_weight(raw.get("weight"), problems)
     if kind == "clt-report":
-        scheme = _take_choice(raw, "scheme", "", problems, "smcmc", ("smcmc", "imcmc"))
-        out["scheme"] = scheme
-        out["depth"] = _take_int(raw, "depth", "", problems, 2, minimum=1, maximum=9)
-        if scheme == "imcmc" and out["depth"] != 2:
-            problems.add("depth", "interacting-scheme variance predictions are depth-2 only")
-        out["replications"] = _take_int(raw, "replications", "", problems, 200, minimum=100)
-        out["batch_count"] = _take_int(raw, "batch_count", "", problems, 40, minimum=20)
-        out["steps"] = _take_int(raw, "steps", "", problems, 100000,
-                                 minimum=out["batch_count"])
-        _check_storage(out["steps"], "steps", "steps", problems)
+        scheme = out["scheme"] = raw.get("scheme", "smcmc")
+        _rule(problems, "scheme", check_scheme, scheme)
+        _rule(problems, "depth", check_scheme_depth, scheme, out["depth"])
+        out["replications"] = raw.get("replications", 200)
+        _rule(problems, "replications", check_replications, out["replications"])
+        out["batch_count"] = raw.get("batch_count", 40)
+        if not _rule(problems, "batch_count", check_batch_count, out["batch_count"]):
+            out["batch_count"] = 40
+        out["steps"] = raw.get("steps", 100000)
+        if _rule(problems, "steps", check_run_length, out["steps"], out["batch_count"]):
+            _rule(problems, "steps", check_state_storage, out["steps"],
+                  lead="steps is too large: ")
         out["x0"] = _window_x0()
-        alpha = raw.get("alpha", 0.25)
-        if not _is_number(alpha) or not 0.0 < alpha < 0.5:
-            shown = f"{alpha:g}" if _is_number(alpha) else repr(alpha)
-            problems.add("alpha", f"alpha must lie in (0, 1/2), got {shown}")
-            alpha = 0.25
-        out["alpha"] = float(alpha)
-        level_init = raw.get("level_init")
-        if level_init is not None:
-            level_init = _take_choice(raw, "level_init", "", problems, None,
-                                      ("previous-final", "fixed"))
-            if scheme == "imcmc" and level_init == "previous-final":
-                problems.add("level_init",
-                             "interacting levels start at x0; use 'fixed' or omit the key")
-        out["level_init"] = level_init
+        out["alpha"] = _take_number(raw, "alpha", "", problems, 0.25)
+        _rule(problems, "alpha", check_alpha, out["alpha"])
+        level_init = out["level_init"] = raw.get("level_init")
+        if level_init is None or _rule(problems, "level_init", check_level_init, level_init):
+            _rule(problems, "level_init", check_scheme_start, scheme, level_init)
     if kind in _TOLERANCE_DEFAULTS:
         out["tolerance"] = _check_tolerance(raw.get("tolerance"), problems, kind)
 

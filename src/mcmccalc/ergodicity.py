@@ -45,6 +45,7 @@ from .measures import (
     GridDensity,
     WeightFunction,
     check_count,
+    check_positive,
     integrate_values,
     v_norm_function,
 )
@@ -61,6 +62,27 @@ POISSON_GATE = 1e-6
 def a1_level_floor(drift_rate: float, b: float) -> float:
     """Smallest admissible level-set radius for a (rate, b) drift pair."""
     return b / (2.0 * (1.0 - drift_rate)) - 1.0
+
+
+def check_drift_pair(drift_rate: float, b: float, d: float) -> None:
+    """Refuse a drift display unless ``0 < drift_rate < 1``, the excursion
+    allowance ``b`` is finite and >= 0, and the level-set radius ``d``
+    reaches the admissible floor."""
+    if not (0.0 < drift_rate < 1.0):
+        raise InvalidInputError(f"drift rate must lie in (0, 1), got {drift_rate}")
+    if not (np.isfinite(b) and b >= 0.0):
+        raise InvalidInputError(f"excursion allowance b must be finite and >= 0, got {b}")
+    floor = a1_level_floor(drift_rate, b)
+    if d < floor - 1e-12:
+        raise PreconditionError(
+            f"level-set radius d = {d:g} is below the admissible floor "
+            f"b/(2(1-rate)) - 1 = {floor:g}"
+        )
+
+
+def _check_order(j: int) -> None:
+    if j not in (1, 2):
+        raise InvalidInputError(f"small-set order must be 1 or 2, got {j}")
 
 
 @dataclass
@@ -85,20 +107,8 @@ class DriftCertificate:
     n_kernels: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.drift_rate < 1.0):
-            raise InvalidInputError(
-                f"drift rate must lie in (0, 1), got {self.drift_rate}"
-            )
-        if not (np.isfinite(self.b) and self.b >= 0.0):
-            raise InvalidInputError(f"excursion allowance b must be finite and >= 0, got {self.b}")
-        floor = a1_level_floor(self.drift_rate, self.b)
-        if self.d < floor - 1e-12:
-            raise PreconditionError(
-                f"level-set radius d = {self.d:g} is below the admissible floor "
-                f"b/(2(1-rate)) - 1 = {floor:g}"
-            )
-        if self.j not in (1, 2):
-            raise InvalidInputError(f"small-set order must be 1 or 2, got {self.j}")
+        check_drift_pair(self.drift_rate, self.b, self.d)
+        _check_order(self.j)
         if not (0.0 < self.kappa <= 1.0):
             raise InvalidInputError(f"small-set constant must lie in (0, 1], got {self.kappa}")
 
@@ -155,7 +165,7 @@ def _worst_node(grid, flat_index: int):
 
 def check_drift(kernels: Sequence, weight: WeightFunction, drift_rate: float,
                 b: float, d: float, j: int = 1, kappa: Optional[float] = None,
-                kappa_floor: float = 1e-8, minorization_method: str = "grid"):
+                kappa_floor: float = 1e-8):
     """Verify ``P V <= drift_rate * V + b * 1{V <= d}`` at every node of every
     kernel, then complete the certificate with a small-set constant.
 
@@ -167,14 +177,7 @@ def check_drift(kernels: Sequence, weight: WeightFunction, drift_rate: float,
     kernels = list(kernels)
     if not kernels:
         raise InvalidInputError("need at least one kernel to certify")
-    if not (0.0 < drift_rate < 1.0):
-        raise InvalidInputError(f"drift rate must lie in (0, 1), got {drift_rate}")
-    floor = a1_level_floor(drift_rate, b)
-    if d < floor - 1e-12:
-        raise PreconditionError(
-            f"level-set radius d = {d:g} is below the admissible floor "
-            f"b/(2(1-rate)) - 1 = {floor:g}"
-        )
+    check_drift_pair(drift_rate, b, d)
     worst_gap = -np.inf
     worst_idx = 0
     worst_flat = 0
@@ -196,8 +199,7 @@ def check_drift(kernels: Sequence, weight: WeightFunction, drift_rate: float,
                             float(worst_gap), drift_rate, b, d)
     if kappa is None:
         mask = level_set_mask(weight, kernels[0].grid, d)
-        rep = check_minorization(kernels, mask, j=j, kappa_floor=kappa_floor,
-                                 method=minorization_method)
+        rep = check_minorization(kernels, mask, j=j, kappa_floor=kappa_floor)
         kappa = rep.inf_kappa
         if not rep.passed:
             return DriftFailure(int(np.argmin(rep.kappas)), "level-set minorization",
@@ -297,8 +299,7 @@ def check_minorization(kernels: Sequence, mask: np.ndarray, j: int = 1,
     kernels = list(kernels)
     if not kernels:
         raise InvalidInputError("need at least one kernel")
-    if j not in (1, 2):
-        raise InvalidInputError(f"small-set order must be 1 or 2, got {j}")
+    _check_order(j)
     mask = np.asarray(mask, dtype=bool)
     kappas = np.empty(len(kernels))
     for idx, kern in enumerate(kernels):
@@ -382,8 +383,7 @@ def check_log_concave_tails(densities: Sequence[GridDensity], gamma: float,
     densities = list(densities)
     if not densities:
         raise InvalidInputError("need at least one density")
-    if gamma <= 0.0:
-        raise InvalidInputError(f"decay rate must be positive, got {gamma}")
+    check_positive(gamma, "decay rate")
     if z < 0.0:
         raise InvalidInputError(f"tail threshold must be >= 0, got {z}")
     passed = np.zeros(len(densities), dtype=bool)

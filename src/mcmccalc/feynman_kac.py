@@ -43,7 +43,14 @@ from .errors import (
     InvalidInputError,
     RangeError,
 )
-from .measures import Grid1D, GridDensity, check_count, gaussian_density, grid_function
+from .measures import (
+    Grid1D,
+    GridDensity,
+    check_count,
+    check_positive,
+    gaussian_density,
+    grid_function,
+)
 
 MUTATION_CHUNK = 4096
 DEFAULT_OBSERVATION_SEED = 11
@@ -55,10 +62,27 @@ _OBSERVATION_FILE = "ssm_observations.csv"
 SSM_NOISE_STD = math.sqrt(0.5)
 
 
-def _finite_nonnegative(a: np.ndarray) -> bool:
-    """True when every entry lies in [0, inf); NaN propagates through
-    ``min`` and fails the test.  Empty input passes."""
-    return a.size == 0 or (a.min() >= 0.0 and a.max() < np.inf)
+def _check_finite_nonnegative(a: np.ndarray, what: str) -> None:
+    """Refuse ``a`` unless every entry lies in [0, inf); NaN propagates
+    through ``min`` and fails the test.  Empty input passes."""
+    if a.size and not (a.min() >= 0.0 and a.max() < np.inf):
+        raise InvalidInputError(f"{what} must be finite and nonnegative")
+
+
+def _check_flow_grid(grid) -> None:
+    if grid.ndim != 1:
+        raise InvalidInputError("reweight/mutate flows are one-dimensional")
+
+
+def check_depth(p, pairs: int) -> int:
+    """``p`` as an ``int`` after checking that a depth-``p`` scheme fits a
+    model of ``pairs`` reweight/mutate pairs: levels ``1..p`` are fed by the
+    pairs ``1..p-1``."""
+    p = check_count(p, "depth", minimum=1)
+    if p - 1 > pairs:
+        raise RangeError("depth %d needs %d reweight/mutate pairs, the model has %d"
+                         % (p, p - 1, pairs))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +127,7 @@ class MutationKernel:
             )
         if pts is not xs:
             raw = raw[np.cumsum(first) - 1]
-        if not _finite_nonnegative(raw):
-            raise InvalidInputError("mutation density must be finite and nonnegative")
+        _check_finite_nonnegative(raw, "mutation density")
         mass = raw @ grid.trapezoid_weights()
         if (mass <= 0.0).any():
             bad = float(xs[int(np.argmin(mass))])
@@ -120,8 +143,7 @@ def gaussian_mutation(mean_map: Callable[[np.ndarray], np.ndarray],
     """Mutation ``x -> Normal(mean_map(x), std^2)``."""
     if not callable(mean_map):
         raise InvalidInputError("mean_map must be callable")
-    if not (std > 0.0 and math.isfinite(std)):
-        raise InvalidInputError("mutation std must be positive and finite")
+    check_positive(std, "mutation std")
     norm = 1.0 / (std * math.sqrt(2.0 * math.pi))
 
     def density(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -143,8 +165,7 @@ def bounded_map(tag: str, bound: float) -> Callable[[np.ndarray], np.ndarray]:
         raise InvalidInputError(
             "unknown bounded map %r (known: %s)" % (tag, ", ".join(sorted(_BOUNDED_MAPS)))
         )
-    if not (bound > 0.0 and math.isfinite(bound)):
-        raise InvalidInputError("bounded map needs a positive finite bound")
+    check_positive(bound, "bounded map bound")
     base = _BOUNDED_MAPS[tag]
 
     def phi(x: np.ndarray) -> np.ndarray:
@@ -201,8 +222,7 @@ def _potential_on_nodes(potential: PotentialLike, grid: Grid1D) -> np.ndarray:
             "potential evaluates to shape %r on a grid of %d nodes"
             % (vals.shape, grid.n_points)
         )
-    if not _finite_nonnegative(vals):
-        raise InvalidInputError("potential values must be finite and nonnegative")
+    _check_finite_nonnegative(vals, "potential values")
     return vals
 
 
@@ -221,8 +241,7 @@ def boltzmann_gibbs(eta: MeasureLike,
     :class:`DegenerateWeightsError` when the total potential weight vanishes.
     """
     if isinstance(eta, GridDensity):
-        if eta.grid.ndim != 1:
-            raise InvalidInputError("reweight/mutate flows are one-dimensional")
+        _check_flow_grid(eta.grid)
         if grid is not None and grid is not eta.grid and grid != eta.grid:
             raise InvalidInputError("grid argument disagrees with the density's grid")
         grid = eta.grid
@@ -239,8 +258,7 @@ def boltzmann_gibbs(eta: MeasureLike,
     if isinstance(eta, EmpiricalMeasure):
         if grid is None:
             raise InvalidInputError("empirical input needs an explicit output grid")
-        if grid.ndim != 1:
-            raise InvalidInputError("reweight/mutate flows are one-dimensional")
+        _check_flow_grid(grid)
         if not callable(potential):
             raise InvalidInputError(
                 "empirical input needs a callable potential (samples sit off the grid)"
@@ -248,8 +266,7 @@ def boltzmann_gibbs(eta: MeasureLike,
         g_at = np.asarray(potential(eta.samples), dtype=float)
         if g_at.shape != eta.samples.shape:
             raise InvalidInputError("potential must return one value per sample")
-        if not _finite_nonnegative(g_at):
-            raise InvalidInputError("potential values must be finite and nonnegative")
+        _check_finite_nonnegative(g_at, "potential values")
         total = float(g_at.sum())
         if not math.isfinite(total) or total <= 0.0:
             raise DegenerateWeightsError(
@@ -294,8 +311,7 @@ class FeynmanKacModel:
                  potentials: Sequence[Callable[[np.ndarray], np.ndarray]],
                  mutations: Sequence[MutationKernel],
                  eta1: GridDensity) -> None:
-        if grid.ndim != 1:
-            raise InvalidInputError("reweight/mutate flows are one-dimensional")
+        _check_flow_grid(grid)
         potentials = list(potentials)
         mutations = list(mutations)
         if not potentials or len(potentials) != len(mutations):
@@ -337,21 +353,11 @@ class FeynmanKacModel:
             )
         return level
 
-    def check_depth(self, p) -> int:
-        """``p`` as an ``int`` after checking that a depth-``p`` scheme fits:
-        levels ``1..p`` are fed by the pairs ``1..p-1``."""
-        p = check_count(p, "depth", minimum=1)
-        if p - 1 > self.n_levels:
-            raise RangeError("depth %d needs %d reweight/mutate pairs, model has %d"
-                             % (p, p - 1, self.n_levels))
-        return p
-
     def potential_at(self, level: int, xs: np.ndarray) -> np.ndarray:
         level = self._check_level(level)
         vals = np.asarray(self.potentials[level - 1](np.asarray(xs, dtype=float)),
                           dtype=float)
-        if not _finite_nonnegative(vals):
-            raise InvalidInputError("potential values must be finite and nonnegative")
+        _check_finite_nonnegative(vals, "potential values")
         return vals
 
     def potential_nodes(self, level: int) -> np.ndarray:
@@ -409,10 +415,6 @@ class FeynmanKacModel:
             self._g_mass[level] = mass
         return self._g_mass[level]
 
-    def describe(self) -> str:
-        return "reweight/mutate model: %d levels on [%g, %g] (%d nodes)" % (
-            self.n_levels, self.grid.lower, self.grid.upper, self.grid.n_points)
-
 
 class SsmBootstrapModel(FeynmanKacModel):
     """Bootstrap filter for the bounded-drift state-space pair above.
@@ -433,8 +435,7 @@ class SsmBootstrapModel(FeynmanKacModel):
         obs = np.atleast_1d(np.asarray(observations, dtype=float))
         if obs.ndim != 1 or obs.size == 0 or not np.all(np.isfinite(obs)):
             raise InvalidInputError("observations must be a nonempty finite sequence")
-        if not (phi_bar > 0.0 and math.isfinite(phi_bar)):
-            raise InvalidInputError("phi_bar must be positive and finite")
+        check_positive(phi_bar, "phi_bar")
         if phi is None:
             phi = bounded_map("tanh", phi_bar)
         drift = np.asarray(phi(grid.nodes), dtype=float)
@@ -593,7 +594,7 @@ def smcmc_variance_recursion(model: FeynmanKacModel,
     useful for comparing the two readings but does not match the two-level
     expansion once ``p > 1``.
     """
-    p = model.check_depth(p)
+    p = check_depth(p, model.n_levels)
     if centering not in ("final", "per-level"):
         raise InvalidInputError('centering must be "final" or "per-level"')
     functionals = list(sigma2_functionals)

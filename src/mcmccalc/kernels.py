@@ -37,6 +37,7 @@ from .measures import (
     GridDensity,
     POSITIVE_FLOOR,
     check_count,
+    check_positive,
     grid_function,
     integrate_values,
     interp_slice,
@@ -183,6 +184,17 @@ def reflect_into(lo: float, hi: float, z):
     return lo + width - np.abs(d - width)
 
 
+def check_random_walk_sigma(sigma: float, lower: float, upper: float) -> None:
+    """Refuse a random-walk step size outside ``0 < sigma <= (upper - lower)/6``:
+    a wider step could cross the window twice, and the density's two mirror
+    images would no longer match the folding sampler."""
+    check_positive(sigma, "random-walk sigma")
+    if sigma > (upper - lower) / 6.0:
+        raise InvalidInputError(
+            f"random-walk sigma {sigma:g} is too wide for the window [{lower:g}, {upper:g}]; "
+            f"at most (upper - lower)/6 = {(upper - lower) / 6.0:g}")
+
+
 def _cell_root(a, b, target_over_h):
     """Solve a*s + (b-a)/2*s^2 = target for s in [0, 1]; a, b >= 0."""
     c2 = 0.5 * (b - a)
@@ -294,14 +306,8 @@ class ProposalKernel:
         folding sampler for any step size that cannot cross the window twice
         and keeps the kernel symmetric in (x, y).
         """
-        if sigma <= 0:
-            raise InvalidInputError(f"random-walk sigma must be positive, got {sigma}")
         lo, hi = grid.lower, grid.upper
-        if sigma > (hi - lo) / 6.0:
-            raise InvalidInputError(
-                f"random-walk sigma {sigma} too large for window [{lo}, {hi}] "
-                "(double reflections would be non-negligible)"
-            )
+        check_random_walk_sigma(sigma, lo, hi)
         inv = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
         s2 = 2.0 * sigma * sigma
 
@@ -517,11 +523,6 @@ class HastingsKernel:
         dens = self.propagate_density(m.density) + m.atom * step.density
         return AtomPlusDensity(self.grid, m.x, m.atom * step.atom, dens)
 
-    def describe(self) -> str:
-        p = self.proposal
-        extras = ",".join(f"{k}={v}" for k, v in p.params.items())
-        return f"hastings[{self.target.description};{p.tag}({extras});{self.balancing.tag}]"
-
 
 # ---------------------------------------------------------------------------
 # deterministic-scan two-stage kernel
@@ -593,9 +594,6 @@ class GibbsKernel:
         mf = self.conditional_mean_first(f_values)
         return float((self.w1 * c1) @ mf)
 
-    def describe(self) -> str:
-        return f"two-stage[{self.target.description}]"
-
 
 Kernel = Union[HastingsKernel, GibbsKernel]
 
@@ -615,10 +613,6 @@ class HastingsFamily:
     def at(self, target: GridDensity, validate: bool = False) -> HastingsKernel:
         return HastingsKernel(target, self.proposal, self.balancing, validate=validate)
 
-    def describe(self) -> str:
-        extras = ",".join(f"{k}={v}" for k, v in self.proposal.params.items())
-        return f"hastings-family[{self.proposal.tag}({extras});{self.balancing.tag}]"
-
 
 @dataclass
 class GibbsFamily:
@@ -626,9 +620,6 @@ class GibbsFamily:
 
     def at(self, target: GridDensity, validate: bool = False) -> GibbsKernel:
         return GibbsKernel(target)
-
-    def describe(self) -> str:
-        return "two-stage-family"
 
 
 # ---------------------------------------------------------------------------

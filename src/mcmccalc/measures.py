@@ -13,9 +13,10 @@ module owns that representation:
 
 plus the basic operations on them: integration, weighted norms of functions
 and of signed measures, curve evaluation, and CSV/JSON serialization with
-bit-exact round-trips.  It also holds the two input rules every module
-shares: :func:`grid_function` for node-value functions and
-:func:`check_count` for step counts and other integer counts.
+bit-exact round-trips.  It also holds the input rules every module
+shares: :func:`grid_function` for node-value functions, :func:`check_count`
+for integer counts, :func:`check_positive`, :func:`check_window`,
+:func:`check_mixture` and :func:`check_covariance`.
 """
 
 from __future__ import annotations
@@ -69,12 +70,7 @@ class Grid1D:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise InvalidInputError("grid endpoints must be finite")
-        if not self.lower < self.upper:
-            raise InvalidInputError(
-                f"grid needs lower < upper, got [{self.lower}, {self.upper}]"
-            )
+        check_window(self.lower, self.upper)
         if int(self.n_points) != self.n_points or self.n_points < 3:
             raise InvalidInputError(f"n_points must be an integer >= 3, got {self.n_points}")
         object.__setattr__(self, "n_points", int(self.n_points))
@@ -103,10 +99,6 @@ class Grid1D:
     def shape(self):
         return (self.n_points,)
 
-    def refine(self, factor: int = 2) -> "Grid1D":
-        """Grid on the same interval with ``factor``-times finer spacing."""
-        return Grid1D(self.lower, self.upper, factor * (self.n_points - 1) + 1)
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -132,9 +124,6 @@ class Grid2D:
     def mesh(self):
         """Node coordinate arrays ``(X1, X2)`` with indexing='ij'."""
         return np.meshgrid(self.axis1.nodes, self.axis2.nodes, indexing="ij")
-
-    def refine(self, factor: int = 2) -> "Grid2D":
-        return Grid2D(self.axis1.refine(factor), self.axis2.refine(factor))
 
 
 Grid = Union[Grid1D, Grid2D]
@@ -214,13 +203,7 @@ class GridDensity:
     """
 
     def __init__(self, grid, values, normalize=True, positive=False, description=""):
-        values = np.array(values, dtype=float)
-        if values.shape != grid.shape():
-            raise InvalidInputError(
-                f"density shape {values.shape} does not match grid shape {grid.shape()}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("density values must be finite")
+        values = np.array(grid_function(grid.shape(), values, "density values"))
         if np.any(values < 0):
             worst = float(values.min())
             raise InvalidInputError(f"density values must be >= 0, min is {worst}")
@@ -271,13 +254,7 @@ class SignedGridFunction:
     """A signed density on a grid; typically a direction ``nu - mu``."""
 
     def __init__(self, grid, values, description=""):
-        values = np.array(values, dtype=float)
-        if values.shape != grid.shape():
-            raise InvalidInputError(
-                f"shape {values.shape} does not match grid shape {grid.shape()}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("signed density values must be finite")
+        values = np.array(grid_function(grid.shape(), values, "signed density values"))
         values.flags.writeable = False
         self.grid = grid
         self.values = values
@@ -341,8 +318,7 @@ class WeightFunction:
 
     @staticmethod
     def exp_abs(gamma: float) -> "WeightFunction":
-        if gamma <= 0:
-            raise InvalidInputError(f"exp-gamma-abs needs gamma > 0, got {gamma}")
+        check_positive(gamma, "exp-gamma-abs gamma")
 
         def _eval(*xs):
             s = sum(np.abs(np.asarray(x, dtype=float)) for x in xs)
@@ -375,9 +351,6 @@ class ContaminationCurve:
     @property
     def grid(self):
         return self.mu.grid
-
-    def direction(self) -> SignedGridFunction:
-        return SignedGridFunction.difference(self.nu, self.mu)
 
 
 def curve_at(curve: ContaminationCurve, t: float) -> GridDensity:
@@ -431,6 +404,44 @@ def grid_function(grid, f, what: str = "test function") -> np.ndarray:
     return vals
 
 
+def check_positive(value: float, what: str) -> None:
+    """Refuse ``value`` unless it is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{what} must be positive and finite, got {value:g}")
+
+
+def check_window(lower: float, upper: float) -> None:
+    """Refuse a grid window unless its ends are finite and ``lower < upper``."""
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise InvalidInputError("grid endpoints must be finite")
+    if not lower < upper:
+        raise InvalidInputError(f"the window needs lower < upper, got [{lower:g}, {upper:g}]")
+
+
+def check_covariance(cov) -> float:
+    """Determinant of the 2x2 covariance ``cov``, after checking that the
+    matrix is symmetric (to 1e-12) and positive definite."""
+    cov = np.asarray(cov, dtype=float)
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    if abs(cov[0, 1] - cov[1, 0]) > 1e-12 or cov[0, 0] <= 0 or det <= 0:
+        raise InvalidInputError(
+            f"covariance must be symmetric positive definite, got {cov.tolist()}")
+    return det
+
+
+def check_mixture(means, stds, weights) -> tuple:
+    """The three mixture parameter arrays, after checking that they hold one
+    entry per component, that every std is positive and that the weights are
+    nonnegative with a positive sum."""
+    means, stds, weights = (np.asarray(v, dtype=float) for v in (means, stds, weights))
+    if means.ndim != 1 or not means.size or not means.shape == stds.shape == weights.shape:
+        raise InvalidInputError("mixture needs one mean, std and weight per component, got "
+                                f"{means.size}, {stds.size} and {weights.size}")
+    if np.any(stds <= 0) or np.any(weights < 0) or weights.sum() <= 0:
+        raise InvalidInputError("mixture needs positive stds and nonnegative weights")
+    return means, stds, weights
+
+
 def check_count(value, what: str = "step count", minimum: Optional[int] = 0,
                 budget: Optional[int] = None) -> int:
     """``value`` as an ``int`` after checking that it is an integer (not a
@@ -459,32 +470,21 @@ def integrate(f_values, rho: GridDensity) -> float:
     return rho.expect(grid_function(rho.grid, f_values))
 
 
-def v_norm_function(f_values, weight_values, grid=None) -> float:
-    """Weighted sup norm ``sup |f| / V`` over grid nodes.
-
-    ``weight_values`` may be a node-value array or a :class:`WeightFunction`
-    (in which case ``grid`` must be given).
-    """
-    if isinstance(weight_values, WeightFunction):
-        if grid is None:
-            raise InvalidInputError("grid required when passing a WeightFunction")
-        weight_values = weight_values.values_on(grid)
+def v_norm_function(f_values, weight_values) -> float:
+    """Weighted sup norm ``sup |f| / V`` over grid nodes, from node values."""
     weight_values = np.asarray(weight_values, dtype=float)
     f_values = grid_function(weight_values.shape, f_values, "function values")
     return float(np.max(np.abs(f_values) / weight_values))
 
 
-def v_norm_measure(chi: SignedGridFunction, weight_values, grid=None) -> float:
-    """Weighted total-variation norm ``integral of V * |chi|``.
+def v_norm_measure(chi: SignedGridFunction, weight_values) -> float:
+    """Weighted total-variation norm ``integral of V * |chi|``, from the node
+    values of V.
 
     With ``V == 1`` this is the plain TV integral: two mutually singular unit
     masses are at distance 2.
     """
-    if isinstance(weight_values, WeightFunction):
-        weight_values = weight_values.values_on(grid if grid is not None else chi.grid)
-    weight_values = np.asarray(weight_values, dtype=float)
-    if weight_values.shape != chi.values.shape:
-        raise InvalidInputError("weight array shape does not match the signed density")
+    weight_values = grid_function(chi.values.shape, weight_values, "weight values")
     return integrate_values(chi.grid, weight_values * np.abs(chi.values))
 
 
@@ -564,8 +564,7 @@ def load_density(csv_path, positive=False) -> GridDensity:
 # convenient named densities used throughout tests and configs ---------------
 
 def gaussian_density(grid: Grid1D, mean: float, std: float, positive=True) -> GridDensity:
-    if std <= 0:
-        raise InvalidInputError(f"gaussian std must be positive, got {std}")
+    check_positive(std, "gaussian std")
     z = (grid.nodes - mean) / std
     vals = np.exp(-0.5 * z * z)
     return GridDensity(grid, vals, positive=positive,
@@ -573,11 +572,7 @@ def gaussian_density(grid: Grid1D, mean: float, std: float, positive=True) -> Gr
 
 
 def gaussian_mixture_density(grid: Grid1D, means, stds, weights, positive=True) -> GridDensity:
-    means = np.asarray(means, dtype=float)
-    stds = np.asarray(stds, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if np.any(stds <= 0) or np.any(weights < 0) or weights.sum() <= 0:
-        raise InvalidInputError("mixture needs positive stds and nonnegative weights")
+    means, stds, weights = check_mixture(means, stds, weights)
     vals = np.zeros(grid.n_points)
     for m, s, w in zip(means, stds, weights / weights.sum()):
         vals += w * np.exp(-0.5 * ((grid.nodes - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
@@ -587,9 +582,7 @@ def gaussian_mixture_density(grid: Grid1D, means, stds, weights, positive=True) 
 def gaussian2d_density(grid: Grid2D, mean, cov, positive=True) -> GridDensity:
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if det <= 0 or cov[0, 0] <= 0:
-        raise InvalidInputError("covariance must be positive definite")
+    det = check_covariance(cov)
     inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
     x1, x2 = grid.mesh()
     d1 = x1 - mean[0]

@@ -71,6 +71,7 @@ from .errors import (
 from .feynman_kac import (
     EmpiricalMeasure,
     FeynmanKacModel,
+    check_depth,
     smcmc_variance_recursion,
 )
 from .ergodicity import asymptotic_variance, poisson_resolvent
@@ -98,6 +99,7 @@ MIN_BATCHES = 20
 MIN_REPLICATIONS = 100
 STATE_STORAGE_CAP = 200_000_000  # stored states (levels * replications * steps)
 _TRACE_POINTS = 48
+SCAN_PAIRS = 4  # snapshot pairs the adaptation check scans for derivative constants
 
 SeedLike = Union[int, np.integer, np.random.SeedSequence, np.random.Generator]
 
@@ -285,8 +287,7 @@ class _Lane:
     """
 
     def __init__(self, grid: Grid1D, proposal: ProposalKernel, balancing,
-                 x0s: np.ndarray, rngs: Sequence[np.random.Generator],
-                 block: int = DRAW_BLOCK):
+                 x0s: np.ndarray, rngs: Sequence[np.random.Generator]):
         if proposal.propose is None:
             raise InvalidInputError(
                 "proposal '%s' has no vectorised sampler; the chain drivers "
@@ -299,8 +300,7 @@ class _Lane:
         self.rngs = list(rngs)
         if self.x.shape != (len(self.rngs),):
             raise InvalidInputError("one start point per stream required")
-        self._block = int(block)
-        self._cursor = self._block
+        self._cursor = DRAW_BLOCK
         self._draws: Optional[np.ndarray] = None
         self._accept_u: Optional[np.ndarray] = None
         self.accept_count = np.zeros(len(self.rngs), dtype=np.int64)
@@ -330,11 +330,11 @@ class _Lane:
 
     def _refill(self) -> None:
         count = len(self.rngs)
-        draws = np.empty((count, self._block))
-        accept_u = np.empty((count, self._block))
+        draws = np.empty((count, DRAW_BLOCK))
+        accept_u = np.empty((count, DRAW_BLOCK))
         for r, rng in enumerate(self.rngs):
-            draws[r] = self.proposal.draw(rng, self._block)
-            accept_u[r] = rng.uniform(size=self._block)
+            draws[r] = self.proposal.draw(rng, DRAW_BLOCK)
+            accept_u[r] = rng.uniform(size=DRAW_BLOCK)
         self._draws = draws
         self._accept_u = accept_u
         self._cursor = 0
@@ -377,7 +377,7 @@ class _Lane:
 
     def step(self) -> np.ndarray:
         """Move every chain one step; returns the new states."""
-        if self._cursor == self._block:
+        if self._cursor == DRAW_BLOCK:
             self._refill()
         d = self._draws[:, self._cursor]
         u = self._accept_u[:, self._cursor]
@@ -428,9 +428,9 @@ class _Lane:
                      else self.mu_x.copy())
         done = 0
         while done < n:
-            if self._cursor == self._block:
+            if self._cursor == DRAW_BLOCK:
                 self._refill()
-            m = min(n - done, self._block - self._cursor)
+            m = min(n - done, DRAW_BLOCK - self._cursor)
             last = np.empty(len(self.rngs), dtype=bool)
             for r in range(len(self.rngs)):
                 last[r] = self._run_chain(
@@ -645,6 +645,21 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
                     int(lane.fold_count[0]))
 
 
+def check_batch_count(batch_count) -> int:
+    """``batch_count`` as an ``int`` of at least ``MIN_BATCHES``."""
+    return check_count(batch_count, "batch count", minimum=MIN_BATCHES)
+
+
+def check_run_length(n, batch_count: int) -> int:
+    """``n`` as an ``int`` after checking that a run of ``n`` steps fills
+    ``batch_count`` batches."""
+    n = check_count(n)
+    if n < batch_count:
+        raise InvalidInputError("run length %d is below the batch count %d: it cannot "
+                                "fill the batches" % (n, batch_count))
+    return n
+
+
 def batch_means_variance(run: ChainRun, f: Callable[[np.ndarray], np.ndarray],
                          batch_count: int = 40) -> float:
     """Batch-means estimate of the asymptotic variance of the scaled average.
@@ -654,13 +669,9 @@ def batch_means_variance(run: ChainRun, f: Callable[[np.ndarray], np.ndarray],
     """
     if not callable(f):
         raise InvalidInputError("batch means needs a callable test function")
-    batch_count = check_count(batch_count, "batch count", minimum=MIN_BATCHES)
-    n = run.n_steps
+    batch_count = check_batch_count(batch_count)
+    n = check_run_length(run.n_steps, batch_count)
     size = n // batch_count
-    if size < 1:
-        raise InvalidInputError(
-            "run of %d steps cannot fill %d batches" % (n, batch_count)
-        )
     vals = np.asarray(f(run.states[n - size * batch_count:]), dtype=float)
     means = vals.reshape(batch_count, size).mean(axis=1)
     grand = float(vals.mean())
@@ -677,9 +688,10 @@ def _resolve_family(family) -> HastingsFamily:
     return family
 
 
-def _check_level_init(level_init: str) -> None:
+def check_level_init(level_init: str) -> None:
     if level_init not in ("previous-final", "fixed"):
-        raise InvalidInputError('level_init must be "previous-final" or "fixed"')
+        raise InvalidInputError('level_init must be "previous-final" or "fixed", got %r'
+                                % (level_init,))
 
 
 def _level_descriptor(family: HastingsFamily, level: int, text: str) -> str:
@@ -769,8 +781,6 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     # the level-p target in table form, for the random centering
     if p == 1:
         final_table = np.broadcast_to(model.flow(1).values, (reps, grid.n_points))
-    elif collect_states:
-        final_table = target if target.ndim == 2 else target[None, :]
     else:
         final_table = target
     return {"levels": levels, "final_table": final_table}
@@ -789,8 +799,8 @@ def run_smcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     """
     family = _resolve_family(family)
     n = check_count(n, minimum=1)
-    p_levels = model.check_depth(p_levels)
-    _check_level_init(level_init)
+    p_levels = check_depth(p_levels, model.n_levels)
+    check_level_init(level_init)
     check_state_storage(p_levels * n)
     streams = [_level_streams(seed, p_levels)]
     engine = _smcmc_engine(family, model, p_levels, n, streams,
@@ -1003,7 +1013,7 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     """
     family = _resolve_family(family)
     n = check_count(n, minimum=1)
-    p_levels = model.check_depth(p_levels)
+    p_levels = check_depth(p_levels, model.n_levels)
     check_state_storage(p_levels * n)
     streams = [_level_streams(seed, p_levels)]
     engine = _imcmc_engine(family, model, p_levels, n, streams, float(x0),
@@ -1024,11 +1034,41 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
 # experiment configuration and the CLT harness
 # ---------------------------------------------------------------------------
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a fractional exponent outside the open interval (0, 1/2)."""
+    if not (0.0 < alpha < 0.5):
+        raise RangeError("alpha must lie in (0, 1/2), got %g" % alpha)
+
+
+def check_scheme(scheme: str) -> None:
+    if scheme not in ("smcmc", "imcmc"):
+        raise InvalidInputError('scheme must be "smcmc" or "imcmc", got %r' % (scheme,))
+
+
+def check_scheme_depth(scheme: str, p_levels: int) -> None:
+    if scheme == "imcmc" and p_levels != 2:
+        raise InvalidInputError("interacting-scheme variance predictions are depth-2 "
+                                "only, got depth %d" % p_levels)
+
+
+def check_scheme_start(scheme: str, level_init: Optional[str]) -> None:
+    if scheme == "imcmc" and level_init not in (None, "fixed"):
+        raise InvalidInputError(
+            'interacting levels start at x0; level_init must be "fixed" or unset')
+
+
+def check_replications(replications) -> int:
+    if (not isinstance(replications, (int, np.integer)) or isinstance(replications, bool)
+            or replications < MIN_REPLICATIONS):
+        raise InvalidInputError("need at least %d replications, got %r"
+                                % (MIN_REPLICATIONS, replications))
+    return int(replications)
+
+
 def v_alpha_norm(f_values: np.ndarray, weight_values: np.ndarray,
                  alpha: float) -> float:
     """sup |f| / V**alpha; the exponent must lie strictly inside (0, 1/2)."""
-    if not (0.0 < alpha < 0.5):
-        raise RangeError("alpha must lie in (0, 1/2), got %g" % alpha)
+    check_alpha(alpha)
     f_vals = np.asarray(f_values, dtype=float)
     v_vals = np.asarray(weight_values, dtype=float)
     if f_vals.shape != v_vals.shape:
@@ -1055,17 +1095,16 @@ class SchemeConfig:
         _resolve_family(self.family)
         if not isinstance(self.model, FeynmanKacModel):
             raise InvalidInputError("config needs a reweight/mutate model")
-        self.model.check_depth(self.p_levels)
+        check_depth(self.p_levels, self.model.n_levels)
         if not (math.isfinite(self.x0)
                 and self.model.grid.lower <= self.x0 <= self.model.grid.upper):
             raise InvalidInputError("x0 must sit inside the grid window")
         if self.level_init is not None:
-            _check_level_init(self.level_init)
-        if not (0.0 < self.alpha < 0.5):
-            raise RangeError("alpha must lie in (0, 1/2), got %g" % self.alpha)
+            check_level_init(self.level_init)
+        check_alpha(self.alpha)
         if self.weight is None:
             self.weight = WeightFunction.one_plus_square()
-        check_count(self.batch_count, "batch count", minimum=MIN_BATCHES)
+        check_batch_count(self.batch_count)
 
 
 def _normality(stat: np.ndarray) -> Tuple[float, float, float]:
@@ -1116,31 +1155,23 @@ def clt_experiment(scheme: str, config: SchemeConfig,
     variance-recursion approximation term — doubled for the interacting
     scheme — for deterministic centering.
     """
-    if scheme not in ("smcmc", "imcmc"):
-        raise InvalidInputError('scheme must be "smcmc" or "imcmc"')
+    check_scheme(scheme)
     if not isinstance(config, SchemeConfig):
         raise InvalidInputError("config must be a SchemeConfig")
     if not callable(f):
         raise InvalidInputError("the test function must be callable")
-    if (not isinstance(replications, (int, np.integer))
-            or replications < MIN_REPLICATIONS):
-        raise InvalidInputError("need at least %d replications" % MIN_REPLICATIONS)
-    n = check_count(n)
-    if n < config.batch_count:
-        raise InvalidInputError("run length %d below the batch count" % n)
+    reps = check_replications(replications)
+    n = check_run_length(n, config.batch_count)
     check_state_storage(n)  # the limiting chain's states
+    p = int(config.p_levels)
+    check_scheme_depth(scheme, p)
+    check_scheme_start(scheme, config.level_init)
 
     model = config.model
     grid = model.grid
-    p = int(config.p_levels)
-    reps = int(replications)
     f_nodes = grid_function(grid, f)
     fractional_norm = v_alpha_norm(f_nodes, config.weight.values_on(grid),
                                    config.alpha)
-    if scheme == "imcmc" and p != 2:
-        raise InvalidInputError(
-            "interacting-scheme variance predictions are depth-2 only"
-        )
 
     streams, spare = _replication_streams(seed, reps, p)
     weights = grid.trapezoid_weights()
@@ -1156,8 +1187,6 @@ def clt_experiment(scheme: str, config: SchemeConfig,
         averages = f_sums / n
         stat_random = math.sqrt(n) * (averages - centers)
     else:
-        if config.level_init not in (None, "fixed"):
-            raise InvalidInputError("interacting levels start at x0")
         engine = _imcmc_engine(config.family, model, p, n, streams, config.x0,
                                f=f, f_nodes=f_nodes,
                                trace_weight=config.weight)
@@ -1253,28 +1282,12 @@ class AdaptationReport:
     scan_all_finite: Optional[bool]
     passed: bool
 
-    def describe(self) -> str:
-        lines = [
-            "partial-sum statistics at n=%d: sup %.4g (slope %.3f), "
-            "weighted %.4g (slope %.3f)" % (
-                int(self.checkpoints[-1]), self.d1_sup_stats[-1],
-                self.slope_sup, self.d1_v_stats[-1], self.slope_v),
-            "target gap to reference: %.4g -> %.4g" % (
-                self.c1_gaps[0], self.c1_gaps[-1]),
-        ]
-        if self.scan_max_m_x is not None:
-            lines.append("derivative scan: max m_x %.4g, max m_perp %.4g, "
-                         "finite=%s" % (self.scan_max_m_x, self.scan_max_m_perp,
-                                        self.scan_all_finite))
-        lines.append("passed" if self.passed else "failed")
-        return "\n".join(lines)
-
 
 def check_adaptation_conditions(artifacts, weight: Optional[WeightFunction] = None,
                                 family: Optional[HastingsFamily] = None,
                                 reference: Optional[GridDensity] = None,
-                                scan_points: Optional[Sequence[float]] = None,
-                                max_scan_pairs: int = 4) -> AdaptationReport:
+                                scan_points: Optional[Sequence[float]] = None
+                                ) -> AdaptationReport:
     """Diminishing-adaptation diagnostics from run artifacts.
 
     ``artifacts`` is either an :class:`AdaptationTrace` (from
@@ -1325,7 +1338,7 @@ def check_adaptation_conditions(artifacts, weight: Optional[WeightFunction] = No
 
     scan_m_x = scan_m_perp = scan_finite = None
     if family is not None and snapshots.shape[0] >= 2:
-        pair_count = min(max_scan_pairs, snapshots.shape[0] - 1)
+        pair_count = min(SCAN_PAIRS, snapshots.shape[0] - 1)
         picks = np.unique(np.linspace(1, snapshots.shape[0] - 1,
                                       pair_count).astype(int))
         pts = (list(scan_points) if scan_points is not None
