@@ -50,6 +50,7 @@ from .measures import (
     GridDensity,
     SignedGridFunction,
     WeightFunction,
+    check_in_window,
     curve_at,
     grid_function,
     integrate_values,
@@ -66,7 +67,7 @@ MVI_T_NODES = 17
 def _t_quadrature(t_nodes: int):
     if t_nodes < 5:
         raise InvalidInputError(f"t-quadrature needs at least 5 nodes, got {t_nodes}")
-    return np.linspace(0.0, 1.0, t_nodes), simpson_weights(t_nodes, 1.0)
+    return np.linspace(0.0, 1.0, t_nodes), simpson_weights(t_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,7 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
         return MviConstants(float(wts @ vals), 0.0, weight.description, t_nodes,
                             "density", "none")
     x = float(start)
+    check_in_window(mu.grid, x)
     vx = float(weight(x))
     q_to_x = None
     mains = np.empty(t_nodes)
@@ -415,6 +417,8 @@ def gibbs_mvi_constants(family: GibbsFamily, mu: GridDensity, nu: GridDensity,
     ts, wts = _t_quadrature(t_nodes)
     v2 = weight.values_on(mu.grid)
     kind = _start_kind(start)
+    if kind == "point":
+        check_in_window(mu.grid, start)
     mains = np.empty(t_nodes)
     perps = np.zeros(t_nodes)
     for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):

@@ -68,6 +68,10 @@ Per-kind keys
                        x0 [0.0] level_init [unset] tolerance {variance_rel 0.2,
                        skew 0.25, excess_kurtosis 0.5, ks 0.08}
 
+Every start lies in the closed grid window: a start point, each coordinate
+of a two-stage pair, and the chain start x0 of smcmc-run, imcmc-run and
+clt-report; anything else is a config problem (exit 2).
+
 The clt-report defaults are the reference fluctuation protocol (about two
 minutes of compute) and its default seed is 1234; the gate statistics are
 noisy below that scale, so shorter runs should widen the tolerances.
@@ -144,6 +148,7 @@ from .measures import (
     WeightFunction,
     check_count,
     check_covariance,
+    check_in_window,
     check_mixture,
     check_positive,
     check_window,
@@ -154,7 +159,6 @@ from .measures import (
 )
 from .samplers import (
     SchemeConfig,
-    _partial_sum_stats,
     check_adaptation_conditions,
     check_alpha,
     check_batch_count,
@@ -427,16 +431,7 @@ def _check_weight(spec, problems, path="weight") -> dict:
     return {"kind": "one-plus-square"}
 
 
-def _in_window(coords, grid: dict, path: str, problems) -> bool:
-    """Whether every coordinate lies in the grid window; reports it if not."""
-    lo, hi = grid["lower"], grid["upper"]
-    if all(lo <= v <= hi for v in coords):
-        return True
-    problems.add(path, f"must sit inside the grid window [{lo:g}, {hi:g}]")
-    return False
-
-
-def _check_start(spec, problems, two_stage: bool, grid: dict) -> dict:
+def _check_start(spec, problems, two_stage: bool, grid) -> dict:
     default = {"density": dict(_DEFAULT_START_2D if two_stage else _DEFAULT_START)}
     obj = _expect_object(spec, "start", problems)
     if obj is None or not obj:
@@ -454,7 +449,7 @@ def _check_start(spec, problems, two_stage: bool, grid: dict) -> dict:
         elif not _is_number(pt):
             problems.add("start.point", "must be a finite number")
             return default
-        if not _in_window(pt if two_stage else [pt], grid, "start.point", problems):
+        if not _rule(problems, "start.point", check_in_window, grid, pt):
             return default
         return {"point": [float(v) for v in pt] if two_stage else float(pt)}
     return {"density": _check_density(obj.get("density"), "start.density", problems,
@@ -535,7 +530,8 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
                                           two_stage,
                                           _DEFAULT_DIRECTION_2D if two_stage
                                           else _DEFAULT_DIRECTION)
-        out["start"] = _check_start(raw.get("start"), problems, two_stage, out["grid"])
+        out["start"] = _check_start(raw.get("start"), problems, two_stage,
+                                    _build_grid2(out) if two_stage else _build_grid(out))
     if kind in ("derivative-check", "ftc-check", "ergodicity-check", "clt-report"):
         default_fn = ("cos2d-mix" if two_stage
                       else "clipped-identity" if kind == "clt-report" else "cos-tanh")
@@ -557,7 +553,7 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
 
     def _window_x0():
         x0 = _take_number(raw, "x0", "", problems, 0.0)
-        return x0 if _in_window([x0], out["grid"], "x0", problems) else 0.0
+        return x0 if _rule(problems, "x0", check_in_window, _build_grid(out), x0) else 0.0
 
     if kind in ("smcmc-run", "imcmc-run", "clt-report"):
         out["depth"] = raw.get("depth", 2)
@@ -797,6 +793,18 @@ def _curve_inputs(kind, settings):
     return grid, family, mu, nu, start, f_values
 
 
+def _model_inputs(kind, settings):
+    """Family, the packaged model on the grid and, for the kinds that take a
+    ``function``, its callable: the inputs of the four model kinds."""
+    with _stage(kind, "build-inputs"):
+        grid = _build_grid(settings)
+        family = _build_family(settings["family"], grid)
+        model = default_ssm_model(grid, phi_bar=settings["model"]["phi_bar"])
+        f = (_function_callable(settings["function"], grid)
+             if "function" in settings else None)
+    return family, model, f
+
+
 def _level_reports(runs):
     """One report entry per level of a chain run."""
     return [
@@ -975,11 +983,8 @@ def _run_mvi_check(settings, out_dir: Path):
 def _run_ergodicity_check(settings, out_dir: Path):
     kind = "ergodicity-check"
     tol = settings["tolerance"]
-    with _stage(kind, "build-inputs"):
-        grid = _build_grid(settings)
-        family = _build_family(settings["family"], grid)
-        model = default_ssm_model(grid, phi_bar=settings["model"]["phi_bar"])
-        f_values = _function_values(settings["function"], grid)
+    family, model, f = _model_inputs(kind, settings)
+    f_values = f(model.grid.nodes)
 
     with _stage(kind, "sample-mixtures"):
         children = np.random.SeedSequence(settings["seed"]).spawn(settings["sample_sets"])
@@ -1064,10 +1069,7 @@ def _run_ergodicity_check(settings, out_dir: Path):
 
 def _run_smcmc(settings, out_dir: Path):
     kind = "smcmc-run"
-    with _stage(kind, "build-inputs"):
-        grid = _build_grid(settings)
-        family = _build_family(settings["family"], grid)
-        model = default_ssm_model(grid, phi_bar=settings["model"]["phi_bar"])
+    family, model, _ = _model_inputs(kind, settings)
     with _stage(kind, "run-chains"):
         levels = run_smcmc(family, model, settings["depth"], settings["steps"],
                            seed=settings["seed"], x0=settings["x0"],
@@ -1088,10 +1090,8 @@ def _run_smcmc(settings, out_dir: Path):
 
 def _run_imcmc(settings, out_dir: Path):
     kind = "imcmc-run"
+    family, model, _ = _model_inputs(kind, settings)
     with _stage(kind, "build-inputs"):
-        grid = _build_grid(settings)
-        family = _build_family(settings["family"], grid)
-        model = default_ssm_model(grid, phi_bar=settings["model"]["phi_bar"])
         weight = _build_weight(settings["weight"])
     with _stage(kind, "run-chains"):
         runs, trace = run_imcmc(family, model, settings["depth"], settings["steps"],
@@ -1121,20 +1121,16 @@ def _run_imcmc(settings, out_dir: Path):
         files["chains"] = path
         if settings["depth"] >= 2:
             files["d1_statistics"] = _write_d1_statistics(
-                out_dir, trace.checkpoints,
-                _partial_sum_stats(trace.sup_increments, trace.checkpoints),
-                _partial_sum_stats(trace.v_increments, trace.checkpoints))
+                out_dir, adaptation.checkpoints, adaptation.d1_sup_stats,
+                adaptation.d1_v_stats)
     return checks, report, files
 
 
 def _run_clt_report(settings, out_dir: Path):
     kind = "clt-report"
     tol = settings["tolerance"]
+    family, model, f = _model_inputs(kind, settings)
     with _stage(kind, "build-inputs"):
-        grid = _build_grid(settings)
-        family = _build_family(settings["family"], grid)
-        model = default_ssm_model(grid, phi_bar=settings["model"]["phi_bar"])
-        f = _function_callable(settings["function"], grid)
         config = SchemeConfig(family=family, model=model,
                               p_levels=settings["depth"], x0=settings["x0"],
                               level_init=settings["level_init"],

@@ -42,6 +42,7 @@ from .measures import (
     GridDensity,
     SignedGridFunction,
     check_count,
+    check_in_window,
     curve_at,
     grid_function,
     integrate_values,
@@ -276,8 +277,7 @@ def hastings_derivative_at_point(kernel: HastingsKernel, x: float, f_values) -> 
     """
     _require_differentiable(kernel)
     grid = kernel.grid
-    if not grid.contains(float(x)):
-        raise InvalidInputError(f"start point {x} lies outside the grid window")
+    check_in_window(grid, x)
     f = grid_function(kernel.grid, f_values)
     nodes = grid.nodes
     fx = float(np.interp(x, nodes, f))
@@ -332,8 +332,7 @@ def gibbs_derivative_at_point(kernel: GibbsKernel, x, f_values) -> KernelDerivat
     paired with ``chi(., x2)``, not with a point evaluation.
     """
     grid = kernel.grid
-    if not grid.contains(x):
-        raise InvalidInputError(f"start point {x} lies outside the grid window")
+    check_in_window(grid, x)
     x2 = float(x[1])
     f = grid_function(kernel.grid, f_values)
     mf = kernel.conditional_mean_first(f)
@@ -380,22 +379,24 @@ def iterated_derivative(kernel, start: Start, f_values, k: int,
     combined linearly.
     """
     k = check_count(k, minimum=1)
-    f = grid_function(kernel.grid, f_values)
-
-    f_seq = [f]
-    for _ in range(k - 1):
-        f_seq.append(kernel.apply_to_function(f_seq[-1]))
-
-    starts: List = [start]
-    for _ in range(k - 1):
-        starts.append(_propagate_start(kernel, starts[-1]))
-
+    f_seq, starts = _propagated(kernel, start, grid_function(kernel.grid, f_values), k)
     terms = []
     for j in range(k):
         s = starts[k - 1 - j]
         terms.append(_derivative_of_propagated(kernel, s, f_seq[j], ratio_ceiling,
                                                check_start=s is start))
     return IteratedDerivative(terms, k)
+
+
+def _propagated(kernel, start, f, count: int):
+    """The test functions ``P^j f`` and starts ``P^j(start)``, ``j < count``."""
+    f_seq = [f]
+    for _ in range(count - 1):
+        f_seq.append(kernel.apply_to_function(f_seq[-1]))
+    starts: List = [start]
+    for _ in range(count - 1):
+        starts.append(_propagate_start(kernel, starts[-1]))
+    return f_seq, starts
 
 
 def _propagate_start(kernel, start):
@@ -439,27 +440,12 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     f = grid_function(kernel.grid, f_values)
     chi = nu.values - mu.values
     target = integrate_values(kernel.grid, chi * f)
-
-    f_seq = [f]
-    for _ in range(k_max - 1):
-        f_seq.append(kernel.apply_to_function(f_seq[-1]))
-    starts = [start]
-    for _ in range(k_max - 1):
-        starts.append(_propagate_start(kernel, starts[-1]))
-
-    # action cache: pair (start index m, function index j)
-    cache = {}
-
-    def act(m, j):
-        if (m, j) not in cache:
-            cache[(m, j)] = _derivative_of_propagated(
-                kernel, starts[m], f_seq[j], DEFAULT_RATIO_CEILING
-            ).action(chi)
-        return cache[(m, j)]
-
-    actions = []
-    for k in range(1, k_max + 1):
-        actions.append(sum(act(k - 1 - j, j) for j in range(k)))
+    f_seq, starts = _propagated(kernel, start, f, k_max)
+    # the k-step action sums the one-step terms (P^(k-1-j) start, P^j f)
+    actions = [sum(_derivative_of_propagated(kernel, starts[k - 1 - j], f_seq[j],
+                                             DEFAULT_RATIO_CEILING).action(chi)
+                   for j in range(k))
+               for k in range(1, k_max + 1)]
     gaps = [abs(a - target) for a in actions]
 
     final_ok = gaps[-1] < tol

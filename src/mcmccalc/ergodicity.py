@@ -45,6 +45,7 @@ from .measures import (
     GridDensity,
     WeightFunction,
     check_count,
+    check_in_window,
     check_positive,
     integrate_values,
     v_norm_function,
@@ -53,6 +54,8 @@ from .measures import (
 DRIFT_NODE_TOL = 1e-9
 DRIFT_RATES = (0.5, 0.7, 0.85, 0.95)
 POISSON_GATE = 1e-6
+K_BURN = 3  # leading steps the geometric-rate fit leaves out
+RATE_INVARIANCE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +449,13 @@ class RateReport:
 
 
 def estimate_geometric_rate(kernel, x0s: Sequence[float], k_max: int,
-                            weight: WeightFunction, k_burn: int = 3,
-                            invariance_tol: float = 1e-8) -> RateReport:
+                            weight: WeightFunction) -> RateReport:
     """Measure ``||P^k(x, .) - target||_V`` decay and fit its geometric envelope.
 
     The k-step point law keeps its surviving rejection atom explicitly, so
     the V-distance is the atom mass times V(x) plus the integrated density
     gap.  The fit runs least squares on the log of the start-normalized sup
-    curve over ``k in [k_burn, k_max]``; the multiplier is then inflated so
+    curve over ``k in [K_BURN, k_max]``; the multiplier is then inflated so
     the fitted envelope dominates every sampled point, not just the
     regression line.
     """
@@ -462,10 +464,12 @@ def estimate_geometric_rate(kernel, x0s: Sequence[float], k_max: int,
     x0s = [float(x) for x in x0s]
     if not x0s:
         raise InvalidInputError("need at least one start")
-    if k_max < k_burn + 2:
-        raise InvalidInputError(f"k_max = {k_max} leaves nothing to fit past k_burn = {k_burn}")
+    for x0 in x0s:
+        check_in_window(kernel.grid, x0)
+    if k_max < K_BURN + 2:
+        raise InvalidInputError(f"k_max = {k_max} leaves nothing to fit past k_burn = {K_BURN}")
     resid = check_invariance(kernel)
-    if resid > invariance_tol:
+    if resid > RATE_INVARIANCE_TOL:
         raise PreconditionError(
             f"kernel does not hold its target invariant (residual {resid:.3g})"
         )
@@ -484,9 +488,9 @@ def estimate_geometric_rate(kernel, x0s: Sequence[float], k_max: int,
     sup_curve = np.max(curves, axis=0)
     if float(np.max(sup_curve)) <= 1e-13:
         # One-step forgetting: every point law already sits on the target.
-        return RateReport(0.0, 0.0, 1.0, k_burn, k_max, sup_curve, True)
-    ks = np.arange(k_burn, k_max + 1)
-    ys = np.log(np.maximum(sup_curve[k_burn - 1:], 1e-300))
+        return RateReport(0.0, 0.0, 1.0, K_BURN, k_max, sup_curve, True)
+    ks = np.arange(K_BURN, k_max + 1)
+    ys = np.log(np.maximum(sup_curve[K_BURN - 1:], 1e-300))
     slope, intercept = np.polyfit(ks, ys, 1)
     fitted = slope * ks + intercept
     ss_res = float(np.sum((ys - fitted) ** 2))
@@ -494,11 +498,11 @@ def estimate_geometric_rate(kernel, x0s: Sequence[float], k_max: int,
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     beta = float(np.exp(slope))
     if beta >= 1.0:
-        return RateReport(float("inf"), beta, r_squared, k_burn, k_max, sup_curve, False)
+        return RateReport(float("inf"), beta, r_squared, K_BURN, k_max, sup_curve, False)
     # Inflate the multiplier until the envelope covers every sampled distance,
     # transient included, not just the fitted segment.
     c_est = float(np.max(sup_curve / beta ** np.arange(1, k_max + 1)))
-    return RateReport(c_est, beta, r_squared, k_burn, k_max, sup_curve, True)
+    return RateReport(c_est, beta, r_squared, K_BURN, k_max, sup_curve, True)
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +679,14 @@ def check_v_moment_growth(kernels: Sequence, weight: WeightFunction, j_power: in
     ``P(V^{1/j}) <= rate^{1/j} V^{1/j} + b^{1/j}`` on its level set; (3) when
     a certificate is supplied and the first kernel can be simulated, the
     iterated expectation bound ``E V(chain_n) <= rate^n V(x0) + b/(1-rate)``
-    against ``n_reps`` replications at the given checkpoints, allowing three
-    standard errors of Monte Carlo slack.
+    against ``n_reps`` replications from ``x0`` (in the grid window) at the
+    given checkpoints, allowing three standard errors of Monte Carlo slack.
     """
     kernels = list(kernels)
     j_power = check_count(j_power, "moment power", minimum=1)
+    chain_leg = cert is not None and kernels and kernels[0].grid.ndim == 1
+    if chain_leg:
+        check_in_window(kernels[0].grid, x0)
     moments = []
     jensen_worst = -np.inf
     propagated_worst = -np.inf
@@ -708,7 +715,7 @@ def check_v_moment_growth(kernels: Sequence, weight: WeightFunction, j_power: in
         "propagated_ok": (propagated_worst <= 1e-9) if cert is not None else None,
         "chain_checks": [],
     }
-    if cert is not None and kernels and kernels[0].grid.ndim == 1:
+    if chain_leg:
         kern = kernels[0]
         v0 = float(weight(x0))
         horizon = max(checkpoints)

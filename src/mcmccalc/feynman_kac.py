@@ -631,14 +631,12 @@ def smcmc_variance_recursion(model: FeynmanKacModel,
 # frozen observations for the worked model
 # ---------------------------------------------------------------------------
 
-def simulate_ssm_observations(phi: Callable[[np.ndarray], np.ndarray],
-                              count: int,
-                              seed: int,
-                              w0: float = 0.0) -> np.ndarray:
-    """Draw an observation record from the state-space pair itself."""
+def simulate_ssm_observations(phi: Callable[[np.ndarray], np.ndarray], count: int,
+                              seed: int) -> np.ndarray:
+    """Draw an observation record from the state-space pair, started at 0."""
     count = check_count(count, "observation count", minimum=1)
     rng = np.random.default_rng(seed)
-    w = float(w0)
+    w = 0.0
     out = np.empty(count)
     for i in range(count):
         w = float(rng.normal(float(phi(np.asarray(w))), SSM_NOISE_STD))

@@ -37,6 +37,7 @@ from .measures import (
     GridDensity,
     POSITIVE_FLOOR,
     check_count,
+    check_in_window,
     check_positive,
     grid_function,
     integrate_values,
@@ -494,6 +495,7 @@ class HastingsKernel:
 
     def point_row(self, x):
         """(acceptance density q(x,.)g(r(x,.)) on nodes, rejection mass at x)."""
+        check_in_window(self.grid, x)
         row = self.proposal.density(x, self.grid.nodes) * self.balancing.g(self.ratio_at(x, self.grid.nodes))
         rej = 1.0 - integrate_values(self.grid, row)
         if rej < -NEG_REJECTION_TOL:
@@ -648,6 +650,7 @@ def apply_hastings_to_density(kernel: HastingsKernel, rho: GridDensity, f_values
 
 def apply_gibbs(kernel: GibbsKernel, x, f_values) -> float:
     """One-step expectation of the two-stage kernel from x = (x1, x2)."""
+    check_in_window(kernel.grid, x)
     return kernel.apply_from_x2(float(x[1]), grid_function(kernel.grid, f_values))
 
 

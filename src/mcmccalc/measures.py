@@ -16,7 +16,7 @@ and of signed measures, curve evaluation, and CSV/JSON serialization with
 bit-exact round-trips.  It also holds the input rules every module
 shares: :func:`grid_function` for node-value functions, :func:`check_count`
 for integer counts, :func:`check_positive`, :func:`check_window`,
-:func:`check_mixture` and :func:`check_covariance`.
+:func:`check_in_window`, :func:`check_mixture` and :func:`check_covariance`.
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ class Grid1D:
         w[-1] *= 0.5
         return w
 
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
     def shape(self):
         return (self.n_points,)
 
@@ -117,9 +114,6 @@ class Grid2D:
 
     def trapezoid_weights(self) -> np.ndarray:
         return np.outer(self.axis1.trapezoid_weights(), self.axis2.trapezoid_weights())
-
-    def contains(self, x) -> bool:
-        return self.axis1.contains(x[0]) and self.axis2.contains(x[1])
 
     def mesh(self):
         """Node coordinate arrays ``(X1, X2)`` with indexing='ij'."""
@@ -418,6 +412,18 @@ def check_window(lower: float, upper: float) -> None:
         raise InvalidInputError(f"the window needs lower < upper, got [{lower:g}, {upper:g}]")
 
 
+def check_in_window(grid: Grid, x) -> None:
+    """Refuse a start ``x`` (a point, or a chain's first state) outside the
+    closed window of ``grid``: a number on a Grid1D, a pair on a Grid2D."""
+    axes, coords = ((grid,), (x,)) if grid.ndim == 1 else ((grid.axis1, grid.axis2), tuple(x))
+    if len(coords) != len(axes) or not all(a.lower <= c <= a.upper
+                                           for a, c in zip(axes, coords)):
+        window = " x ".join(f"[{a.lower:g}, {a.upper:g}]" for a in axes)
+        got = ", ".join(f"{float(c):g}" for c in coords)
+        raise InvalidInputError(f"must sit inside the grid window {window}, got "
+                                + (got if grid.ndim == 1 else f"({got})"))
+
+
 def check_covariance(cov) -> float:
     """Determinant of the 2x2 covariance ``cov``, after checking that the
     matrix is symmetric (to 1e-12) and positive definite."""
@@ -488,12 +494,12 @@ def v_norm_measure(chi: SignedGridFunction, weight_values) -> float:
     return integrate_values(chi.grid, weight_values * np.abs(chi.values))
 
 
-def simpson_weights(n_nodes: int, length: float = 1.0) -> np.ndarray:
+def simpson_weights(n_nodes: int) -> np.ndarray:
     """Composite Simpson weights for ``n_nodes`` equispaced nodes (odd, >= 3)
-    on an interval of the given length."""
+    on the unit interval."""
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise InvalidInputError(f"Simpson rule needs an odd node count >= 3, got {n_nodes}")
-    h = length / (n_nodes - 1)
+    h = 1.0 / (n_nodes - 1)
     w = np.ones(n_nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

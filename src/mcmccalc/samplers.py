@@ -89,6 +89,7 @@ from .measures import (
     POSITIVE_FLOOR,
     WeightFunction,
     check_count,
+    check_in_window,
     grid_function,
     v_norm_function,
 )
@@ -613,36 +614,32 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
 
     Accept/reject kernels run through the vectorised lane; two-stage kernels
     step through their conditional inverse CDFs.  The run is deterministic
-    given the seed; the returned states exclude the start point.
+    given the seed; the states exclude the start ``x0``, inside the window.
     """
     n = check_count(n)
     check_state_storage(n)
-    rng = _level_streams(seed, 1)[0]
-    if isinstance(kernel, GibbsKernel):
-        if n == 0:
-            states = np.empty((0, 2))
-            accept = 0.0
-            folds = 0
-        else:
-            states, accepted = _gibbs_chain(kernel, x0, n, rng)
-            accept = accepted / n
-            folds = 0
-        descriptor = "two-stage scan @ %s" % kernel.target.description
-        return ChainRun(states, _seed_digest(seed), descriptor, accept, folds)
-    if not isinstance(kernel, HastingsKernel) or kernel.grid.ndim != 1:
+    gibbs = isinstance(kernel, GibbsKernel)
+    if not (gibbs or isinstance(kernel, HastingsKernel) and kernel.grid.ndim == 1):
         raise InvalidInputError(
             "run_limiting_chain drives 1-D accept/reject or two-stage kernels"
         )
-    lane = _Lane(kernel.grid, kernel.proposal, kernel.balancing,
-                 np.array([float(x0)]), [rng])
-    lane.set_target(kernel.target.values)
-    states = np.empty(n)
-    lane.run(n, states[None, :])
-    descriptor = "%s+%s @ %s" % (kernel.proposal.tag, kernel.balancing.tag,
-                                 kernel.target.description)
-    accept = float(lane.accept_count[0]) / n if n else 0.0
-    return ChainRun(states, _seed_digest(seed), descriptor, accept,
-                    int(lane.fold_count[0]))
+    check_in_window(kernel.grid, x0)
+    rng = _level_streams(seed, 1)[0]
+    if gibbs:
+        states, accepted = _gibbs_chain(kernel, x0, n, rng)
+        folds = 0
+        descriptor = "two-stage scan @ %s" % kernel.target.description
+    else:
+        lane = _Lane(kernel.grid, kernel.proposal, kernel.balancing,
+                     np.array([float(x0)]), [rng])
+        lane.set_target(kernel.target.values)
+        states = np.empty(n)
+        lane.run(n, states[None, :])
+        accepted, folds = int(lane.accept_count[0]), int(lane.fold_count[0])
+        descriptor = "%s+%s @ %s" % (kernel.proposal.tag, kernel.balancing.tag,
+                                     kernel.target.description)
+    return ChainRun(states, _seed_digest(seed), descriptor, accepted / n if n else 0.0,
+                    folds)
 
 
 def check_batch_count(batch_count) -> int:
@@ -800,6 +797,7 @@ def run_smcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     family = _resolve_family(family)
     n = check_count(n, minimum=1)
     p_levels = check_depth(p_levels, model.n_levels)
+    check_in_window(model.grid, x0)
     check_level_init(level_init)
     check_state_storage(p_levels * n)
     streams = [_level_streams(seed, p_levels)]
@@ -832,11 +830,10 @@ class AdaptationTrace:
     weight_tag: str
 
 
-def _checkpoint_indices(n: int, count: int = _TRACE_POINTS) -> np.ndarray:
+def _checkpoint_indices(n: int) -> np.ndarray:
     if n <= 1:
         return np.array([n], dtype=int) if n else np.array([], dtype=int)
-    pts = np.unique(np.geomspace(1, n, min(count, n)).astype(int))
-    return pts
+    return np.unique(np.geomspace(1, n, min(_TRACE_POINTS, n)).astype(int))
 
 
 class _TraceRecorder:
@@ -1014,6 +1011,7 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     family = _resolve_family(family)
     n = check_count(n, minimum=1)
     p_levels = check_depth(p_levels, model.n_levels)
+    check_in_window(model.grid, x0)
     check_state_storage(p_levels * n)
     streams = [_level_streams(seed, p_levels)]
     engine = _imcmc_engine(family, model, p_levels, n, streams, float(x0),
@@ -1096,9 +1094,7 @@ class SchemeConfig:
         if not isinstance(self.model, FeynmanKacModel):
             raise InvalidInputError("config needs a reweight/mutate model")
         check_depth(self.p_levels, self.model.n_levels)
-        if not (math.isfinite(self.x0)
-                and self.model.grid.lower <= self.x0 <= self.model.grid.upper):
-            raise InvalidInputError("x0 must sit inside the grid window")
+        check_in_window(self.model.grid, self.x0)
         if self.level_init is not None:
             check_level_init(self.level_init)
         check_alpha(self.alpha)

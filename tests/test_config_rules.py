@@ -9,9 +9,16 @@ import pytest
 
 from mcmccalc.calculus import verify_ftc
 from mcmccalc.cli import load_config, main
+from mcmccalc.derivative import derivative_for_start
 from mcmccalc.errors import ConfigError
 from mcmccalc.feynman_kac import default_ssm_model
-from mcmccalc.kernels import BalancingFunction, HastingsFamily, ProposalKernel
+from mcmccalc.kernels import (
+    BalancingFunction,
+    GibbsFamily,
+    HastingsFamily,
+    ProposalKernel,
+    apply_gibbs,
+)
 from mcmccalc.measures import (
     Grid1D,
     Grid2D,
@@ -34,6 +41,12 @@ def _config(**over):
 
 def _clt(scheme="smcmc", n=2000, replications=100, **over):
     return clt_experiment(scheme, _config(**over), np.cos, n, replications, 1)
+
+
+def _gibbs_kernel():
+    axis = Grid1D(-6.0, 6.0, 33)
+    return GibbsFamily().at(gaussian2d_density(Grid2D(axis, axis), [0.0, 0.0],
+                                               [[1.0, 0.4], [0.4, 1.0]]))
 
 
 def _two_stage(key, cov):
@@ -83,6 +96,16 @@ RULES = {
                                         np.cos(MODEL.grid.nodes), t_nodes=8)),
     "steps-smcmc": ("smcmc-run", {"steps": 0}, "steps",
                     lambda: run_smcmc(FAMILY, MODEL, 2, 0, 1)),
+    "x0-smcmc": ("smcmc-run", {"x0": 50.0}, "x0",
+                 lambda: run_smcmc(FAMILY, MODEL, 2, 100, 1, x0=50.0)),
+    "x0-clt": ("clt-report", {"x0": -8.5}, "x0", lambda: _config(x0=-8.5)),
+    "start-point": ("derivative-check", {"start": {"point": 20.0}}, "start.point",
+                    lambda: derivative_for_start(FAMILY.at(MODEL.flow(1)), 20.0,
+                                                 np.cos(MODEL.grid.nodes))),
+    "start-point-two-stage": ("mvi-check", {"family": {"kind": "two-stage"},
+                                            "start": {"point": [0.5, 20.0]}}, "start.point",
+                              lambda: apply_gibbs(_gibbs_kernel(), (0.5, 20.0),
+                                                  np.zeros((33, 33)))),
 }
 
 
