@@ -178,8 +178,7 @@ def pushforward_density(mu: GridDensity, transport) -> GridDensity:
 
 
 def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
-                         f_values, t_nodes: int = MVI_T_NODES, s_nodes: int = 9,
-                         ratio_ceiling: float = DEFAULT_RATIO_CEILING) -> FtcReport:
+                         f_values, t_nodes: int = MVI_T_NODES, s_nodes: int = 9) -> FtcReport:
     """Transport-map form of the curve identity on 1-D accept/reject families.
 
     With nu the pushforward of mu, the right side integrates the *spatial*
@@ -193,6 +192,7 @@ def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
     derivative blow up there); use a boundary-tapered displacement instead of
     a hard shift.  The derivative density must look continuously
     differentiable on the grid — a jump in its finite differences raises.
+    A density start's warm-start ceiling is ``DEFAULT_RATIO_CEILING``.
     """
     grid = mu.grid
     if grid.ndim != 1 or not isinstance(family, HastingsFamily):
@@ -216,7 +216,7 @@ def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
     node_vals = np.empty(t_nodes)
     for m, t in enumerate(ts):
         kern_t = family.at(curve_at(curve, t))
-        dens = hastings_derivative(kern_t, rho, f, ratio_ceiling).density_part
+        dens = hastings_derivative(kern_t, rho, f).density_part
         slope = np.gradient(dens, grid.nodes)
         jump = np.max(np.abs(np.diff(slope))) / (np.max(np.abs(slope)) + 1e-300)
         if jump > 0.5:
@@ -386,17 +386,17 @@ def hastings_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDens
 
 def mh_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
                      start: Start, weight: WeightFunction,
-                     t_nodes: int = MVI_T_NODES,
-                     ratio_ceiling: float = DEFAULT_RATIO_CEILING) -> MviConstants:
+                     t_nodes: int = MVI_T_NODES) -> MviConstants:
     """Mean-value constants for the min-one family, obtained as the smooth-
     balancing limit: no g' factor in the main budgets, and the singular
-    integral restricted to the sub-level set {z : r(x, z) <= 1}."""
+    integral restricted to the sub-level set {z : r(x, z) <= 1}.  A density
+    start's warm-start ceiling is ``DEFAULT_RATIO_CEILING``."""
     if family.balancing.tag != "min-one":
         raise PreconditionError(
             f"these constants are for the min-one family, got '{family.balancing.tag}'"
         )
     return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes,
-                                        ratio_ceiling, smooth=False)
+                                        DEFAULT_RATIO_CEILING, smooth=False)
 
 
 CONDITIONAL_CEILING = 1e12

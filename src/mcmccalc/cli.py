@@ -416,18 +416,18 @@ def _check_family(spec, problems, kind: str) -> dict:
     return out
 
 
-def _check_weight(spec, problems, path="weight") -> dict:
-    obj = _expect_object(spec, path, problems)
+def _check_weight(spec, problems) -> dict:
+    obj = _expect_object(spec, "weight", problems)
     if obj is None or not obj:
         return {"kind": "one-plus-square"}
-    w_kind = _take_choice(obj, "kind", f"{path}.", problems, "one-plus-square",
+    w_kind = _take_choice(obj, "kind", "weight.", problems, "one-plus-square",
                           ("one-plus-square", "exp-abs"))
     if w_kind == "exp-abs":
-        _reject_unknown(obj, {"kind", "rate"}, f"{path}.", problems)
+        _reject_unknown(obj, {"kind", "rate"}, "weight.", problems)
         return {"kind": "exp-abs",
-                "rate": _take_number(obj, "rate", f"{path}.", problems, 1.0,
+                "rate": _take_number(obj, "rate", "weight.", problems, 1.0,
                                      "exp-gamma-abs gamma")}
-    _reject_unknown(obj, {"kind"}, f"{path}.", problems)
+    _reject_unknown(obj, {"kind"}, "weight.", problems)
     return {"kind": "one-plus-square"}
 
 

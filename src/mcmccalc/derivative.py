@@ -156,20 +156,21 @@ def _family_value(family, target, start, f_values, k):
 
 
 def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: Start,
-                              f_values, k: int = 1, steps=FD_STEPS,
-                              tol: float = 1e-3) -> OracleReport:
+                              f_values, k: int = 1, steps=FD_STEPS) -> OracleReport:
     """Directional derivative of ``pi -> P_pi^k(start, f)`` at ``mu`` toward
     ``nu - mu``, by one-sided differences along the contamination segment with
     two Richardson levels (the three default steps are halved successively).
 
     The report flags ``converged = False`` when the two first-level
-    extrapolations disagree by more than ``tol * max(1, |estimate|)``.
+    extrapolations disagree by more than ``1e-3 * max(1, |estimate|)``.
     """
     if len(steps) != 3 or not all(
         abs(steps[i] / steps[i + 1] - 2.0) < 1e-12 for i in range(2)
     ):
         raise InvalidInputError("oracle steps must halve twice, e.g. (1e-2, 5e-3, 2.5e-3)")
     k = check_count(k, minimum=1)
+    if not isinstance(start, GridDensity):
+        check_in_window(mu.grid, start)
     f_values = np.asarray(f_values, dtype=float)
     curve = ContaminationCurve(mu, nu)
     base = _family_value(family, mu, start, f_values, k)
@@ -180,7 +181,7 @@ def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: S
     r1 = [2.0 * raw[1] - raw[0], 2.0 * raw[2] - raw[1]]
     estimate = (4.0 * r1[1] - r1[0]) / 3.0
     spread = abs(r1[1] - r1[0])
-    converged = spread <= tol * max(1.0, abs(estimate))
+    converged = spread <= 1e-3 * max(1.0, abs(estimate))
     return OracleReport(tuple(steps), raw, r1, float(estimate), float(spread), bool(converged))
 
 
@@ -368,23 +369,23 @@ def derivative_for_start(kernel, start: Start, f_values,
 # iterated derivative (product rule through k steps)
 # ---------------------------------------------------------------------------
 
-def iterated_derivative(kernel, start: Start, f_values, k: int,
-                        ratio_ceiling: float = DEFAULT_RATIO_CEILING) -> IteratedDerivative:
+def iterated_derivative(kernel, start: Start, f_values, k: int) -> IteratedDerivative:
     """Derivative of ``pi -> P_pi^k(start, f)`` at the kernel's own target.
 
     Expands by the product rule into ``k`` one-step terms; term ``j`` uses the
     forward-propagated start ``P^(k-1-j)(start)`` and the backward-propagated
     test function ``P^j f``.  Point starts under the accept/reject family
     propagate as an atom plus a density; both pieces are differentiated and
-    combined linearly.
+    combined linearly.  A density start's ceiling is ``DEFAULT_RATIO_CEILING``.
     """
     k = check_count(k, minimum=1)
+    if not isinstance(start, GridDensity):
+        check_in_window(kernel.grid, start)
     f_seq, starts = _propagated(kernel, start, grid_function(kernel.grid, f_values), k)
     terms = []
     for j in range(k):
         s = starts[k - 1 - j]
-        terms.append(_derivative_of_propagated(kernel, s, f_seq[j], ratio_ceiling,
-                                               check_start=s is start))
+        terms.append(_derivative_of_propagated(kernel, s, f_seq[j], check_start=s is start))
     return IteratedDerivative(terms, k)
 
 
@@ -414,8 +415,7 @@ def _propagate_start(kernel, start):
     return kernel.propagate_point(float(start))
 
 
-def _derivative_of_propagated(kernel, s, f_j, ratio_ceiling,
-                              check_start=False) -> KernelDerivative:
+def _derivative_of_propagated(kernel, s, f_j, check_start=False) -> KernelDerivative:
     if isinstance(s, AtomPlusDensity):
         point = hastings_derivative_at_point(kernel, s.x, f_j)
         dens_values = _hastings_derivative_values(kernel, s.density, f_j)
@@ -424,36 +424,37 @@ def _derivative_of_propagated(kernel, s, f_j, ratio_ceiling,
             s.atom * point.density_part + dens_values,
             singular_part=point.singular_part, scale=s.atom,
         )
-    return derivative_for_start(kernel, s, f_j, ratio_ceiling, check_start)
+    return derivative_for_start(kernel, s, f_j, check_start=check_start)
 
 
 def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
                                     nu: GridDensity, start: Start, f_values,
-                                    k_max: int = 30, tol: float = 1e-3) -> dict:
+                                    k_max: int = 30) -> dict:
     """Check that the k-step derivative action in direction ``nu - mu``
     approaches ``(nu - mu)(f)`` as k grows.
 
     Returns a report with the per-k gaps; ``passed`` requires the final gap
-    below ``tol`` and an overall geometric decay profile.
+    below 1e-3 and an overall geometric decay profile.
     """
+    if not isinstance(start, GridDensity):
+        check_in_window(mu.grid, start)
     kernel = family.at(mu)
     f = grid_function(kernel.grid, f_values)
     chi = nu.values - mu.values
     target = integrate_values(kernel.grid, chi * f)
     f_seq, starts = _propagated(kernel, start, f, k_max)
     # the k-step action sums the one-step terms (P^(k-1-j) start, P^j f)
-    actions = [sum(_derivative_of_propagated(kernel, starts[k - 1 - j], f_seq[j],
-                                             DEFAULT_RATIO_CEILING).action(chi)
+    actions = [sum(_derivative_of_propagated(kernel, starts[k - 1 - j], f_seq[j]).action(chi)
                    for j in range(k))
                for k in range(1, k_max + 1)]
     gaps = [abs(a - target) for a in actions]
 
-    final_ok = gaps[-1] < tol
+    final_ok = gaps[-1] < 1e-3
     # geometric profile: compare the last quarter to the first quarter
     q = max(1, k_max // 4)
     head = max(np.mean(gaps[:q]), 1e-300)
     tail = np.mean(gaps[-q:])
-    decaying = tail < 0.5 * head or gaps[-1] < tol * 1e-2
+    decaying = tail < 0.5 * head or gaps[-1] < 1e-5
     return {
         "target": target,
         "actions": actions,
@@ -476,9 +477,10 @@ def generator_function(kernel, f_values) -> np.ndarray:
     return _hastings_derivative_values(kernel, kernel.target.values, f)
 
 
-def drift_via_derivative(kernel, f_values, set_mask, b: float, tol: float = 1e-9) -> dict:
+def drift_via_derivative(kernel, f_values, set_mask, b: float) -> dict:
     """Check the unit-drift inequality ``-(f - P f)(x) <= -1 + b * 1_C(x)``
-    node by node, with the left side computed through the derivative route.
+    node by node, up to 1e-9, with the left side computed through the
+    derivative route.
 
     Returns pass/fail, the worst margin, and the smallest admissible ``b``.
     """
@@ -491,9 +493,9 @@ def drift_via_derivative(kernel, f_values, set_mask, b: float, tol: float = 1e-9
     worst = float(margin.min())
     inside = np.where(set_mask, 1.0 - drift, -np.inf)
     b_needed = float(max(0.0, inside.max()))
-    outside_ok = bool(np.all(drift[~set_mask] >= 1.0 - tol)) if np.any(~set_mask) else True
+    outside_ok = bool(np.all(drift[~set_mask] >= 1.0 - 1e-9)) if np.any(~set_mask) else True
     return {
-        "passed": bool(worst >= -tol),
+        "passed": bool(worst >= -1e-9),
         "worst_margin": worst,
         "b_needed": b_needed,
         "outside_ok": outside_ok,

@@ -211,8 +211,8 @@ def check_drift(kernels: Sequence, weight: WeightFunction, drift_rate: float,
                             margin=float(margin), n_kernels=len(kernels))
 
 
-def find_drift_parameters(kernel, weight: WeightFunction, rates=DRIFT_RATES):
-    """Scan candidate contraction rates and return the first certificate the
+def find_drift_parameters(kernel, weight: WeightFunction):
+    """Scan the rates ``DRIFT_RATES`` and return the first certificate the
     grid accepts, choosing the smallest workable (b, d) for each rate.
 
     For a fixed rate the tightest allowance is ``b = max(P V - rate * V)``
@@ -222,7 +222,7 @@ def find_drift_parameters(kernel, weight: WeightFunction, rates=DRIFT_RATES):
     """
     v = weight.values_on(kernel.grid)
     pv = kernel.apply_to_function(v)
-    for rate in rates:
+    for rate in DRIFT_RATES:
         excess = pv - rate * v
         b = float(np.max(excess))
         if b <= 0.0:
@@ -249,7 +249,6 @@ class MinorizationReport:
     j: int
     method: str
     kappa_floor: float
-    candidate: str = "target restricted to the level set"
 
     @property
     def passed(self) -> bool:
@@ -374,14 +373,14 @@ class LogConcaveReport:
 
 
 def check_log_concave_tails(densities: Sequence[GridDensity], gamma: float,
-                            z: float, tol: float = 1e-10) -> LogConcaveReport:
+                            z: float) -> LogConcaveReport:
     """Do all the densities decay at exponential rate ``gamma`` beyond ``z``?
 
     The pairwise tail condition (the log of the density drops by at least
     ``gamma`` times the distance, moving outward from ``z`` on either side)
     is equivalent to monotonicity of ``log density + gamma * x`` on the right
     tail and of ``log density - gamma * x`` on the left tail, which is what
-    gets checked — consecutive nodes imply every pair.
+    gets checked — consecutive nodes imply every pair, up to 1e-10.
     """
     densities = list(densities)
     if not densities:
@@ -410,7 +409,7 @@ def check_log_concave_tails(densities: Sequence[GridDensity], gamma: float,
         if np.count_nonzero(left) >= 2:
             drop = -np.diff((logs - gamma * grid.nodes)[left])
             viol = max(viol, float(np.max(drop)))
-        passed[idx] = viol <= tol
+        passed[idx] = viol <= 1e-10
         if viol > worst:
             worst = viol
             worst_index = idx

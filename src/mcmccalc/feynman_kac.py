@@ -423,15 +423,14 @@ class SsmBootstrapModel(FeynmanKacModel):
     ``G_p(y) = exp(-(s_p - y)^2)`` of the recorded observation ``s_p`` and a
     ``Normal(phi(.), 1/2)`` mutation.  The drift map must satisfy
     ``|phi| <= phi_bar`` on the grid; with the default ``phi = tanh`` the
-    bound is ``phi_bar = 1``.  The initial density defaults to the signal's
-    own one-step marginal from the origin, ``Normal(0, 1/2)``.
+    bound is ``phi_bar = 1``.  The initial density is the signal's own
+    one-step marginal from the origin, ``Normal(0, 1/2)``.
     """
 
     def __init__(self, grid: Grid1D,
                  observations: Sequence[float],
                  phi: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 phi_bar: float = 1.0,
-                 eta1: Optional[GridDensity] = None) -> None:
+                 phi_bar: float = 1.0) -> None:
         obs = np.atleast_1d(np.asarray(observations, dtype=float))
         if obs.ndim != 1 or obs.size == 0 or not np.all(np.isfinite(obs)):
             raise InvalidInputError("observations must be a nonempty finite sequence")
@@ -445,8 +444,6 @@ class SsmBootstrapModel(FeynmanKacModel):
                 "drift map exceeds its stated bound on the grid (%.6g > %.6g)"
                 % (worst, phi_bar)
             )
-        if eta1 is None:
-            eta1 = gaussian_density(grid, 0.0, SSM_NOISE_STD)
 
         def make_potential(s: float) -> Callable[[np.ndarray], np.ndarray]:
             def g(y: np.ndarray) -> np.ndarray:
@@ -458,7 +455,7 @@ class SsmBootstrapModel(FeynmanKacModel):
         super().__init__(grid,
                          [make_potential(float(s)) for s in obs],
                          [move] * obs.size,
-                         eta1)
+                         gaussian_density(grid, 0.0, SSM_NOISE_STD))
         self.phi = phi
         self.phi_bar = float(phi_bar)
         self.observations = obs

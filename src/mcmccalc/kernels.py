@@ -109,14 +109,14 @@ class BalancingFunction:
     def __post_init__(self):
         self._validate_identity()
 
-    def _validate_identity(self, n=64, tol=1e-9):
-        t = np.geomspace(1e-6, 1e6, n)
+    def _validate_identity(self):
+        t = np.geomspace(1e-6, 1e6, 64)
         lhs = self.g(t)
         rhs = t * self.g(1.0 / t)
         if not np.all(np.isfinite(lhs)) or np.any(lhs < -1e-15) or np.any(lhs > 1 + 1e-12):
             raise InvalidInputError(f"balancing '{self.tag}' must map into [0, 1]")
         err = np.max(np.abs(lhs - rhs))
-        if err > tol:
+        if err > 1e-9:
             raise InvalidInputError(
                 f"balancing '{self.tag}' violates g(t) = t*g(1/t) by {err:.3g}"
             )
@@ -167,11 +167,11 @@ class BalancingFunction:
         )
 
     @staticmethod
-    def custom(g, g_prime=None, tag="custom", small_value_factor=None) -> "BalancingFunction":
-        if small_value_factor is None:
-            t = np.geomspace(1e-8, 1.0, 512)
-            small_value_factor = float(np.min(np.asarray(g(t), dtype=float) / np.minimum(1.0, t)))
-        return BalancingFunction(g, g_prime, tag, small_value_factor)
+    def custom(g, tag="custom") -> "BalancingFunction":
+        """A rule from ``g`` alone: no derivative, and a measured small-value factor."""
+        t = np.geomspace(1e-8, 1.0, 512)
+        small_value_factor = float(np.min(np.asarray(g(t), dtype=float) / np.minimum(1.0, t)))
+        return BalancingFunction(g, None, tag, small_value_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +289,13 @@ class ProposalKernel:
             self._matrix = (grid, q, qt)
         return self._matrix[1:]
 
-    def validate_rows(self, grid: Grid1D, tol: float = PROPOSAL_ROW_TOL) -> float:
+    def validate_rows(self, grid: Grid1D) -> float:
         """Largest deviation of quadrature row mass from 1 over grid starts."""
         sums = self.matrix(grid) @ grid.trapezoid_weights()
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > tol:
-            raise InvalidInputError(
-                f"proposal '{self.tag}' rows integrate to 1 +/- {worst:.3g} (tol {tol:g})"
-            )
+        if worst > PROPOSAL_ROW_TOL:
+            raise InvalidInputError(f"proposal '{self.tag}' rows integrate to 1 +/- "
+                                    f"{worst:.3g} (tol {PROPOSAL_ROW_TOL:g})")
         return worst
 
     @staticmethod
@@ -670,10 +669,9 @@ def iterate_kernel(kernel: Kernel, f_values, steps: int, max_steps: int = DEFAUL
     return out
 
 
-def iterate_density(kernel: Kernel, rho: GridDensity, steps: int,
-                    max_steps: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """(rho P^steps) node values."""
-    steps = check_count(steps, budget=max_steps)
+def iterate_density(kernel: Kernel, rho: GridDensity, steps: int) -> np.ndarray:
+    """(rho P^steps) node values, for at most ``DEFAULT_MAX_ITER`` steps."""
+    steps = check_count(steps, budget=DEFAULT_MAX_ITER)
     out = np.array(rho.values, dtype=float)
     for _ in range(steps):
         out = kernel.propagate_density(out)
@@ -682,8 +680,10 @@ def iterate_density(kernel: Kernel, rho: GridDensity, steps: int,
 
 def iterate_point(kernel: HastingsKernel, x: float, steps: int) -> AtomPlusDensity:
     """P^steps(delta_x, .) with the surviving atom tracked explicitly."""
+    check_in_window(kernel.grid, x)
+    steps = check_count(steps)
     m = AtomPlusDensity(kernel.grid, float(x), 1.0, np.zeros(kernel.grid.n_points))
-    for _ in range(int(steps)):
+    for _ in range(steps):
         m = kernel.propagate_mixture(m)
     return m
 

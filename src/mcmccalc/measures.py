@@ -220,12 +220,12 @@ class GridDensity:
         self.description = description
 
     @classmethod
-    def from_callable(cls, grid, fn, positive=True, description=""):
+    def from_callable(cls, grid, fn, description=""):
         if grid.ndim == 1:
             vals = fn(grid.nodes)
         else:
             vals = fn(*grid.mesh())
-        return cls(grid, vals, normalize=True, positive=positive, description=description)
+        return cls(grid, vals, normalize=True, positive=True, description=description)
 
     @property
     def mass(self) -> float:
@@ -577,15 +577,15 @@ def gaussian_density(grid: Grid1D, mean: float, std: float, positive=True) -> Gr
                        description=f"gaussian(mean={mean:g},std={std:g})")
 
 
-def gaussian_mixture_density(grid: Grid1D, means, stds, weights, positive=True) -> GridDensity:
+def gaussian_mixture_density(grid: Grid1D, means, stds, weights) -> GridDensity:
     means, stds, weights = check_mixture(means, stds, weights)
     vals = np.zeros(grid.n_points)
     for m, s, w in zip(means, stds, weights / weights.sum()):
         vals += w * np.exp(-0.5 * ((grid.nodes - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-    return GridDensity(grid, vals, positive=positive, description="gaussian-mixture")
+    return GridDensity(grid, vals, positive=True, description="gaussian-mixture")
 
 
-def gaussian2d_density(grid: Grid2D, mean, cov, positive=True) -> GridDensity:
+def gaussian2d_density(grid: Grid2D, mean, cov) -> GridDensity:
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     det = check_covariance(cov)
@@ -595,5 +595,5 @@ def gaussian2d_density(grid: Grid2D, mean, cov, positive=True) -> GridDensity:
     d2 = x2 - mean[1]
     q = inv[0, 0] * d1 * d1 + (inv[0, 1] + inv[1, 0]) * d1 * d2 + inv[1, 1] * d2 * d2
     vals = np.exp(-0.5 * q)
-    return GridDensity(grid, vals, positive=positive,
+    return GridDensity(grid, vals, positive=True,
                        description=f"gaussian2d(mean={mean.tolist()},cov={cov.tolist()})")

@@ -17,6 +17,8 @@ from mcmccalc.derivative import (
     fd_directional_derivative,
     gibbs_derivative_at_point,
     hastings_derivative_at_point,
+    iterated_derivative,
+    iterated_derivative_limit_check,
 )
 from mcmccalc.ergodicity import DriftCertificate, check_v_moment_growth, estimate_geometric_rate
 from mcmccalc.errors import InvalidInputError
@@ -28,6 +30,7 @@ from mcmccalc.kernels import (
     ProposalKernel,
     apply_gibbs,
     apply_hastings,
+    iterate_point,
 )
 from mcmccalc.measures import (
     Grid1D,
@@ -72,6 +75,10 @@ ENTRIES = {
     "check_v_moment_growth": lambda x: check_v_moment_growth(
         [KERNEL], WEIGHT, 1, cert=CERT, x0=x, checkpoints=(5,), n_reps=10),
     "estimate_geometric_rate": lambda x: estimate_geometric_rate(KERNEL, [0.0, x], 8, WEIGHT),
+    "iterated_derivative": lambda x: iterated_derivative(KERNEL, x, F, 3),
+    "iterated_derivative_limit_check": lambda x: iterated_derivative_limit_check(
+        FAMILY, MU, NU, x, F, k_max=4),
+    "iterate_point": lambda x: iterate_point(KERNEL, x, 2),
 }
 
 # entry -> call with a 2-D start (x1, x2)
@@ -80,6 +87,7 @@ ENTRIES_2D = {
     "apply_gibbs": lambda x: apply_gibbs(GIBBS, x, F2),
     "gibbs_derivative_at_point": lambda x: gibbs_derivative_at_point(GIBBS, x, F2),
     "gibbs_mvi_constants": lambda x: gibbs_mvi_constants(GibbsFamily(), MU2, NU2, x, WEIGHT),
+    "iterated_derivative-two-stage": lambda x: iterated_derivative(GIBBS, x, F2, 2),
 }
 
 OUTSIDE = st.one_of(st.floats(8.0, 1e6, exclude_min=True),
