@@ -50,7 +50,7 @@ from .measures import (
     GridDensity,
     SignedGridFunction,
     WeightFunction,
-    check_in_window,
+    check_start,
     curve_at,
     grid_function,
     integrate_values,
@@ -115,6 +115,7 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
     InvalidInputError
         If ``reuse`` was built from other inputs (compared by identity).
     """
+    check_start(mu.grid, start)
     ts, wts = _t_quadrature(t_nodes)
     inputs = (family, mu, nu, start, f_values, ratio_ceiling)
     known = {}
@@ -197,6 +198,7 @@ def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
     grid = mu.grid
     if grid.ndim != 1 or not isinstance(family, HastingsFamily):
         raise InvalidInputError("the transport-map identity is for 1-D accept/reject families")
+    check_start(grid, rho)
     t_vals = np.asarray(transport(grid.nodes), dtype=float)
     cushion = 1e-9 * (grid.upper - grid.lower)
     if t_vals[0] < grid.lower - cushion or t_vals[-1] > grid.upper + cushion:
@@ -336,6 +338,7 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
     """Both accept/reject constants: ``smooth`` keeps the g' factor in the
     main budgets; without it the singular integral is restricted to the
     sub-level set {z : r(x, z) <= 1} instead."""
+    check_start(mu.grid, start)
     ts, wts = _t_quadrature(t_nodes)
     v = weight.values_on(mu.grid)
     if _start_kind(start) == "density":
@@ -352,7 +355,6 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
         return MviConstants(float(wts @ vals), 0.0, weight.description, t_nodes,
                             "density", "none")
     x = float(start)
-    check_in_window(mu.grid, x)
     vx = float(weight(x))
     q_to_x = None
     mains = np.empty(t_nodes)
@@ -414,11 +416,10 @@ def gibbs_mvi_constants(family: GibbsFamily, mu: GridDensity, nu: GridDensity,
     with the slice mass of |mu - nu| at x2 — not with a point gap.  The
     slice budget is t-integrated like its siblings.
     """
+    check_start(mu.grid, start)
     ts, wts = _t_quadrature(t_nodes)
     v2 = weight.values_on(mu.grid)
     kind = _start_kind(start)
-    if kind == "point":
-        check_in_window(mu.grid, start)
     mains = np.empty(t_nodes)
     perps = np.zeros(t_nodes)
     for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
@@ -486,6 +487,10 @@ def perp_gap(constants: MviConstants, mu: GridDensity, nu: GridDensity, start) -
 def mvi_bound(constants: MviConstants, mu: GridDensity, nu: GridDensity, start,
               weight: WeightFunction) -> float:
     """Right-hand side of the mean-value inequality for one (mu, nu, start)."""
+    check_start(mu.grid, start)
+    if constants.start_kind != _start_kind(start):
+        raise InvalidInputError(f"constants for a {constants.start_kind} start cannot bound "
+                                f"a {_start_kind(start)} start")
     v = weight.values_on(mu.grid)
     chi = SignedGridFunction.difference(nu, mu)
     return constants.m_rho * v_norm_measure(chi, v) + constants.m_perp * perp_gap(
@@ -557,11 +562,11 @@ def empirical_mvi_check(family, mu: GridDensity, nu: GridDensity, start,
     pairs it with f in O(N).  A two-stage trial applies both kernels, which
     costs O(N1 N2) already.
     """
+    bound = mvi_bound(constants, mu, nu, start, weight)
     kern_mu = family.at(mu)
     kern_nu = family.at(nu)
     grid = mu.grid
     v = weight.values_on(grid)
-    bound = mvi_bound(constants, mu, nu, start, weight)
     if isinstance(kern_mu, HastingsKernel):
         law = _hastings_start_law(kern_mu, start) - _hastings_start_law(kern_nu, start)
 

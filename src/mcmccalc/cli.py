@@ -158,6 +158,8 @@ from .measures import (
     simpson_weights,
 )
 from .samplers import (
+    DEFAULT_ALPHA,
+    DEFAULT_BATCH_COUNT,
     SchemeConfig,
     check_adaptation_conditions,
     check_alpha,
@@ -580,15 +582,15 @@ def _validate_config(raw, expected_kind: Optional[str], problems: _Problems) -> 
         _rule(problems, "depth", check_scheme_depth, scheme, out["depth"])
         out["replications"] = raw.get("replications", 200)
         _rule(problems, "replications", check_replications, out["replications"])
-        out["batch_count"] = raw.get("batch_count", 40)
+        out["batch_count"] = raw.get("batch_count", DEFAULT_BATCH_COUNT)
         if not _rule(problems, "batch_count", check_batch_count, out["batch_count"]):
-            out["batch_count"] = 40
+            out["batch_count"] = DEFAULT_BATCH_COUNT
         out["steps"] = raw.get("steps", 100000)
         if _rule(problems, "steps", check_run_length, out["steps"], out["batch_count"]):
             _rule(problems, "steps", check_state_storage, out["steps"],
                   lead="steps is too large: ")
         out["x0"] = _window_x0()
-        out["alpha"] = _take_number(raw, "alpha", "", problems, 0.25)
+        out["alpha"] = _take_number(raw, "alpha", "", problems, DEFAULT_ALPHA)
         _rule(problems, "alpha", check_alpha, out["alpha"])
         level_init = out["level_init"] = raw.get("level_init")
         if level_init is None or _rule(problems, "level_init", check_level_init, level_init):

@@ -43,6 +43,8 @@ from .measures import (
     SignedGridFunction,
     check_count,
     check_in_window,
+    check_on_grid,
+    check_start,
     curve_at,
     grid_function,
     integrate_values,
@@ -169,8 +171,7 @@ def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: S
     ):
         raise InvalidInputError("oracle steps must halve twice, e.g. (1e-2, 5e-3, 2.5e-3)")
     k = check_count(k, minimum=1)
-    if not isinstance(start, GridDensity):
-        check_in_window(mu.grid, start)
+    check_start(mu.grid, start)
     f_values = np.asarray(f_values, dtype=float)
     curve = ContaminationCurve(mu, nu)
     base = _family_value(family, mu, start, f_values, k)
@@ -259,8 +260,7 @@ def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values,
     which inherit warmness from the original one.
     """
     _require_differentiable(kernel)
-    if rho.grid != kernel.grid:
-        raise InvalidInputError("start density lives on a different grid")
+    check_on_grid(kernel.grid, rho)
     if check_start:
         _check_warm_start(rho.values / kernel.target.values**2, kernel.grid.nodes,
                           ratio_ceiling)
@@ -314,8 +314,7 @@ def gibbs_derivative(kernel: GibbsKernel, rho: GridDensity, f_values,
     """Derivative of the two-stage map for a warm density start (the start
     enters through its second marginal; that marginal must stay below
     ``ratio_ceiling`` times the target's)."""
-    if rho.grid != kernel.grid:
-        raise InvalidInputError("start density lives on a different grid")
+    check_on_grid(kernel.grid, rho)
     if check_start:
         _check_warm_start((kernel.w1 @ rho.values) / kernel.marginal2,
                           kernel.grid.axis2.nodes, ratio_ceiling, "second-marginal ratio")
@@ -379,8 +378,7 @@ def iterated_derivative(kernel, start: Start, f_values, k: int) -> IteratedDeriv
     combined linearly.  A density start's ceiling is ``DEFAULT_RATIO_CEILING``.
     """
     k = check_count(k, minimum=1)
-    if not isinstance(start, GridDensity):
-        check_in_window(kernel.grid, start)
+    check_start(kernel.grid, start)
     f_seq, starts = _propagated(kernel, start, grid_function(kernel.grid, f_values), k)
     terms = []
     for j in range(k):
@@ -436,12 +434,11 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     Returns a report with the per-k gaps; ``passed`` requires the final gap
     below 1e-3 and an overall geometric decay profile.
     """
-    if not isinstance(start, GridDensity):
-        check_in_window(mu.grid, start)
+    check_start(mu.grid, start)
+    chi = SignedGridFunction.difference(nu, mu)
     kernel = family.at(mu)
     f = grid_function(kernel.grid, f_values)
-    chi = nu.values - mu.values
-    target = integrate_values(kernel.grid, chi * f)
+    target = integrate_values(kernel.grid, chi.values * f)
     f_seq, starts = _propagated(kernel, start, f, k_max)
     # the k-step action sums the one-step terms (P^(k-1-j) start, P^j f)
     actions = [sum(_derivative_of_propagated(kernel, starts[k - 1 - j], f_seq[j]).action(chi)

@@ -46,6 +46,7 @@ from .measures import (
     WeightFunction,
     check_count,
     check_in_window,
+    check_on_grid,
     check_positive,
     integrate_values,
     v_norm_function,
@@ -643,6 +644,7 @@ def check_resolvent_identity(family, mu: GridDensity, nu: GridDensity, f_values,
     the second resolvent added as a constant.  All three resolvents are run
     to the same tolerance so their truncation tails match.
     """
+    check_on_grid(mu.grid, nu)
     kern_mu = family.at(mu)
     kern_nu = family.at(nu)
     f_values = np.asarray(f_values, dtype=float)

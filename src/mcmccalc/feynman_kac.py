@@ -47,6 +47,7 @@ from .measures import (
     Grid1D,
     GridDensity,
     check_count,
+    check_on_grid,
     check_positive,
     gaussian_density,
     grid_function,
@@ -242,8 +243,8 @@ def boltzmann_gibbs(eta: MeasureLike,
     """
     if isinstance(eta, GridDensity):
         _check_flow_grid(eta.grid)
-        if grid is not None and grid is not eta.grid and grid != eta.grid:
-            raise InvalidInputError("grid argument disagrees with the density's grid")
+        if grid is not None:
+            check_on_grid(grid, eta)
         grid = eta.grid
         g_vals = _potential_on_nodes(potential, grid)
         weighted = grid.trapezoid_weights() * eta.values * g_vals
@@ -330,8 +331,9 @@ class FeynmanKacModel:
         for p, m in enumerate(mutations, start=1):
             if not isinstance(m, MutationKernel):
                 raise InvalidInputError("level-%d mutation must be a MutationKernel" % p)
-        if not isinstance(eta1, GridDensity) or eta1.grid != grid:
-            raise InvalidInputError("eta1 must be a GridDensity on the model grid")
+        if not isinstance(eta1, GridDensity):
+            raise InvalidInputError("eta1 must be a GridDensity")
+        check_on_grid(grid, eta1)
         self.grid = grid
         self.potentials = potentials
         self.mutations = mutations

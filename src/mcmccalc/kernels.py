@@ -38,6 +38,7 @@ from .measures import (
     POSITIVE_FLOOR,
     check_count,
     check_in_window,
+    check_on_grid,
     check_positive,
     grid_function,
     integrate_values,
@@ -642,6 +643,7 @@ def apply_hastings(kernel: HastingsKernel, x: float, f_values) -> float:
 
 def apply_hastings_to_density(kernel: HastingsKernel, rho: GridDensity, f_values) -> float:
     """P(rho, f) = integral of P(x, f) under the start density rho."""
+    check_on_grid(kernel.grid, rho)
     f_values = grid_function(kernel.grid, f_values)
     pf = kernel.apply_to_function(f_values)
     return integrate_values(kernel.grid, rho.values * pf)
@@ -654,6 +656,7 @@ def apply_gibbs(kernel: GibbsKernel, x, f_values) -> float:
 
 
 def apply_gibbs_to_density(kernel: GibbsKernel, rho: GridDensity, f_values) -> float:
+    check_on_grid(kernel.grid, rho)
     f_values = grid_function(kernel.grid, f_values)
     rho2 = kernel.w1 @ rho.values
     g = kernel.apply_over_second(f_values)
@@ -671,6 +674,7 @@ def iterate_kernel(kernel: Kernel, f_values, steps: int, max_steps: int = DEFAUL
 
 def iterate_density(kernel: Kernel, rho: GridDensity, steps: int) -> np.ndarray:
     """(rho P^steps) node values, for at most ``DEFAULT_MAX_ITER`` steps."""
+    check_on_grid(kernel.grid, rho)
     steps = check_count(steps, budget=DEFAULT_MAX_ITER)
     out = np.array(rho.values, dtype=float)
     for _ in range(steps):
@@ -721,8 +725,7 @@ def check_invariance(kernel: Kernel, candidate: Optional[GridDensity] = None) ->
     """Total-variation residual of one propagation step applied to a candidate
     invariant density (the kernel target by default)."""
     cand = kernel.target if candidate is None else candidate
-    if cand.grid != kernel.grid:
-        raise InvalidInputError("candidate density lives on a different grid")
+    check_on_grid(kernel.grid, cand)
     out = kernel.propagate_density(cand.values)
     diff = np.abs(out - cand.values)
     return integrate_values(kernel.grid, diff)

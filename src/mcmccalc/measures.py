@@ -16,7 +16,8 @@ and of signed measures, curve evaluation, and CSV/JSON serialization with
 bit-exact round-trips.  It also holds the input rules every module
 shares: :func:`grid_function` for node-value functions, :func:`check_count`
 for integer counts, :func:`check_positive`, :func:`check_window`,
-:func:`check_in_window`, :func:`check_mixture` and :func:`check_covariance`.
+:func:`check_in_window`, :func:`check_on_grid`, :func:`check_start`,
+:func:`check_mixture` and :func:`check_covariance`.
 """
 
 from __future__ import annotations
@@ -256,8 +257,7 @@ class SignedGridFunction:
 
     @classmethod
     def difference(cls, nu: GridDensity, mu: GridDensity) -> "SignedGridFunction":
-        if nu.grid is not mu.grid and nu.grid != mu.grid:
-            raise InvalidInputError("signed difference needs both densities on one grid")
+        check_on_grid(mu.grid, nu)
         return cls(nu.grid, nu.values - mu.values, description="difference")
 
     @property
@@ -339,8 +339,7 @@ class ContaminationCurve:
     nu: GridDensity
 
     def __post_init__(self):
-        if self.mu.grid != self.nu.grid:
-            raise InvalidInputError("curve endpoints must live on one grid")
+        check_on_grid(self.mu.grid, self.nu)
 
     @property
     def grid(self):
@@ -422,6 +421,17 @@ def check_in_window(grid: Grid, x) -> None:
         got = ", ".join(f"{float(c):g}" for c in coords)
         raise InvalidInputError(f"must sit inside the grid window {window}, got "
                                 + (got if grid.ndim == 1 else f"({got})"))
+
+
+def check_on_grid(grid: Grid, density) -> None:
+    """Refuse a density or signed function whose grid is not (equal to) ``grid``."""
+    if density.grid != grid:
+        raise InvalidInputError(f"density lives on {density.grid}, not on {grid}")
+
+
+def check_start(grid: Grid, start) -> None:
+    """Refuse a start off ``grid``: a density on another grid, or a point outside its window."""
+    (check_on_grid if isinstance(start, GridDensity) else check_in_window)(grid, start)
 
 
 def check_covariance(cov) -> float:

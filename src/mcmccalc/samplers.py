@@ -90,6 +90,7 @@ from .measures import (
     WeightFunction,
     check_count,
     check_in_window,
+    check_on_grid,
     grid_function,
     v_norm_function,
 )
@@ -97,6 +98,8 @@ from .measures import (
 DRAW_BLOCK = 1024
 RUN_BLOCK = 32  # proposals judged together in one rejection run (_Lane.run)
 MIN_BATCHES = 20
+DEFAULT_BATCH_COUNT = 40  # batches of the batch-means variance
+DEFAULT_ALPHA = 0.25  # exponent of the V**alpha norm in the CLT report
 MIN_REPLICATIONS = 100
 STATE_STORAGE_CAP = 200_000_000  # stored states (levels * replications * steps)
 _TRACE_POINTS = 48
@@ -658,7 +661,7 @@ def check_run_length(n, batch_count: int) -> int:
 
 
 def batch_means_variance(run: ChainRun, f: Callable[[np.ndarray], np.ndarray],
-                         batch_count: int = 40) -> float:
+                         batch_count: int = DEFAULT_BATCH_COUNT) -> float:
     """Batch-means estimate of the asymptotic variance of the scaled average.
 
     The last ``batch_count * (n // batch_count)`` states are split into equal
@@ -1012,6 +1015,8 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     n = check_count(n, minimum=1)
     p_levels = check_depth(p_levels, model.n_levels)
     check_in_window(model.grid, x0)
+    if freeze_lower is not None:
+        check_on_grid(model.grid, freeze_lower)
     check_state_storage(p_levels * n)
     streams = [_level_streams(seed, p_levels)]
     engine = _imcmc_engine(family, model, p_levels, n, streams, float(x0),
@@ -1085,9 +1090,9 @@ class SchemeConfig:
     p_levels: int = 2
     x0: float = 0.0
     level_init: Optional[str] = None
-    alpha: float = 0.25
+    alpha: float = DEFAULT_ALPHA
     weight: Optional[WeightFunction] = None
-    batch_count: int = 40
+    batch_count: int = DEFAULT_BATCH_COUNT
 
     def __post_init__(self) -> None:
         _resolve_family(self.family)
@@ -1310,8 +1315,8 @@ def check_adaptation_conditions(artifacts, weight: Optional[WeightFunction] = No
                 "density-sequence artifacts must be GridDensity objects"
             )
         grid = densities[0].grid
-        if any(d.grid != grid for d in densities):
-            raise InvalidInputError("all densities must share one grid")
+        for d in densities:
+            check_on_grid(grid, d)
         v_vals = weight.values_on(grid)
         w = grid.trapezoid_weights()
         sup_inc = np.zeros(len(densities))
@@ -1322,6 +1327,8 @@ def check_adaptation_conditions(artifacts, weight: Optional[WeightFunction] = No
             v_inc[k] = float(np.sum(w * v_vals * np.abs(delta)))
         marks = np.arange(1, len(densities) + 1)
         snapshots = np.vstack([d.values for d in densities])
+    if reference is not None:
+        check_on_grid(grid, reference)
 
     sup_stats = _partial_sum_stats(sup_inc, marks)
     v_stats = _partial_sum_stats(v_inc, marks)
