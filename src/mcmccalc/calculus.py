@@ -44,7 +44,7 @@ from .derivative import (
     hastings_derivative,
 )
 from .errors import InvalidInputError, PreconditionError
-from .kernels import GibbsFamily, HastingsFamily, HastingsKernel
+from .kernels import GibbsFamily, HastingsFamily, HastingsKernel, _BLOCK_ROWS, _row_blocks
 from .measures import (
     ContaminationCurve,
     GridDensity,
@@ -279,33 +279,45 @@ def _curve_kernels(family, mu, nu, ts):
 def _hastings_density_budget(kern: HastingsKernel, rho_values, v, use_g_prime: bool) -> float:
     """Two-term per-z-sup budget for one curve point (density start).
 
-    Both terms are built in one buffer from C-ordered operands, each with its
-    factors in the order of its formula.  The first is built transposed, rows
-    indexed by z, so that it reads q's transpose and g' in memory order;
-    V(y) + V(z) is the same sum at [y, z] and [z, y].
+    Both terms are built a row block at a time (the kernel's ratio blocks)
+    from C-ordered operands, each with its factors in the order of its
+    formula, so no N x N array is formed.  The first is built transposed,
+    rows indexed by z, so that it reads q's transpose and g' in memory order
+    and takes its sup along each row; V(y) + V(z) is the same sum at [y, z]
+    and [z, y].  The second, rows indexed by y, keeps a running max of its
+    blocks' column maxima.
     """
     qt = kern.q_matrix_t
     mu_t = kern.target.values
     w = kern.grid.trapezoid_weights()
-    gp = None  # without g' the factor is 1, and leaving it out is exact
-    if use_g_prime:
-        r = kern.ratio_matrix()
-        gp = np.abs(kern.balancing.g_prime(r), out=r)  # [y, z] = |g'(r(y, z))|
-    buf = np.empty_like(qt)
-    total = 0.0
-    for factors, v_y, axis in (
-        # [z, y]: (V(y)+V(z)) * rho(z)/mu_t(z) * q(y,z) * |g'(r(z,y))| / V(y)
-        (((rho_values / mu_t)[:, None], qt, gp), v[None, :], 1),
-        # [y, z]: (V(y)+V(z)) * mu_t(z) * q(z,y) * |g'(r(y,z))| * rho(y)/mu_t(y)^2 / V(y)
-        ((mu_t[None, :], qt, gp, (rho_values / mu_t**2)[:, None]), v[:, None], 0),
-    ):
-        np.add(v[:, None], v[None, :], out=buf)
-        for factor in factors:
-            if factor is not None:
-                np.multiply(buf, factor, out=buf)
-        np.divide(buf, v_y, out=buf)
-        total += w @ np.max(buf, axis=axis)
-    return float(total)
+    n = qt.shape[0]
+    rho_mu, rho_mu2 = rho_values / mu_t, rho_values / mu_t**2
+    if use_g_prime:  # [y, z] = |g'(r(y, z))|
+        blocks = ((rows, np.abs(kern.balancing.g_prime(r), out=r))
+                  for rows, r in kern._ratio_blocks(mu_t))
+    else:  # without g' the factor is 1, and leaving it out is exact
+        blocks = ((rows, None) for rows in _row_blocks(n))
+    buf = np.empty((min(_BLOCK_ROWS, n), n))
+    first = np.empty(n)
+    second = np.full(n, -np.inf)
+    for rows, gp in blocks:
+        block = buf[:rows.stop - rows.start]
+        for factors, v_y, axis in (
+            # [z, y]: (V(y)+V(z)) * rho(z)/mu_t(z) * q(y,z) * |g'(r(z,y))| / V(y)
+            ((rho_mu[rows, None], qt[rows], gp), v[None, :], 1),
+            # [y, z]: (V(y)+V(z)) * mu_t(z) * q(z,y) * |g'(r(y,z))| * rho(y)/mu_t(y)^2 / V(y)
+            ((mu_t[None, :], qt[rows], gp, rho_mu2[rows, None]), v[rows, None], 0),
+        ):
+            np.add(v[rows, None], v[None, :], out=block)
+            for factor in factors:
+                if factor is not None:
+                    np.multiply(block, factor, out=block)
+            np.divide(block, v_y, out=block)
+            if axis:
+                np.max(block, axis=1, out=first[rows])
+            else:
+                np.maximum(second, np.max(block, axis=0), out=second)
+    return float(w @ first + w @ second)
 
 
 def _hastings_point_budget(kern: HastingsKernel, x: float, v, vx: float,

@@ -106,7 +106,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -615,7 +615,7 @@ class ExperimentConfig:
     digest: str
 
 
-def load_config(path: Optional[str], kind: Optional[str] = None,
+def load_config(path: Optional[Union[str, os.PathLike]], kind: Optional[str] = None,
                 overrides: Optional[dict] = None) -> ExperimentConfig:
     """Read, validate and normalize a config file.
 
@@ -645,7 +645,7 @@ def load_config(path: Optional[str], kind: Optional[str] = None,
         raise ConfigError(problems.items)
     digest = hashlib.sha256(blob).hexdigest()
     return ExperimentConfig(kind=settings["kind"], settings=settings,
-                            source=path, digest=digest)
+                            source=None if path is None else os.fspath(path), digest=digest)
 
 
 # --------------------------------------------------------------------------

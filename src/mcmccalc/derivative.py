@@ -89,8 +89,11 @@ class KernelDerivative:
 
     def action(self, chi) -> float:
         grid = self.at.grid
-        chi_values = (chi.values if isinstance(chi, SignedGridFunction)
-                      else grid_function(grid, chi, "direction"))
+        if isinstance(chi, SignedGridFunction):
+            check_on_grid(grid, chi)
+            chi_values = chi.values
+        else:
+            chi_values = grid_function(grid, chi, "direction")
         total = integrate_values(grid, chi_values * self.density_part)
         if self.singular_part is not None:
             chi_x = float(np.interp(float(self.start), grid.nodes, chi_values))
@@ -229,13 +232,15 @@ def _hastings_derivative_values(kernel: HastingsKernel, rho_values: np.ndarray,
     grid = kernel.grid
     w = grid.trapezoid_weights()
     mu = kernel.target.values
-    r = kernel.ratio_matrix()
     f = np.asarray(f_values, dtype=float)
 
     # m2[i, j] = q(z_j, y_i) g'(r(y_i, z_j)), and m1 = m2.T holds the same
     # products; m1 is copied C-ordered, which keeps its matrix-vector products
     # (and their rounding) on the row-major BLAS path
-    m2 = np.multiply(kernel.q_matrix_t, kernel.balancing.g_prime(r), out=r)
+    qt, g_prime = kernel.q_matrix_t, kernel.balancing.g_prime
+    m2 = np.empty(qt.shape)
+    for rows, r in kernel._ratio_blocks(mu):
+        np.multiply(qt[rows], g_prime(r), out=m2[rows])
     m1 = np.ascontiguousarray(m2.T)  # [i, j] = g'(r(z_j, y_i)) q(y_i, z_j)
     s = w * (rho_values / mu)
     a = m1 @ s
@@ -508,6 +513,8 @@ def interchange_margin(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
     t-free envelope.  The report compares the envelope mass with the actual
     integrand mass at t in {0, 1/2, 1}.
     """
+    for density in (nu, rho):
+        check_on_grid(mu.grid, density)
     kernel0 = family.at(mu)
     f = np.abs(grid_function(kernel0.grid, f_values))
     grid = kernel0.grid

@@ -48,6 +48,9 @@ from .measures import (
 NEG_REJECTION_TOL = 1e-9
 PROPOSAL_ROW_TOL = 1e-6
 DEFAULT_MAX_ITER = 100_000
+# Rows per block of the dense N x N passes: at N = 1025 each operand block is
+# 262 KB, so a block's ratio, g or g' and product stay in a 2 MB L2 cache.
+_BLOCK_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +103,10 @@ class BalancingFunction:
     rule); derivative-based operations must then refuse to run.
     ``small_value_factor`` is the constant ``inf_{t<=1} g(t)/min(1,t)`` used
     when converting min-one minorization bounds to this rule.
+
+    ``g`` and ``g_prime`` must act elementwise, ``custom`` rules included:
+    the dense kernel passes apply them to the target ratio one row block at
+    a time, so an entry must not depend on the other entries of its array.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -394,6 +401,12 @@ class AtomPlusDensity:
 # accept/reject kernel
 # ---------------------------------------------------------------------------
 
+def _row_blocks(n: int):
+    """Slices over the rows of an n x n matrix, ``_BLOCK_ROWS`` at a time."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS, n))
+
+
 class HastingsKernel:
     """Accept/reject kernel for a grid target.
 
@@ -443,18 +456,35 @@ class HastingsKernel:
         target values, used when sweeping along contamination curves), as a
         fresh C-ordered array the caller may overwrite."""
         mu = self.target.values if target_values is None else np.asarray(target_values)
-        den = mu[:, None] * self.q_matrix
-        num = mu[None, :] * self.q_matrix_t
-        never = ~(den > 0.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(num, den, out=den)
-        np.copyto(den, 1.0, where=never)
-        return den
+        out = np.empty(self.q_matrix.shape)
+        for rows, r in self._ratio_blocks(mu):
+            out[rows] = r
+        return out
+
+    def _ratio_blocks(self, mu: np.ndarray):
+        """Yield ``(rows, r)`` over consecutive blocks of ``_BLOCK_ROWS`` rows,
+        ``r`` holding r(node_i, node_j) for the target values ``mu`` and i in
+        ``rows``, in one buffer that the next block overwrites.  A pass that
+        follows on the block finds it in cache; every entry is elementwise,
+        so the bits do not depend on the blocking."""
+        q, qt = self.q_matrix, self.q_matrix_t
+        n = q.shape[0]
+        buf = np.empty((min(_BLOCK_ROWS, n), n))
+        for rows in _row_blocks(n):
+            den = np.multiply(mu[rows, None], q[rows], out=buf[:rows.stop - rows.start])
+            num = mu[None, :] * qt[rows]
+            never = ~(den > 0.0)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                np.divide(num, den, out=den)
+            np.copyto(den, 1.0, where=never)
+            yield rows, den
 
     def _parts(self):
         if self._accept is None:
-            r = self.ratio_matrix()
-            a = np.multiply(self.q_matrix, self.balancing.g(r), out=r)
+            q, g = self.q_matrix, self.balancing.g
+            a = np.empty(q.shape)
+            for rows, r in self._ratio_blocks(self.target.values):
+                np.multiply(q[rows], g(r), out=a[rows])
             row = a @ self.grid.trapezoid_weights()
             rej = 1.0 - row
             worst = float(rej.min())

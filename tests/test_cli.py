@@ -549,3 +549,11 @@ def test_mvi_check_does_not_depend_on_the_blas_thread_count(tmp_path):
         laws.append(_run_at_threads(threads, ["-c", _START_LAW_DIGEST]))
     assert reports[0] == reports[1]
     assert laws[0] == laws[1]
+
+
+def test_a_path_config_runs_to_a_manifest(tmp_path):
+    path = Path(write_config(tmp_path, {"kind": "mvi-check"}))
+    cfg = load_config(path)
+    assert cfg.source == str(path)
+    assert run_experiment(cfg, out_dir=str(tmp_path / "out")) == 0
+    assert read_manifest(tmp_path / "out")["config_source"] == str(path)

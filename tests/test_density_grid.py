@@ -28,6 +28,7 @@ from mcmccalc.derivative import (
     hastings_derivative,
     iterated_derivative,
     iterated_derivative_limit_check,
+    interchange_margin,
 )
 from mcmccalc.ergodicity import check_resolvent_identity
 from mcmccalc.errors import InvalidInputError
@@ -249,3 +250,31 @@ def test_constants_only_bound_the_kind_of_start_they_were_built_for(mismatch):
         mvi_bound(constants, MU, NU, start, WEIGHT)
     with pytest.raises(InvalidInputError, match=message):
         empirical_mvi_check(FAMILY, MU, NU, start, WEIGHT, constants, n_trials=3)
+
+
+def test_a_derivative_refuses_a_direction_from_another_grid():
+    deriv = hastings_derivative(KERNEL, start_on(GRID), F)
+    with pytest.raises(InvalidInputError) as refused:
+        deriv.action(SignedGridFunction.difference(direction_on(OTHER), start_on(OTHER)))
+    assert str(refused.value) == MESSAGE
+    twin = SignedGridFunction.difference(direction_on(TWIN), MU)
+    same = SignedGridFunction.difference(NU, MU)
+    assert deriv.action(twin) == deriv.action(same)
+
+
+@pytest.mark.parametrize("which", ["nu", "rho"])
+def test_the_interchange_margin_refuses_a_density_from_another_grid(which, monkeypatch):
+    densities = {"nu": NU, "rho": start_on(GRID)}
+    other = dict(densities, **{which: (direction_on if which == "nu" else start_on)(OTHER)})
+    built = []
+    matrix = ProposalKernel.matrix
+    monkeypatch.setattr(ProposalKernel, "matrix",
+                        lambda self, grid: built.append(grid) or matrix(self, grid))
+    with pytest.raises(InvalidInputError) as refused:
+        interchange_margin(FAMILY, MU, other["nu"], other["rho"], F)
+    assert str(refused.value) == MESSAGE
+    assert built == []  # refused before the envelope reads q
+    monkeypatch.undo()
+    twin = dict(densities, **{which: (direction_on if which == "nu" else start_on)(TWIN)})
+    assert (interchange_margin(FAMILY, MU, twin["nu"], twin["rho"], F)
+            == interchange_margin(FAMILY, MU, NU, start_on(GRID), F))
