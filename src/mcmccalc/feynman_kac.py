@@ -116,26 +116,32 @@ class MutationKernel:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if xs.ndim != 1:
             raise InvalidInputError("mutation rows expect a flat array of start points")
-        first = np.empty(xs.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(xs[1:], xs[:-1], out=first[1:])
-        pts = xs if first.all() else xs[first]
+        pts = xs
+        if xs.size > 1:
+            first = np.empty(xs.size, dtype=bool)
+            first[0] = True
+            np.not_equal(xs[1:], xs[:-1], out=first[1:])
+            if not first.all():
+                pts = xs[first]
         raw = np.asarray(self.density(pts[:, None], grid.nodes[None, :]), dtype=float)
         if raw.shape != (pts.size, grid.n_points):
             raise InvalidInputError(
                 "mutation density returned shape %r, expected %r"
                 % (raw.shape, (pts.size, grid.n_points))
             )
+        _check_finite_nonnegative(raw, "mutation density")
         if pts is not xs:
             raw = raw[np.cumsum(first) - 1]
-        _check_finite_nonnegative(raw, "mutation density")
         mass = raw @ grid.trapezoid_weights()
         if (mass <= 0.0).any():
             bad = float(xs[int(np.argmin(mass))])
             raise InvalidInputError(
                 "mutation row from x=%g carries no mass on the grid" % bad
             )
-        return raw / mass[:, None]
+        if pts is xs:  # raw may be the density's own array: leave it as it is
+            return raw / mass[:, None]
+        raw /= mass[:, None]  # the expanded copy is this call's own
+        return raw
 
 
 def gaussian_mutation(mean_map: Callable[[np.ndarray], np.ndarray],

@@ -335,7 +335,9 @@ class ProposalKernel:
         def propose(x, draws):
             z = x + sigma * draws
             folded = (z < lo) | (z > hi)
-            if folded.any():
+            # most calls stay inside the window: count_nonzero tests the mask
+            # in one C call, and the reflection is built only on a fold
+            if np.count_nonzero(folded):
                 z = np.where(folded, reflect_into(lo, hi, z), z)
             return z, folded
 

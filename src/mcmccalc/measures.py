@@ -60,7 +60,7 @@ class Grid1D:
     Attributes
     ----------
     nodes : ndarray
-        The node coordinates (read-only view).
+        The node coordinates (read-only).
     h : float
         Node spacing ``(upper - lower) / (n_points - 1)``.
     """
@@ -69,6 +69,7 @@ class Grid1D:
     upper: float
     n_points: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_window(self.lower, self.upper)
@@ -78,6 +79,11 @@ class Grid1D:
         nodes = np.linspace(self.lower, self.upper, self.n_points)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
+        w = np.full(self.n_points, self.h)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        w.flags.writeable = False
+        object.__setattr__(self, "_weights", w)
 
     @property
     def h(self) -> float:
@@ -88,11 +94,9 @@ class Grid1D:
         return 1
 
     def trapezoid_weights(self) -> np.ndarray:
-        """Quadrature weights of the composite trapezoid rule on the nodes."""
-        w = np.full(self.n_points, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        """Quadrature weights of the composite trapezoid rule on the nodes
+        (read-only: built once per grid, and every caller shares them)."""
+        return self._weights
 
     def shape(self):
         return (self.n_points,)

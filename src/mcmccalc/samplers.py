@@ -288,6 +288,10 @@ class _Lane:
     entry is False still sits where it was before that step.  The proposal
     must carry its vectorised pair (``ProposalKernel.draw`` and
     ``propose``).
+
+    The round arithmetic (:meth:`_proposals`) runs under its caller's
+    ``np.errstate(over="ignore")``: :meth:`step` enters it once per step and
+    :meth:`_advance` once per run, not once per round.
     """
 
     def __init__(self, grid: Grid1D, proposal: ProposalKernel, balancing,
@@ -369,10 +373,11 @@ class _Lane:
         """``mu(y) q(y, x) / (mu(x) q(x, y))``, and 1 where the denominator
         vanishes.  A symmetric proposal's ``q`` cancels, and ``mu_x`` is at
         least ``POSITIVE_FLOOR``, so its ratio is ``mu_y / mu_x``; that may
-        overflow to inf, which the packaged balancing functions map to 1."""
+        overflow to inf, which the packaged balancing functions map to 1.
+        The overflow stays silent under the caller's
+        ``np.errstate(over="ignore")`` (see :class:`_Lane`)."""
         if self.proposal.symmetric:
-            with np.errstate(over="ignore"):
-                return mu_y / mu_x
+            return mu_y / mu_x
         q_xy, q_yx = self.proposal.q_pair(x, y)
         num = mu_y * q_yx
         den = mu_x * q_xy
@@ -387,8 +392,9 @@ class _Lane:
         u = self._accept_u[:, self._cursor]
         self._cursor += 1
 
-        y, folded, _, mu_y, accept = self._proposals(self.x, self.mu_x,
-                                                     self.target, d, u)
+        with np.errstate(over="ignore"):
+            y, folded, _, mu_y, accept = self._proposals(self.x, self.mu_x,
+                                                         self.target, d, u)
         self.accepted = accept
         self.x = np.where(accept, y, self.x)
         self.mu_x = np.where(accept, np.maximum(mu_y, POSITIVE_FLOOR), self.mu_x)
@@ -431,19 +437,20 @@ class _Lane:
         self.mu_x = (np.empty_like(self.x) if self.mu_x is None
                      else self.mu_x.copy())
         done = 0
-        while done < n:
-            if self._cursor == DRAW_BLOCK:
-                self._refill()
-            m = min(n - done, DRAW_BLOCK - self._cursor)
-            last = np.empty(len(self.rngs), dtype=bool)
-            for r in range(len(self.rngs)):
-                last[r] = self._run_chain(
-                    r, out[r, done:done + m],
-                    None if moved is None else moved[r, done:done + m],
-                    None if rows is None else rows[done:done + m, r])
-            self.accepted = last
-            self._cursor += m
-            done += m
+        with np.errstate(over="ignore"):
+            while done < n:
+                if self._cursor == DRAW_BLOCK:
+                    self._refill()
+                m = min(n - done, DRAW_BLOCK - self._cursor)
+                last = np.empty(len(self.rngs), dtype=bool)
+                for r in range(len(self.rngs)):
+                    last[r] = self._run_chain(
+                        r, out[r, done:done + m],
+                        None if moved is None else moved[r, done:done + m],
+                        None if rows is None else rows[done:done + m, r])
+                self.accepted = last
+                self._cursor += m
+                done += m
 
     def _run_chain(self, r: int, out: np.ndarray, moved: Optional[np.ndarray],
                    rows: Optional[np.ndarray]) -> bool:
@@ -455,38 +462,46 @@ class _Lane:
         A rejected chain stays where it is, so from state ``x`` the next
         proposals are judged together as if every one were rejected, and the
         first accepted one ends the run of rejections.  A round takes at
-        most ``RUN_BLOCK`` proposals.
+        most ``RUN_BLOCK`` proposals.  Rounds run under the caller's
+        ``np.errstate(over="ignore")`` (:meth:`_advance` enters it), and
+        write the chain's state and target value through views; the accept
+        and fold counts are added to the lane's once, at the end.
         """
+        x = self.x[r:r + 1]
+        mu_x = self.mu_x[r:r + 1]
+        state = x[0]
         if rows is None:
             table = self.target if self.target.ndim == 1 else self.target[r:r + 1]
+            mu_in = mu_x
+        else:  # proposal i is judged against step i's row, as refresh does
+            mu_in = None
         draws = self._draws[r, self._cursor:]
         uniforms = self._accept_u[r, self._cursor:]
+        accepts = folds = 0
+        n = len(out)
         done = 0
-        while done < len(out):
-            k = min(len(out) - done, RUN_BLOCK)
-            x = self.x[r:r + 1]
-            if rows is None:
-                mu_x = self.mu_x[r:r + 1]
-            else:  # proposal i is judged against step i's row, as refresh does
+        while done < n:
+            k = min(n - done, RUN_BLOCK)
+            if rows is not None:
                 table = rows[done:done + k]
-                mu_x = None
-            y, folded, mu_x, mu_y, accept = self._proposals(
-                x, mu_x, table, draws[done:done + k], uniforms[done:done + k])
+            y, folded, mu_now, mu_y, accept = self._proposals(
+                x, mu_in, table, draws[done:done + k], uniforms[done:done + k])
             j = int(accept.argmax())
             hit = bool(accept[j])
             used = j + 1 if hit else k
-            out[done:done + used] = x[0]
+            out[done:done + used] = state
             if hit:
-                out[done + j] = y[j]
-                self.x[r] = y[j]
-                self.mu_x[r:r + 1] = np.maximum(mu_y[j:j + 1], POSITIVE_FLOOR)
-                self.accept_count[r] += 1
+                state = out[done + j] = x[0] = y[j]
+                mu_x[0] = max(mu_y[j], POSITIVE_FLOOR)
+                accepts += 1
             else:
-                self.mu_x[r] = mu_x[-1]
+                mu_x[0] = mu_now[-1]
             if moved is not None:
                 moved[done:done + used] = accept[:used]
-            self.fold_count[r] += np.count_nonzero(folded[:used])
+            folds += np.count_nonzero(folded[:used])
             done += used
+        self.accept_count[r] += accepts
+        self.fold_count[r] += folds
         return hit
 
 
@@ -836,13 +851,15 @@ class AdaptationTrace:
 def _checkpoint_indices(n: int) -> np.ndarray:
     if n <= 1:
         return np.array([n], dtype=int) if n else np.array([], dtype=int)
-    return np.unique(np.geomspace(1, n, min(_TRACE_POINTS, n)).astype(int))
+    # the marks rise, so dropping adjacent repeats is np.unique (which would
+    # import numpy.ma on first use)
+    marks = np.geomspace(1, n, min(_TRACE_POINTS, n)).astype(int)
+    return marks[np.concatenate(([True], marks[1:] != marks[:-1]))]
 
 
 class _TraceRecorder:
     """Fills ``trace``, the adaptation trace of replication 0's top-level
-    target, from the table rows of consecutive steps, one or a block at a
-    time."""
+    target, from the table rows of consecutive steps, a block at a time."""
 
     def __init__(self, grid: Grid1D, n: int, weight: WeightFunction):
         marks = _checkpoint_indices(n)
@@ -897,7 +914,8 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     each step's table, computing rows only on steps where a chain moved),
     and :meth:`_Lane.run_moving` advances level ``j`` against those tables.
     Otherwise (the replicated CLT engine) the levels step in lockstep, and
-    the mixture takes one step at a time.  In a stored depth-2 run,
+    the mixture takes one step at a time; the trace still records
+    ``RUN_BLOCK`` steps at a time.  In a stored depth-2 run,
     ``freeze_lower`` replaces the running mixture with the fixed transform
     of a density, and level 2 runs with :meth:`_Lane.run`.
     """
@@ -956,6 +974,9 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                 if freeze_lower is not None:
                     center_sums += float(np.sum(weights * frozen_table * f_nodes))
     else:
+        # replication 0's top-level rows, recorded a block at a time as above
+        trace_rows = (np.empty((min(RUN_BLOCK, n), grid.n_points))
+                      if tracer is not None and mixtures else None)
         for k in range(n):
             x_prev = lanes[0].step()
             moved = lanes[0].accepted
@@ -970,8 +991,11 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             if f is not None:
                 f_sums += f(x_prev)
                 center_sums += mixtures[-1].center_num / mixtures[-1].center_den
-            if tracer is not None and mixtures:
-                tracer.record(mixtures[-1].table[:1], k)
+            if trace_rows is not None:
+                i = k % RUN_BLOCK
+                trace_rows[i] = mixtures[-1].table[0]
+                if i == RUN_BLOCK - 1 or k == n - 1:
+                    tracer.record(trace_rows[:i + 1], k - i)
 
     result: Dict[str, object] = {
         "states": states,

@@ -378,6 +378,19 @@ def reflected_walk_sample(x, rng, sigma, lower, upper):
     return float(lower + width - np.abs(d - width)), True
 
 
+def reflected_walk_propose(x, draws, sigma, lower, upper):
+    """The random-walk pair's ``propose`` as first vectorised: the fold mask
+    of the steps that leave [lower, upper], then the reflection wherever it
+    is set.  Returns (proposals, fold mask)."""
+    z = x + sigma * draws
+    folded = (z < lower) | (z > upper)
+    if folded.any():
+        width = upper - lower
+        d = np.mod(z - lower, 2.0 * width)
+        z = np.where(folded, lower + width - np.abs(d - width), z)
+    return z, folded
+
+
 def inverse_cdf_sample(nodes, h, values, rng):
     """One scalar independence proposal as the sampler was first written: a
     uniform through the inverse CDF of the piecewise-linear density with

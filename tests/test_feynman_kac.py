@@ -134,6 +134,22 @@ def test_mutation_rows_evaluate_each_run_of_repeats_once(grid, model):
     assert evaluated == [50]
 
 
+@pytest.mark.parametrize("xs", [[0.4], [-1.0, 0.4, 2.0], [0.4, 0.4, 0.4, 2.0]],
+                         ids=["one point", "distinct", "repeats"])
+def test_mutation_rows_leave_the_density_array_untouched(grid, xs):
+    returned = []
+
+    def density(x, y):
+        out = np.exp(-0.5 * (y - x) ** 2)
+        returned.append((out, out.copy()))
+        return out
+
+    rows = MutationKernel(density).rows(grid, np.array(xs))
+    assert rows.shape == (len(xs), grid.n_points)
+    [(out, before)] = returned
+    assert rows is not out and out.tobytes() == before.tobytes()
+
+
 def test_mutation_rejects_bad_densities(grid):
     with pytest.raises(InvalidInputError):
         MutationKernel(lambda x, y: y - x).rows(grid, np.array([0.0]))  # negatives

@@ -199,6 +199,23 @@ def test_scalar_sampler_equals_its_oracle_and_the_vectorised_pair(
     assert [s[1] for s in scalar] == [e[1] for e in expected] == folded.tolist()
 
 
+@pytest.mark.parametrize("x0, sigma, draws, folds", [
+    (0.3, 0.5, np.linspace(-3.0, 3.0, 32), 0),
+    (8.0, 2.6, np.linspace(0.1, 9.0, 32), 32),    # every step leaves at the top
+    (-7.9, 2.6, np.linspace(-3.0, 3.0, 32), 16),  # half leave at the bottom
+    (0.0, 2.6, np.linspace(-4.0, 4.0, 31), 8),    # some leave at each wall
+    (0.3, 1.0, np.empty(0), 0),
+], ids=["none", "all", "bottom", "both", "empty"])
+def test_random_walk_propose_equals_mask_then_reflect(grid, x0, sigma, draws, folds):
+    prop = ProposalKernel.random_walk(sigma, grid)
+    y, folded = prop.propose(np.array([x0]), draws)
+    ref, ref_folded = oracles.reflected_walk_propose(np.array([x0]), draws, sigma,
+                                                     grid.lower, grid.upper)
+    assert np.count_nonzero(ref_folded) == folds
+    assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
+    assert folded.dtype == ref_folded.dtype and folded.tobytes() == ref_folded.tobytes()
+
+
 # ---------------------------------------------------------------- hastings
 
 def test_hastings_ratio_gaussian_value(rw_barker):

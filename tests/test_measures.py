@@ -44,6 +44,17 @@ def test_trapezoid_weights_integrate_linear_exactly():
     assert np.sum(w * (2.0 * g.nodes + 1.0)) == pytest.approx(12.0, abs=1e-12)
 
 
+def test_trapezoid_weights_are_shared_and_read_only():
+    g = Grid1D(0.0, 3.0, 7)
+    w = g.trapezoid_weights()
+    assert w is g.trapezoid_weights()
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert w.tobytes() == np.array([0.25, 0.5, 0.5, 0.5, 0.5, 0.5, 0.25]).tobytes()
+
+
 def test_density_mass_and_validation():
     g = Grid1D(-8.0, 8.0, 1025)
     mu = gaussian_density(g, 0.0, 1.0)

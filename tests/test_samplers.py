@@ -7,6 +7,8 @@ are checked exactly.
 """
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import numpy.random as npr
@@ -409,6 +411,19 @@ def test_lane_moving_run_against_massless_rows(grid):
     assert lane.accept_count[0] == 0 and lane.mu_x[0] == POSITIVE_FLOOR
 
 
+def test_lane_moving_run_matches_stepping_with_folds(grid):
+    # the widest step from the lower wall, against bumps that swing near it
+    sigma = (grid.upper - grid.lower) / 6.0
+    proposal = ProposalKernel.random_walk(sigma, grid)
+    centres = grid.lower + 1.5 + np.sin(np.arange(1500) / 40.0)[:, None, None]
+    rows = np.exp(-0.5 * (grid.nodes - centres) ** 2)
+    lane = _assert_moving_run_matches_stepping(
+        lambda: _moving_lane(grid, proposal, BalancingFunction.barker(),
+                             [grid.lower], [5]),
+        [rows])
+    assert lane.fold_count[0] > 0 and lane.accept_count[0] > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.05, 2.6),
        x0=st.floats(-8.0, 8.0), n=st.integers(1, 1100),
@@ -649,6 +664,31 @@ def test_imcmc_trace_statistics_trend_down(family, model):
     assert report.d1_sup_stats[-1] < np.max(report.d1_sup_stats) / 3.0
     assert report.scan_all_finite
     assert report.c1_gaps[-1] == 0.0  # reference defaults to the last snapshot
+
+
+def test_checkpoints_are_the_unique_geometric_marks():
+    for n in range(1, 5001):
+        marks = np.geomspace(1, n, min(samplers._TRACE_POINTS, n)).astype(int)
+        assert _same(samplers._checkpoint_indices(n), np.unique(marks)), n
+
+
+def test_imcmc_run_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, which costs every run 10 ms
+    script = (
+        "import sys\n"
+        "from mcmccalc.feynman_kac import default_ssm_model\n"
+        "from mcmccalc.kernels import BalancingFunction, HastingsFamily, ProposalKernel\n"
+        "from mcmccalc.measures import WeightFunction\n"
+        "from mcmccalc.samplers import run_imcmc\n"
+        "model = default_ssm_model()\n"
+        "family = HastingsFamily(ProposalKernel.random_walk(1.0, model.grid),\n"
+        "                        BalancingFunction.barker())\n"
+        "run_imcmc(family, model, 2, 200, 3,\n"
+        "          trace_weight=WeightFunction.one_plus_square())\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_imcmc_validation(family, model):
