@@ -50,6 +50,7 @@ from .measures import (
     GridDensity,
     SignedGridFunction,
     WeightFunction,
+    check_count,
     check_start,
     curve_at,
     grid_function,
@@ -65,8 +66,7 @@ MVI_T_NODES = 17
 
 
 def _t_quadrature(t_nodes: int):
-    if t_nodes < 5:
-        raise InvalidInputError(f"t-quadrature needs at least 5 nodes, got {t_nodes}")
+    check_count(t_nodes, "t-quadrature node count", minimum=5)
     return np.linspace(0.0, 1.0, t_nodes), simpson_weights(t_nodes)
 
 
@@ -116,6 +116,7 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
         If ``reuse`` was built from other inputs (compared by identity).
     """
     check_start(mu.grid, start)
+    f_ref = grid_function(mu.grid, f_values)
     ts, wts = _t_quadrature(t_nodes)
     inputs = (family, mu, nu, start, f_values, ratio_ceiling)
     known = {}
@@ -130,7 +131,6 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
         known = dict(zip(reuse.ts.tolist(), reuse.node_actions.tolist()))
     curve = ContaminationCurve(mu, nu)
     chi = mu.values - nu.values   # direction matching the lhs orientation
-    f_ref = np.asarray(f_values, dtype=float)
 
     actions = np.empty(t_nodes)
     for m, t in enumerate(ts):
@@ -199,7 +199,8 @@ def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
     if grid.ndim != 1 or not isinstance(family, HastingsFamily):
         raise InvalidInputError("the transport-map identity is for 1-D accept/reject families")
     check_start(grid, rho)
-    t_vals = np.asarray(transport(grid.nodes), dtype=float)
+    f = grid_function(grid, f_values)
+    t_vals = grid_function(grid, transport, "transport map")
     cushion = 1e-9 * (grid.upper - grid.lower)
     if t_vals[0] < grid.lower - cushion or t_vals[-1] > grid.upper + cushion:
         raise PreconditionError(
@@ -211,7 +212,6 @@ def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
     ts, wts = _t_quadrature(t_nodes)
     s_grid, s_wts = _t_quadrature(s_nodes)
     curve = ContaminationCurve(mu, nu)
-    f = np.asarray(f_values, dtype=float)
 
     displacement = t_vals - grid.nodes
     w = grid.trapezoid_weights()
@@ -574,6 +574,7 @@ def empirical_mvi_check(family, mu: GridDensity, nu: GridDensity, start,
     pairs it with f in O(N).  A two-stage trial applies both kernels, which
     costs O(N1 N2) already.
     """
+    n_trials = check_count(n_trials, "trial count", minimum=1)
     bound = mvi_bound(constants, mu, nu, start, weight)
     kern_mu = family.at(mu)
     kern_nu = family.at(nu)

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from . import measures
 from .errors import InvalidInputError, PreconditionError
 from .kernels import (
     AtomPlusDensity,
@@ -44,7 +45,6 @@ from .measures import (
     check_count,
     check_in_window,
     check_on_grid,
-    check_start,
     curve_at,
     grid_function,
     integrate_values,
@@ -174,8 +174,8 @@ def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: S
     ):
         raise InvalidInputError("oracle steps must halve twice, e.g. (1e-2, 5e-3, 2.5e-3)")
     k = check_count(k, minimum=1)
-    check_start(mu.grid, start)
-    f_values = np.asarray(f_values, dtype=float)
+    measures.check_start(mu.grid, start)
+    f_values = grid_function(mu.grid, f_values)
     curve = ContaminationCurve(mu, nu)
     base = _family_value(family, mu, start, f_values, k)
     raw = [
@@ -192,7 +192,7 @@ def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: S
 def spike_density(grid, x: float, halfwidth_cells: int = 4) -> GridDensity:
     """Normalized triangular bump centered at ``x`` — a point-mass stand-in
     for oracle runs (shrink ``halfwidth_cells`` for a width study)."""
-    hw = halfwidth_cells * grid.h
+    hw = check_count(halfwidth_cells, "spike half-width in cells", minimum=1) * grid.h
     vals = np.maximum(0.0, 1.0 - np.abs(grid.nodes - x) / hw)
     return GridDensity(grid, vals, description=f"spike(x={x:g})")
 
@@ -226,13 +226,12 @@ def _check_warm_start(ratio: np.ndarray, nodes: np.ndarray, ceiling: float,
 
 
 def _hastings_derivative_values(kernel: HastingsKernel, rho_values: np.ndarray,
-                                f_values: np.ndarray) -> np.ndarray:
+                                f: np.ndarray) -> np.ndarray:
     """Density part of the accept/reject derivative for an a.c. start with
     node values ``rho_values`` (any nonnegative mass; the formula is linear)."""
     grid = kernel.grid
     w = grid.trapezoid_weights()
     mu = kernel.target.values
-    f = np.asarray(f_values, dtype=float)
 
     # m2[i, j] = q(z_j, y_i) g'(r(y_i, z_j)), and m1 = m2.T holds the same
     # products; m1 is copied C-ordered, which keeps its matrix-vector products
@@ -301,8 +300,7 @@ def hastings_derivative_at_point(kernel: HastingsKernel, x: float, f_values) -> 
 # ---------------------------------------------------------------------------
 
 def _gibbs_derivative_values(kernel: GibbsKernel, rho_values: np.ndarray,
-                             f_values: np.ndarray) -> np.ndarray:
-    f = np.asarray(f_values, dtype=float)
+                             f: np.ndarray) -> np.ndarray:
     rho2 = kernel.w1 @ rho_values
     mf = kernel.conditional_mean_first(f)           # over first-coordinate nodes
     pf2 = kernel.apply_over_second(f)               # over second-coordinate nodes
@@ -383,7 +381,7 @@ def iterated_derivative(kernel, start: Start, f_values, k: int) -> IteratedDeriv
     combined linearly.  A density start's ceiling is ``DEFAULT_RATIO_CEILING``.
     """
     k = check_count(k, minimum=1)
-    check_start(kernel.grid, start)
+    measures.check_start(kernel.grid, start)
     f_seq, starts = _propagated(kernel, start, grid_function(kernel.grid, f_values), k)
     terms = []
     for j in range(k):
@@ -439,7 +437,8 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     Returns a report with the per-k gaps; ``passed`` requires the final gap
     below 1e-3 and an overall geometric decay profile.
     """
-    check_start(mu.grid, start)
+    k_max = check_count(k_max, "k_max", minimum=1)
+    measures.check_start(mu.grid, start)
     chi = SignedGridFunction.difference(nu, mu)
     kernel = family.at(mu)
     f = grid_function(kernel.grid, f_values)

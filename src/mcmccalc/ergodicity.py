@@ -48,6 +48,7 @@ from .measures import (
     check_in_window,
     check_on_grid,
     check_positive,
+    grid_function,
     integrate_values,
     v_norm_function,
 )
@@ -85,7 +86,7 @@ def check_drift_pair(drift_rate: float, b: float, d: float) -> None:
 
 
 def _check_order(j: int) -> None:
-    if j not in (1, 2):
+    if check_count(j, "small-set order", minimum=1) > 2:
         raise InvalidInputError(f"small-set order must be 1 or 2, got {j}")
 
 
@@ -459,14 +460,14 @@ def estimate_geometric_rate(kernel, x0s: Sequence[float], k_max: int,
     the fitted envelope dominates every sampled point, not just the
     regression line.
     """
-    if kernel.grid.ndim != 1 or not hasattr(kernel, "propagate_mixture"):
+    if not hasattr(kernel, "propagate_mixture"):
         raise InvalidInputError("rate estimation walks atom-tracking point laws of 1-D kernels")
     x0s = [float(x) for x in x0s]
     if not x0s:
         raise InvalidInputError("need at least one start")
     for x0 in x0s:
         check_in_window(kernel.grid, x0)
-    if k_max < K_BURN + 2:
+    if check_count(k_max, "k_max") < K_BURN + 2:
         raise InvalidInputError(f"k_max = {k_max} leaves nothing to fit past k_burn = {K_BURN}")
     resid = check_invariance(kernel)
     if resid > RATE_INVARIANCE_TOL:
@@ -555,8 +556,10 @@ def poisson_resolvent(kernel, f_values, tol: float = 1e-8,
     report is supplied (with ``weight`` naming its V), and the empirical
     decay ratio of the final increments otherwise.
     """
-    f_values = np.asarray(f_values, dtype=float)
     grid = kernel.grid
+    f_values = grid_function(grid, f_values)
+    check_positive(tol, "resolvent tolerance")
+    check_count(k_cap, "k_cap", minimum=1)
     w = grid.trapezoid_weights()
     mu_vals = kernel.target.values
     mean = float(np.sum(w * mu_vals * f_values))
@@ -645,9 +648,10 @@ def check_resolvent_identity(family, mu: GridDensity, nu: GridDensity, f_values,
     to the same tolerance so their truncation tails match.
     """
     check_on_grid(mu.grid, nu)
+    f_values = grid_function(mu.grid, f_values)
+    check_positive(tol, "resolvent tolerance")
     kern_mu = family.at(mu)
     kern_nu = family.at(nu)
-    f_values = np.asarray(f_values, dtype=float)
     r_nu = poisson_resolvent(kern_nu, f_values, tol=tol)
     r_mu = poisson_resolvent(kern_mu, f_values, tol=tol)
     bridge = kern_nu.apply_to_function(r_nu.values) - kern_mu.apply_to_function(r_nu.values)
@@ -688,6 +692,10 @@ def check_v_moment_growth(kernels: Sequence, weight: WeightFunction, j_power: in
     chain_leg = cert is not None and kernels and kernels[0].grid.ndim == 1
     if chain_leg:
         check_in_window(kernels[0].grid, x0)
+        n_reps = check_count(n_reps, "n_reps", minimum=2)
+        targets = sorted({check_count(c, "checkpoint", minimum=1) for c in checkpoints})
+        if not targets:
+            raise InvalidInputError("the chain leg needs at least one checkpoint")
     moments = []
     jensen_worst = -np.inf
     propagated_worst = -np.inf
@@ -719,8 +727,7 @@ def check_v_moment_growth(kernels: Sequence, weight: WeightFunction, j_power: in
     if chain_leg:
         kern = kernels[0]
         v0 = float(weight(x0))
-        horizon = max(checkpoints)
-        targets = sorted(set(int(c) for c in checkpoints))
+        horizon = max(targets)
         samples = {c: np.empty(n_reps) for c in targets}
         for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_reps)):
             rng = np.random.default_rng(child)

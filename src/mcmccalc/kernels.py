@@ -164,9 +164,7 @@ class BalancingFunction:
     def polynomial(j: int) -> "BalancingFunction":
         """g_j(t) = (t + ... + t^j) / (1 + ... + t^j); approaches min-one as
         j grows, stays differentiable with |g_j'| <= 1."""
-        if int(j) != j or j < 1:
-            raise InvalidInputError(f"polynomial balancing order must be an integer >= 1, got {j}")
-        j = int(j)
+        j = check_count(j, "polynomial balancing order", minimum=1)
         return BalancingFunction(
             lambda t: _poly_g(t, j),
             lambda t: _poly_g_prime(t, j),

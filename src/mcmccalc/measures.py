@@ -73,9 +73,7 @@ class Grid1D:
 
     def __post_init__(self):
         check_window(self.lower, self.upper)
-        if int(self.n_points) != self.n_points or self.n_points < 3:
-            raise InvalidInputError(f"n_points must be an integer >= 3, got {self.n_points}")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", check_count(self.n_points, "n_points", minimum=3))
         nodes = np.linspace(self.lower, self.upper, self.n_points)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -511,7 +509,7 @@ def v_norm_measure(chi: SignedGridFunction, weight_values) -> float:
 def simpson_weights(n_nodes: int) -> np.ndarray:
     """Composite Simpson weights for ``n_nodes`` equispaced nodes (odd, >= 3)
     on the unit interval."""
-    if n_nodes < 3 or n_nodes % 2 == 0:
+    if check_count(n_nodes, "Simpson node count", minimum=3) % 2 == 0:
         raise InvalidInputError(f"Simpson rule needs an odd node count >= 3, got {n_nodes}")
     h = 1.0 / (n_nodes - 1)
     w = np.ones(n_nodes)

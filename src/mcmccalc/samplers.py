@@ -176,8 +176,7 @@ class ChainRun:
             raise InvalidInputError(
                 "acceptance rate %g outside [0, 1]" % self.acceptance_rate
             )
-        if self.truncation_events < 0:
-            raise InvalidInputError("truncation count cannot be negative")
+        check_count(self.truncation_events, "truncation count")
 
     @property
     def n_steps(self) -> int:
@@ -227,8 +226,7 @@ class CltReport:
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidInputError("%s must be finite and >= 0, got %g"
                                         % (name, value))
-        if self.replications < 1:
-            raise InvalidInputError("replication count missing")
+        check_count(self.replications, "replication count", minimum=1)
 
     def describe(self) -> str:
         sk, ku, ks = self.normality_stats
@@ -637,7 +635,7 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
     n = check_count(n)
     check_state_storage(n)
     gibbs = isinstance(kernel, GibbsKernel)
-    if not (gibbs or isinstance(kernel, HastingsKernel) and kernel.grid.ndim == 1):
+    if not (gibbs or isinstance(kernel, HastingsKernel)):
         raise InvalidInputError(
             "run_limiting_chain drives 1-D accept/reject or two-stage kernels"
         )
@@ -766,7 +764,6 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             "accepts": lane.accept_count.copy(),
             "folds": lane.fold_count.copy(),
             "f_sums": f_sums,
-            "target_text": target_text,
             "descriptor": _level_descriptor(family, level, target_text),
         })
 
@@ -1096,13 +1093,10 @@ def v_alpha_norm(f_values: np.ndarray, weight_values: np.ndarray,
                  alpha: float) -> float:
     """sup |f| / V**alpha; the exponent must lie strictly inside (0, 1/2)."""
     check_alpha(alpha)
-    f_vals = np.asarray(f_values, dtype=float)
     v_vals = np.asarray(weight_values, dtype=float)
-    if f_vals.shape != v_vals.shape:
-        raise InvalidInputError("function and weight values must align")
     if np.any(v_vals < 1.0 - 1e-12):
         raise InvalidInputError("weight values must be >= 1")
-    return v_norm_function(f_vals, v_vals ** alpha)
+    return v_norm_function(f_values, v_vals ** alpha)
 
 
 @dataclass

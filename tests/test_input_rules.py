@@ -1,16 +1,34 @@
 """The input rules every public entry shares: one grid-function check, one
-warm-start ceiling and one count check."""
+warm-start ceiling, one count check and one positive-tolerance check."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from mcmccalc.calculus import hastings_mvi_constants, pushforward_density
+from mcmccalc.calculus import (
+    empirical_mvi_check,
+    hastings_mvi_constants,
+    pushforward_density,
+    verify_ftc,
+    verify_ftc_intrinsic,
+)
 from mcmccalc.derivative import (
     derivative_for_start,
+    fd_directional_derivative,
     generator_function,
     iterated_derivative,
+    iterated_derivative_limit_check,
+    spike_density,
+)
+from mcmccalc.ergodicity import (
+    DriftCertificate,
+    check_minorization,
+    check_resolvent_identity,
+    check_v_moment_growth,
+    estimate_geometric_rate,
+    poisson_resolvent,
 )
 from mcmccalc.errors import InvalidInputError, PreconditionError, ResourceLimitError
 from mcmccalc.feynman_kac import (
@@ -41,9 +59,10 @@ from mcmccalc.measures import (
     gaussian_density,
     grid_function,
     integrate,
+    simpson_weights,
     v_norm_function,
 )
-from mcmccalc.samplers import SchemeConfig, clt_experiment, run_limiting_chain
+from mcmccalc.samplers import SchemeConfig, clt_experiment, run_limiting_chain, v_alpha_norm
 
 GRID = Grid1D(-6.0, 6.0, 65)
 GRID2 = Grid2D(Grid1D(-5.0, 5.0, 21), Grid1D(-5.0, 5.0, 21))
@@ -60,6 +79,9 @@ X1, X2 = GRID2.mesh()
 F2 = np.cos(0.6 * X1) * np.tanh(X2)
 FK_GRID = Grid1D(-8.0, 8.0, 65)
 FK_F = np.cos(FK_GRID.nodes)
+V_SQ = WeightFunction.one_plus_square()
+CERT = DriftCertificate(V_SQ, 0.5, 1.0, 5.0, 1, 0.5)
+SMALL_SET = np.abs(GRID.nodes) <= 1.0
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +116,14 @@ ENTRIES = {
         "smcmc", fk[1], lambda x: f if x is FK_GRID.nodes else np.cos(x), 100, 100, 1)),
     "integrate": (F, lambda f, fk: integrate(f, RHO)),
     "v_norm_function": (F, lambda f, fk: v_norm_function(f, np.ones(GRID.n_points))),
+    "v_alpha_norm": (F, lambda f, fk: v_alpha_norm(f, np.ones(GRID.n_points), 0.25)),
+    "verify_ftc": (F, lambda f, fk: verify_ftc(FAMILY, MU, NU, 0.3, f, t_nodes=5)),
+    "verify_ftc_intrinsic": (F, lambda f, fk: verify_ftc_intrinsic(
+        FAMILY, MU, np.copy, RHO, f, t_nodes=5, s_nodes=5)),
+    "fd_directional_derivative": (F, lambda f, fk: fd_directional_derivative(
+        FAMILY, MU, NU, 0.3, f)),
+    "poisson_resolvent": (F, lambda f, fk: poisson_resolvent(KERN, f)),
+    "check_resolvent_identity": (F, lambda f, fk: check_resolvent_identity(FAMILY, MU, NU, f)),
     "pushforward_density": (GRID.nodes, lambda f, fk: pushforward_density(MU, lambda x: f)),
 }
 
@@ -158,13 +188,29 @@ def test_warm_start_refusals_name_the_node():
     derivative_for_start(GIBBS, wide, F2, ratio_ceiling=ratio2.max())
 
 
+@pytest.fixture(scope="module")
+def constants():
+    return hastings_mvi_constants(FAMILY, MU, NU, 0.3, V_SQ, t_nodes=5)
+
+
 @pytest.mark.parametrize("bad", [3.0, True, -1, "3", None])
-def test_counts_take_integers_only(bad):
+def test_counts_take_integers_only(bad, constants):
     calls = [
         lambda: iterate_kernel(KERN, F, bad),
         lambda: iterate_density(KERN, RHO, bad),
         lambda: iterated_derivative(KERN, RHO, F, bad),
         lambda: run_limiting_chain(KERN, 0.0, bad, 1),
+        lambda: empirical_mvi_check(FAMILY, MU, NU, 0.3, V_SQ, constants, n_trials=bad),
+        lambda: iterated_derivative_limit_check(FAMILY, MU, NU, RHO, F, k_max=bad),
+        lambda: poisson_resolvent(KERN, F, k_cap=bad),
+        lambda: check_v_moment_growth([KERN], V_SQ, 1, CERT, n_reps=bad),
+        lambda: check_v_moment_growth([KERN], V_SQ, 1, CERT, checkpoints=(5, bad)),
+        lambda: spike_density(GRID, 0.0, bad),
+        lambda: estimate_geometric_rate(KERN, [0.0], bad, V_SQ),
+        lambda: Grid1D(-1.0, 1.0, bad),
+        lambda: BalancingFunction.polynomial(bad),
+        lambda: simpson_weights(bad),
+        lambda: check_minorization([KERN], SMALL_SET, j=bad),
     ]
     for call in calls:
         with pytest.raises(InvalidInputError, match="integer"):
@@ -180,3 +226,52 @@ def test_count_check_minimum_and_budget():
         check_count(4, budget=3)
     with pytest.raises(ResourceLimitError, match="exceeds budget 10"):
         iterate_kernel(KERN, F, 11, max_steps=10)
+
+
+def test_counts_and_tolerances_below_their_minimum_are_refused(constants):
+    refusals = [
+        ("trial count must be an integer >= 1, got 0", lambda: empirical_mvi_check(
+            FAMILY, MU, NU, 0.3, V_SQ, constants, n_trials=0)),
+        ("k_max must be an integer >= 1, got 0", lambda: iterated_derivative_limit_check(
+            FAMILY, MU, NU, RHO, F, k_max=0)),
+        ("k_cap must be an integer >= 1, got 0", lambda: poisson_resolvent(KERN, F, k_cap=0)),
+        ("n_reps must be an integer >= 2, got 1", lambda: check_v_moment_growth(
+            [KERN], V_SQ, 1, CERT, n_reps=1)),
+        ("checkpoint must be an integer >= 1, got 0", lambda: check_v_moment_growth(
+            [KERN], V_SQ, 1, CERT, checkpoints=(0, 5))),
+        ("needs at least one checkpoint", lambda: check_v_moment_growth(
+            [KERN], V_SQ, 1, CERT, checkpoints=())),
+        ("spike half-width in cells must be an integer >= 1, got 0",
+         lambda: spike_density(GRID, 0.0, 0)),
+    ]
+    for tol in (0.0, math.nan):
+        message = f"resolvent tolerance must be positive and finite, got {tol:g}"
+        refusals += [(message, lambda tol=tol: poisson_resolvent(KERN, F, tol=tol)),
+                     (message, lambda tol=tol: check_resolvent_identity(
+                         FAMILY, MU, NU, F, tol=tol))]
+    for message, call in refusals:
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            call()
+    # the smallest admissible counts go through
+    assert empirical_mvi_check(FAMILY, MU, NU, 0.3, V_SQ, constants, n_trials=1)["n_trials"] == 1
+    assert len(iterated_derivative_limit_check(FAMILY, MU, NU, RHO, F, k_max=1)["gaps"]) == 1
+    assert check_v_moment_growth([KERN], V_SQ, 1, CERT, checkpoints=(1,),
+                                 n_reps=2)["chain_checks"][0]["n"] == 1
+    assert spike_density(GRID, 0.0, 1).values[GRID.n_points // 2] > 0.0
+
+
+# the five test-function entries -> what their result reports
+REPORTED = {
+    "verify_ftc": lambda rep: (rep.lhs, rep.rhs),
+    "verify_ftc_intrinsic": lambda rep: (rep.lhs, rep.rhs),
+    "fd_directional_derivative": lambda rep: rep.estimate,
+    "poisson_resolvent": lambda table: table.values.tolist(),
+    "check_resolvent_identity": lambda rep: rep["residual"],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REPORTED))
+def test_test_function_entries_take_a_callable(entry, fk):
+    _, call = ENTRIES[entry]
+    reported = REPORTED[entry]
+    assert reported(call(lambda x: np.cos(0.8 * x), fk)) == reported(call(F, fk))
