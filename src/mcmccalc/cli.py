@@ -81,19 +81,22 @@ the chain-level invariance check; pointing it at the wrong density is the
 supported negative control and fails the run with exit code 1.
 
 Environment: MCMCCALC_OUT_DIR supplies the default output directory and
-MCMCCALC_THREADS caps the numeric thread pools.  Nothing else is read.
+MCMCCALC_THREADS caps the numeric thread pools and the worker processes of
+clt-report.  Nothing else is read.
 """
 
 from __future__ import annotations
 
 import os
 
+from .workers import thread_cap
+
 # Thread caps must reach the BLAS layer before numpy loads it; honoured when
 # this module is the process entry point, harmless otherwise.
-_THREADS = os.environ.get("MCMCCALC_THREADS", "")
-if _THREADS.isdigit() and int(_THREADS) > 0:
+_THREADS = thread_cap()
+if _THREADS is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _THREADS)
+        os.environ.setdefault(_var, str(_THREADS))
 
 import argparse
 import csv

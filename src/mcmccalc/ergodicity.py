@@ -266,14 +266,6 @@ def _restricted_candidate(kern, mask: np.ndarray) -> np.ndarray:
     return vals / mass
 
 
-def _hastings_transition_density(kern: HastingsKernel, node_index: int,
-                                 j: int) -> np.ndarray:
-    if j == 1:
-        return kern.accept_matrix[node_index, :]
-    m = iterate_point(kern, float(kern.grid.nodes[node_index]), j)
-    return m.density
-
-
 def _gibbs_transition_density(kern: GibbsKernel, col_index: int, j: int) -> np.ndarray:
     # One sweep from any x with second coordinate on column ``col_index``:
     # draw the first coordinate from its conditional given x2, then the
@@ -323,10 +315,17 @@ def check_minorization(kernels: Sequence, mask: np.ndarray, j: int = 1,
             raise InvalidInputError(f"unknown minorization method '{method}'")
         inside = candidate[mask]
         worst = np.inf
-        if grid.ndim == 1:
+        if grid.ndim == 1 and j == 1:
+            # column minima over the start nodes, then the ratio: dividing by
+            # a positive number is monotone and min is exact, so this is the
+            # minimum of the per-row ratios bit for bit
+            a = kern.accept_matrix
+            lowest = np.min(a, axis=0, where=mask[:, None], initial=np.inf)[mask]
+            worst = float(np.min(lowest / inside))
+        elif grid.ndim == 1:
             start_nodes = np.flatnonzero(mask)
             for i in start_nodes:
-                dens = _hastings_transition_density(kern, int(i), j)
+                dens = iterate_point(kern, float(grid.nodes[i]), j).density
                 worst = min(worst, float(np.min(dens[mask] / inside)))
         else:
             cols = np.flatnonzero(np.any(mask, axis=0))

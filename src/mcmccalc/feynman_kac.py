@@ -154,8 +154,14 @@ def gaussian_mutation(mean_map: Callable[[np.ndarray], np.ndarray],
     norm = 1.0 / (std * math.sqrt(2.0 * math.pi))
 
     def density(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        z = (y - mean_map(x)) / std
-        return norm * np.exp(-0.5 * z * z)
+        # norm * exp(-0.5 * z * z), z = (y - mean_map(x)) / std, in two buffers
+        z = np.asarray(np.subtract(y, mean_map(x)))
+        np.divide(z, std, out=z)
+        out = np.multiply(-0.5, z, out=np.empty_like(z))
+        np.multiply(out, z, out=out)
+        np.exp(out, out=out)
+        np.multiply(norm, out, out=out)
+        return out if out.ndim else out[()]
 
     return MutationKernel(density=density, tag=tag)
 

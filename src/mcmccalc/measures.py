@@ -400,7 +400,10 @@ def grid_function(grid, f, what: str = "test function") -> np.ndarray:
 
 
 def check_positive(value: float, what: str) -> None:
-    """Refuse ``value`` unless it is positive and finite."""
+    """Refuse ``value`` unless it is a real number (not a bool), positive
+    and finite."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be a positive finite number, got {value!r}")
     if not 0.0 < value < math.inf:
         raise InvalidInputError(f"{what} must be positive and finite, got {value:g}")
 

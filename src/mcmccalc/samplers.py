@@ -76,6 +76,7 @@ from .feynman_kac import (
 )
 from .ergodicity import asymptotic_variance, poisson_resolvent
 from .calculus import uniform_boundedness_scan
+from .workers import run_forked, worker_count
 from .kernels import (
     GibbsKernel,
     HastingsFamily,
@@ -590,16 +591,38 @@ class _MixtureAccumulator:
 
     def _recompute(self, x: np.ndarray, idx) -> None:
         """Recompute the cached weighted rows (and potentials and moments)
-        of the chains ``idx`` at their states in ``x``."""
+        of the chains ``idx`` (a sorted index array, or every chain) at their
+        states in ``x``.
+
+        The rows come from one :meth:`MutationKernel.rows` call per block of
+        ``MIN_REPLICATIONS`` chains: a normalising product rounds with the
+        rows that share its call, so a chain's row then depends on its own
+        block only, whichever process runs the block.
+        """
         self._fresh = False
         xs = x[idx]
-        if xs.size:
-            rows = self._mutation.rows(self._model.grid, xs)
-            g_at = self._model.potential_at(self._level, xs)
+        if not xs.size:
+            return
+        g_at = self._model.potential_at(self._level, xs)
+        if self._wf is not None:
+            self._g[idx] = g_at
+        reps = len(self.table)
+        if reps <= MIN_REPLICATIONS:
+            # one block: the split below gives the same call, but its index
+            # arithmetic and indexed writes add 15-20 us a call, 6% of the
+            # one-chain runs' time (BENCH_18.json, "single_block_branch")
+            blocks = [(xs, g_at, idx)]
+        else:
+            chains = np.arange(reps)[idx]
+            cuts = np.searchsorted(chains, range(MIN_REPLICATIONS, reps, MIN_REPLICATIONS))
+            edges = [0, *cuts.tolist(), chains.size]
+            blocks = [(xs[a:b], g_at[a:b], chains[a:b])
+                      for a, b in zip(edges, edges[1:]) if b > a]
+        for points, g, chains in blocks:
+            rows = self._mutation.rows(self._model.grid, points)
             if self._wf is not None:
-                self._g[idx] = g_at
-                self._g_moment[idx] = g_at * (rows @ self._wf)
-            self._weighted_rows[idx] = np.multiply(g_at[:, None], rows, out=rows)
+                self._g_moment[chains] = g * (rows @ self._wf)
+            self._weighted_rows[chains] = np.multiply(g[:, None], rows, out=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1173,6 +1196,12 @@ def clt_experiment(scheme: str, config: SchemeConfig,
     cross-check on a fresh limiting run) for random centering, plus the
     variance-recursion approximation term — doubled for the interacting
     scheme — for deterministic centering.
+
+    The replications run in contiguous shards of whole blocks of
+    ``MIN_REPLICATIONS``: the first shard in this process, the others in
+    forked worker processes (as many as :func:`~mcmccalc.workers.worker_count`
+    allows).  Each block's chains and rows do not depend on the other
+    blocks, so the report does not depend on the number of workers.
     """
     check_scheme(scheme)
     if not isinstance(config, SchemeConfig):
@@ -1195,28 +1224,8 @@ def clt_experiment(scheme: str, config: SchemeConfig,
     streams, spare = _replication_streams(seed, reps, p)
     weights = grid.trapezoid_weights()
 
-    trace_obj = None
-    if scheme == "smcmc":
-        init = config.level_init or "previous-final"
-        engine = _smcmc_engine(config.family, model, p, n, streams,
-                               config.x0, init, collect_states=False, f=f)
-        f_sums = engine["levels"][-1]["f_sums"]
-        table = engine["final_table"]
-        centers = (table @ (weights * f_nodes)) / (table @ weights)
-        averages = f_sums / n
-        stat_random = math.sqrt(n) * (averages - centers)
-    else:
-        engine = _imcmc_engine(config.family, model, p, n, streams, config.x0,
-                               f=f, f_nodes=f_nodes,
-                               trace_weight=config.weight)
-        averages = engine["f_sums"] / n
-        stat_random = (engine["f_sums"] - engine["center_sums"]) / math.sqrt(n)
-        trace_obj = engine["trace"]
-
-    det_center = model.flow(p).expect(f_nodes)
-    stat_det = math.sqrt(n) * (averages - det_center)
-
-    # predictions
+    # predictions, before the replications: their dense temporaries then
+    # peak over a smaller heap
     rec = smcmc_variance_recursion(model, p, f_nodes,
                                    _sigma_functionals(config.family, model, p))
     sigma2 = rec["terms"][p - 1]
@@ -1228,6 +1237,46 @@ def clt_experiment(scheme: str, config: SchemeConfig,
     limiting_kernel = config.family.at(model.flow(p), validate=False)
     limiting = run_limiting_chain(limiting_kernel, config.x0, n, spare)
     sigma2_bm = batch_means_variance(limiting, f, config.batch_count)
+
+    def shard(lo: int, hi: int) -> Dict[str, object]:
+        """What the report reads of replications ``lo..hi-1``: the ``f``
+        sums, and the realised top-level means (smcmc: one pair of products
+        per block of final table rows) or their running sums (imcmc)."""
+        if scheme == "smcmc":
+            engine = _smcmc_engine(config.family, model, p, n, streams[lo:hi], config.x0,
+                                   config.level_init or "previous-final",
+                                   collect_states=False, f=f)
+            table = engine["final_table"]
+            centers = [(rows @ (weights * f_nodes)) / (rows @ weights)
+                       for rows in np.split(table, range(MIN_REPLICATIONS, hi - lo,
+                                                         MIN_REPLICATIONS))]
+            return {"f_sums": engine["levels"][-1]["f_sums"],
+                    "centers": np.concatenate(centers)}
+        engine = _imcmc_engine(config.family, model, p, n, streams[lo:hi], config.x0,
+                               f=f, f_nodes=f_nodes,
+                               trace_weight=config.weight if lo == 0 else None)
+        out = {"f_sums": engine["f_sums"], "center_sums": engine["center_sums"]}
+        if lo == 0:
+            out["trace"] = engine["trace"]
+        return out
+
+    # contiguous shards of whole replication blocks (see _MixtureAccumulator),
+    # fixed by R and the worker count, concatenated in replication order
+    blocks = range(0, reps, MIN_REPLICATIONS)
+    workers = worker_count(len(blocks))
+    starts = [blocks[len(blocks) * i // workers] for i in range(workers)] + [reps]
+    parts = run_forked(shard, list(zip(starts, starts[1:])))
+    joined = {key: value if key == "trace" else np.concatenate([part[key] for part in parts])
+              for key, value in parts[0].items()}
+    averages = joined["f_sums"] / n
+    trace_obj = joined.get("trace")
+    if scheme == "smcmc":
+        stat_random = math.sqrt(n) * (averages - joined["centers"])
+    else:
+        stat_random = (joined["f_sums"] - joined["center_sums"]) / math.sqrt(n)
+
+    det_center = model.flow(p).expect(f_nodes)
+    stat_det = math.sqrt(n) * (averages - det_center)
 
     report = CltReport(
         scheme=scheme,

@@ -163,6 +163,23 @@ def test_mutation_rejects_bad_densities(grid):
         gaussian_mutation(3.0, 1.0)
 
 
+@pytest.mark.parametrize("x, y", [
+    (np.linspace(-9.0, 9.0, 37)[:, None], np.linspace(-8.0, 8.0, 513)[None, :]),
+    (np.array([0.3, 7.9]), np.array([1.0, -2.5])),
+    (0.3, np.linspace(-8.0, 8.0, 9)),
+    (0.3, 1.7),
+    (np.float64(-4.0), np.array(2.5)),
+])
+def test_gaussian_density_has_the_bits_of_its_formula(x, y):
+    std = SSM_NOISE_STD
+    got = gaussian_mutation(np.tanh, std).density(x, y)
+    z = (y - np.tanh(x)) / std
+    want = 1.0 / (std * np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * z * z)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
 def test_per_step_checks_reject_nonfinite_and_negative_values(grid, eta_base, bad):
     # clean on the grid nodes, ``bad`` only from far outside the window

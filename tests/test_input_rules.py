@@ -55,6 +55,7 @@ from mcmccalc.measures import (
     Grid2D,
     WeightFunction,
     check_count,
+    check_positive,
     gaussian2d_density,
     gaussian_density,
     grid_function,
@@ -226,6 +227,30 @@ def test_count_check_minimum_and_budget():
         check_count(4, budget=3)
     with pytest.raises(ResourceLimitError, match="exceeds budget 10"):
         iterate_kernel(KERN, F, 11, max_steps=10)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "resolvent tolerance must be a positive finite number, got True"),
+    (np.True_, "resolvent tolerance must be a positive finite number, got "),
+    ("a", "resolvent tolerance must be a positive finite number, got 'a'"),
+    (None, "resolvent tolerance must be a positive finite number, got None"),
+    (np.array([0.5]), "resolvent tolerance must be a positive finite number, got array"),
+    (0, "resolvent tolerance must be positive and finite, got 0"),
+    (-1.5, "resolvent tolerance must be positive and finite, got -1.5"),
+    (math.inf, "resolvent tolerance must be positive and finite, got inf"),
+    (math.nan, "resolvent tolerance must be positive and finite, got nan"),
+    (np.float64(-2.0), "resolvent tolerance must be positive and finite, got -2"),
+])
+def test_positive_values_take_real_numbers_only(value, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        check_positive(value, "resolvent tolerance")
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        poisson_resolvent(KERN, F, tol=value)
+
+
+@pytest.mark.parametrize("value", [1e-9, 2, np.float64(0.5), np.int64(3)])
+def test_positive_values_pass_as_numbers(value):
+    check_positive(value, "resolvent tolerance")
 
 
 def test_counts_and_tolerances_below_their_minimum_are_refused(constants):
