@@ -60,6 +60,7 @@ from .measures import (
     slice_weights,
     v_norm_measure,
 )
+from .workers import run_forked, shards, worker_count
 
 FTC_T_NODES = 33
 MVI_T_NODES = 17
@@ -349,21 +350,34 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
                                  ratio_ceiling: float, smooth: bool) -> MviConstants:
     """Both accept/reject constants: ``smooth`` keeps the g' factor in the
     main budgets; without it the singular integral is restricted to the
-    sub-level set {z : r(x, z) <= 1} instead."""
+    sub-level set {z : r(x, z) <= 1} instead.
+
+    A density start's curve points are checked against the warm-start
+    ceiling, and the proposal matrices built, in this process; the budgets,
+    which make no multi-threaded BLAS call, then run in contiguous shards of
+    curve points in forked workers (:func:`~mcmccalc.workers.run_forked`).
+    A point start's budgets cost O(N) each and run here."""
     check_start(mu.grid, start)
     ts, wts = _t_quadrature(t_nodes)
     v = weight.values_on(mu.grid)
     if _start_kind(start) == "density":
-        vals = np.empty(t_nodes)
-        for m, kern in enumerate(_curve_kernels(family, mu, nu, ts)):
+        kernels = list(_curve_kernels(family, mu, nu, ts))
+        for t, kern in zip(ts, kernels):
             try:
                 _check_warm_start(start.values / kern.target.values**2, kern.grid.nodes,
                                   ratio_ceiling)
             except PreconditionError as exc:
                 raise PreconditionError(
-                    f"mean-value budget unavailable along the curve at t={ts[m]:.6g}: {exc}"
+                    f"mean-value budget unavailable along the curve at t={t:.6g}: {exc}"
                 ) from exc
-            vals[m] = _hastings_density_budget(kern, start.values, v, use_g_prime=smooth)
+        family.proposal.matrix_t(mu.grid)  # every kernel's q and q^T, built before the fork
+
+        def budgets(lo: int, hi: int) -> list:
+            return [_hastings_density_budget(kern, start.values, v, use_g_prime=smooth)
+                    for kern in kernels[lo:hi]]
+
+        parts = run_forked(budgets, shards(t_nodes, worker_count(t_nodes)))
+        vals = np.array([b for part in parts for b in part])
         return MviConstants(float(wts @ vals), 0.0, weight.description, t_nodes,
                             "density", "none")
     x = float(start)
@@ -571,8 +585,11 @@ def empirical_mvi_check(family, mu: GridDensity, nu: GridDensity, start,
 
     For accept/reject families the difference of the two one-step laws from
     ``start`` is formed once (:func:`_hastings_start_law`), and each trial
-    pairs it with f in O(N).  A two-stage trial applies both kernels, which
-    costs O(N1 N2) already.
+    pairs it with f in O(N); the trials then run in contiguous shards in
+    forked workers (:func:`~mcmccalc.workers.run_forked`), and the shard
+    maxima and violation counts combine exactly.  A two-stage trial applies
+    both kernels through BLAS products, which costs O(N1 N2) already, so
+    those trials run in this process.
     """
     n_trials = check_count(n_trials, "trial count", minimum=1)
     bound = mvi_bound(constants, mu, nu, start, weight)
@@ -589,21 +606,28 @@ def empirical_mvi_check(family, mu: GridDensity, nu: GridDensity, start,
         def gap(f):
             return _value_at_start(kern_mu, start, f) - _value_at_start(kern_nu, start, f)
     streams = np.random.SeedSequence(seed).spawn(n_trials)
-    max_ratio = 0.0
-    worst_lhs = 0.0
-    violations = 0
-    for child in streams:
-        f = random_bv_function(grid, v, np.random.default_rng(child))
-        lhs = abs(gap(f))
-        worst_lhs = max(worst_lhs, lhs)
-        if lhs > bound * (1.0 + 1e-9) + 1e-15:
-            violations += 1
-        if bound > 0:
-            max_ratio = max(max_ratio, lhs / bound)
+
+    def probe(lo: int, hi: int) -> tuple:
+        """(largest |gap|, violation count) over trials ``lo..hi-1``."""
+        worst, violations = 0.0, 0
+        for child in streams[lo:hi]:
+            lhs = abs(gap(random_bv_function(grid, v, np.random.default_rng(child))))
+            worst = max(worst, lhs)
+            if lhs > bound * (1.0 + 1e-9) + 1e-15:
+                violations += 1
+        return worst, violations
+
+    if isinstance(kern_mu, HastingsKernel):
+        parts = run_forked(probe, shards(n_trials, worker_count(n_trials)))
+    else:
+        parts = [probe(0, n_trials)]
+    worst_lhs = max(worst for worst, _ in parts)
     return {
         "n_trials": n_trials,
-        "violations": violations,
-        "max_ratio": max_ratio,
+        "violations": sum(count for _, count in parts),
+        # a correctly rounded division by bound > 0 is monotone, so this is
+        # the largest of the per-trial ratios, bit for bit
+        "max_ratio": worst_lhs / bound if bound > 0 else 0.0,
         "bound": bound,
         "worst_lhs": worst_lhs,
         "v_tag": weight.description,

@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import os
 
-from .workers import thread_cap
+from .workers import run_forked, shards, thread_cap, worker_count
 
 # Thread caps must reach the BLAS layer before numpy loads it; honoured when
 # this module is the process entry point, harmless otherwise.
@@ -985,6 +985,21 @@ def _run_mvi_check(settings, out_dir: Path):
     return checks, report, {}
 
 
+def _sample_sets(family, model, seed: int, count: int, steps: int) -> list:
+    """The samples of ``count`` one-level chains of ``steps`` steps, each on
+    its own stream spawned from ``seed``, in order.  The chains make no
+    multi-threaded BLAS call, so they run in contiguous shards in forked
+    workers (:func:`~mcmccalc.workers.run_forked`); their transforms, which
+    do, stay with the caller."""
+    children = np.random.SeedSequence(seed).spawn(count)
+
+    def chains(lo: int, hi: int) -> list:
+        return [run_smcmc(family, model, 1, steps, seed=child)[0][1] for child in children[lo:hi]]
+
+    return [empirical for part in run_forked(chains, shards(count, worker_count(count)))
+            for empirical in part]
+
+
 def _run_ergodicity_check(settings, out_dir: Path):
     kind = "ergodicity-check"
     tol = settings["tolerance"]
@@ -992,11 +1007,8 @@ def _run_ergodicity_check(settings, out_dir: Path):
     f_values = f(model.grid.nodes)
 
     with _stage(kind, "sample-mixtures"):
-        children = np.random.SeedSequence(settings["seed"]).spawn(settings["sample_sets"])
-        mixtures = []
-        for child in children:
-            (_, empirical), = run_smcmc(family, model, 1, settings["chain_steps"], seed=child)
-            mixtures.append(model.transform(1, empirical))
+        mixtures = [model.transform(1, empirical) for empirical in _sample_sets(
+            family, model, settings["seed"], settings["sample_sets"], settings["chain_steps"])]
 
     gamma = 2.0 * model.phi_bar
     with _stage(kind, "tail-bounds"):

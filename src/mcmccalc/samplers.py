@@ -76,7 +76,7 @@ from .feynman_kac import (
 )
 from .ergodicity import asymptotic_variance, poisson_resolvent
 from .calculus import uniform_boundedness_scan
-from .workers import run_forked, worker_count
+from .workers import run_forked, shards, worker_count
 from .kernels import (
     GibbsKernel,
     HastingsFamily,
@@ -1262,10 +1262,9 @@ def clt_experiment(scheme: str, config: SchemeConfig,
 
     # contiguous shards of whole replication blocks (see _MixtureAccumulator),
     # fixed by R and the worker count, concatenated in replication order
-    blocks = range(0, reps, MIN_REPLICATIONS)
-    workers = worker_count(len(blocks))
-    starts = [blocks[len(blocks) * i // workers] for i in range(workers)] + [reps]
-    parts = run_forked(shard, list(zip(starts, starts[1:])))
+    blocks = len(range(0, reps, MIN_REPLICATIONS))
+    parts = run_forked(shard, [(lo * MIN_REPLICATIONS, min(hi * MIN_REPLICATIONS, reps))
+                               for lo, hi in shards(blocks, worker_count(blocks))])
     joined = {key: value if key == "trace" else np.concatenate([part[key] for part in parts])
               for key, value in parts[0].items()}
     averages = joined["f_sums"] / n

@@ -51,6 +51,13 @@ def worker_count(pieces: int) -> int:
     return min(pieces, cpus, cpus if cap is None else cap)
 
 
+def shards(count: int, workers: int) -> List[Tuple[int, int]]:
+    """``range(count)`` as ``workers`` contiguous ``(lo, hi)`` ranges, in
+    order, whose lengths differ by at most one: the pieces to hand
+    :func:`run_forked` for ``workers`` (from :func:`worker_count`)."""
+    return [(count * i // workers, count * (i + 1) // workers) for i in range(workers)]
+
+
 def _payload(outcome: Tuple[bool, object]) -> bytes:
     """``outcome`` pickled; an exception that would not come back with its
     type and message travels as a RuntimeError naming both."""
@@ -110,6 +117,14 @@ def _fork(run: Callable[..., T], args: tuple) -> Tuple[int, BinaryIO]:
 def run_forked(run: Callable[..., T], pieces: Sequence[tuple]) -> List[T]:
     """``[run(*args) for args in pieces]``, with the pieces after the first
     in forked children while this process runs the first.
+
+    A forked piece makes no multi-threaded BLAS call: OpenBLAS's helper
+    threads spin after each call, so two processes that each use 2 BLAS
+    threads fight over 2 cores.  The caller does the BLAS work before the
+    fork, and a sweep whose every piece needs large BLAS products stays
+    serial: on a 2-vCPU Xeon VM, a ``verify_ftc`` sweep whose curve points
+    each end in four 1025 x 1025 matrix-vector products took 0.65-1.13 s
+    in two forked shards against 0.42-0.61 s serial, with the same bits.
 
     If this process raises (in the first piece, or while it waits), the
     children are killed and waited for, and the exception propagates;
