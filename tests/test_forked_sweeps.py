@@ -1,7 +1,7 @@
 """Forked sweeps of the grid kinds: the density-start mean-value budgets,
-the accept/reject mean-value trials and the ergodicity sample chains each
-make one ``run_forked`` call, give the same bits at one and two workers and
-leave no child behind; the sweeps that stay in the caller fork nothing."""
+the mean-value trials and the ergodicity sample chains each make one
+``run_forked`` call, give the same bits at one and two workers and leave no
+child behind; the sweeps that stay in the caller fork nothing."""
 
 import dataclasses
 import os
@@ -61,6 +61,17 @@ def _trials(start):
                                        WEIGHT, constants, n_trials=40, seed=7)
 
 
+GRID2 = Grid2D(Grid1D(-6.0, 6.0, 33), Grid1D(-6.0, 6.0, 33))
+MU2 = gaussian2d_density(GRID2, [0.0, 0.0], np.array([[1.0, 0.4], [0.4, 1.0]]))
+NU2 = gaussian2d_density(GRID2, [0.3, -0.2], np.array([[1.1, 0.15], [0.15, 0.9]]))
+
+
+def _two_stage_trials(start):
+    constants = gibbs_mvi_constants(GibbsFamily(), MU2, NU2, start, WEIGHT, t_nodes=5)
+    return empirical_mvi_check(GibbsFamily(), MU2, NU2, start, WEIGHT, constants,
+                               n_trials=4, seed=3)
+
+
 def _sample_sets():
     model = default_ssm_model(Grid1D(-8.0, 8.0, 129))
     family = HastingsFamily(ProposalKernel.random_walk(1.0, model.grid),
@@ -93,6 +104,8 @@ SWEEPS = {
     "trials, density start": (calculus, _trials(RHO)),
     "trials, point start": (calculus, _trials(0.37)),
     "ergodicity sample sets": (cli, _sample_sets),
+    "two-stage trials, density start": (calculus, lambda: _two_stage_trials(MU2)),
+    "two-stage trials, point start": (calculus, lambda: _two_stage_trials((0.5, -0.75))),
 }
 
 
@@ -130,27 +143,14 @@ def test_a_curve_point_over_the_warm_start_ceiling_is_refused_before_any_fork(mo
         hastings_mvi_constants(_family(BalancingFunction.barker()), MU, narrow, RHO, WEIGHT)
 
 
-GRID2 = Grid2D(Grid1D(-6.0, 6.0, 33), Grid1D(-6.0, 6.0, 33))
-MU2 = gaussian2d_density(GRID2, [0.0, 0.0], np.array([[1.0, 0.4], [0.4, 1.0]]))
-NU2 = gaussian2d_density(GRID2, [0.3, -0.2], np.array([[1.1, 0.15], [0.15, 0.9]]))
-
-
-def _two_stage_trials(start):
-    constants = gibbs_mvi_constants(GibbsFamily(), MU2, NU2, start, WEIGHT, t_nodes=5)
-    return empirical_mvi_check(GibbsFamily(), MU2, NU2, start, WEIGHT, constants,
-                               n_trials=4, seed=3)
-
-
 @pytest.mark.parametrize("call", [
     lambda: hastings_mvi_constants(_family(BalancingFunction.barker()), MU, NU, 0.37,
                                    WEIGHT, t_nodes=5),
     lambda: mh_mvi_constants(_family(BalancingFunction.min_one()), MU, NU, -1.01, WEIGHT,
                              t_nodes=5),
-    lambda: _two_stage_trials(MU2),
-    lambda: _two_stage_trials((0.5, -0.75)),
-], ids=["barker point start", "min-one point start", "two-stage density start",
-        "two-stage point start"])
-def test_point_starts_and_two_stage_families_fork_nothing(monkeypatch, call):
+    lambda: gibbs_mvi_constants(GibbsFamily(), MU2, NU2, MU2, WEIGHT, t_nodes=5),
+], ids=["barker point start", "min-one point start", "two-stage density start"])
+def test_point_starts_and_two_stage_constants_fork_nothing(monkeypatch, call):
     monkeypatch.setattr(calculus, "run_forked", _refuse_to_fork)
     monkeypatch.setenv("MCMCCALC_THREADS", "2")
     call()
