@@ -37,8 +37,8 @@ the run.  Against a fixed target (the limiting chain, every level of a stored
 sequential run, level 1 of a stored interacting run) every proposal reads the
 one target; an upper level of a stored interacting run reads, for each
 proposal, that step's row of its running mixture, so its levels run one after
-another, and each block of the mixture's rows is built at once from the block
-of states below.  Rounds stop at draw-block ends, so the streams are read in
+another, and each block of the mixture's rows is built from the block of
+states below.  Rounds stop at draw-block ends, so the streams are read in
 the order above and the states are bit-identical to stepping one step at a
 time.  The replicated engines whose states are not stored (their mixtures
 and running sums need every step of every chain) step in lockstep.
@@ -55,9 +55,8 @@ restriction uses); the report records the fractional exponent alongside.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -252,22 +251,13 @@ class CltReport:
 # the stepping lane
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _row_starts(rows: int, n_points: int) -> np.ndarray:
-    """Flat offsets of the rows of a C-ordered ``rows`` x ``n_points`` table
-    (read-only: every caller shares it)."""
-    starts = np.arange(0, rows * n_points, n_points)
-    starts.flags.writeable = False
-    return starts
-
-
 def _matrix_rows_at(grid: Grid1D, table: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Per-row linear interpolation: row ``r`` of ``table`` at ``xs[..., r]``
     (``xs`` broadcasts against the rows), gathered from the flat table."""
     pos = (xs - grid.lower) / grid.h
     idx = np.minimum(np.maximum(pos.astype(np.int64), 0), grid.n_points - 2)
     frac = pos - idx
-    at = idx + _row_starts(*table.shape)
+    at = idx + np.arange(0, table.size, table.shape[1])
     flat = table.reshape(-1)
     return flat[at] * (1.0 - frac) + flat[at + 1] * frac
 
@@ -540,54 +530,6 @@ class _MixtureAccumulator:
         if self._wf is not None:
             self.center_num += self._g_moment
             self.center_den += self._g
-
-    def add_steps(self, xs: np.ndarray, moved: np.ndarray,
-                  out: np.ndarray) -> Optional[np.ndarray]:
-        """Add ``m`` consecutive steps: column ``i`` of the R x m arrays
-        ``xs`` and ``moved`` is what :meth:`add` takes for step ``i``, and
-        ``out[i]`` (``out`` is m x R x N) receives the table after step ``i``.  With ``wf``,
-        returns the m x R realised means ``center_num / center_den`` after
-        each step.
-
-        Rows, potentials and moments are recomputed only on the steps where
-        some chain moved, for the same chains as :meth:`add`, so each
-        normalising product rounds as there; the other steps repeat the
-        cached values.  Each running sum is one accumulate seeded with its
-        running value, which adds in the order of :meth:`add`.
-        """
-        m = xs.shape[1]
-        live = moved.any(axis=0)
-        every = moved.all(axis=0)
-        if self._fresh:
-            live[0] = every[0] = True
-        steps = np.flatnonzero(live).tolist()
-        first = steps[0] if steps else m
-        centers = self._wf is not None
-        out[:first] = self._weighted_rows
-        if centers:
-            g_sums = np.empty((m, len(self.table)))
-            moment_sums = np.empty_like(g_sums)
-            g_sums[:first] = self._g
-            moment_sums[:first] = self._g_moment
-        for i, end in zip(steps, steps[1:] + [m]):
-            self._recompute(xs[:, i],
-                            slice(None) if every[i] else np.flatnonzero(moved[:, i]))
-            out[i:end] = self._weighted_rows
-            if centers:
-                g_sums[i:end] = self._g
-                moment_sums[i:end] = self._g_moment
-        out[0] += self.table
-        np.cumsum(out, axis=0, out=out)
-        self.table[...] = out[-1]
-        if not centers:
-            return None
-        moment_sums[0] += self.center_num
-        g_sums[0] += self.center_den
-        np.cumsum(moment_sums, axis=0, out=moment_sums)
-        np.cumsum(g_sums, axis=0, out=g_sums)
-        self.center_num[...] = moment_sums[-1]
-        self.center_den[...] = g_sums[-1]
-        return moment_sums / g_sums
 
     def _recompute(self, x: np.ndarray, idx) -> None:
         """Recompute the cached weighted rows (and potentials and moments)
@@ -929,15 +871,14 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     A level's target at step ``k`` depends on the level below only up to
     step ``k``, so when states are collected the levels run one after
     another: level 1 with :meth:`_Lane.run`, then each level ``j >= 2`` in
-    blocks of ``RUN_BLOCK`` steps, where the block's level-``(j-1)`` states
-    join the mixture together (:meth:`_MixtureAccumulator.add_steps` keeps
-    each step's table, computing rows only on steps where a chain moved),
-    and :meth:`_Lane.run_moving` advances level ``j`` against those tables.
-    Otherwise (the replicated CLT engine) the levels step in lockstep, and
-    the mixture takes one step at a time; the trace still records
-    ``RUN_BLOCK`` steps at a time.  In a stored depth-2 run,
-    ``freeze_lower`` replaces the running mixture with the fixed transform
-    of a density, and level 2 runs with :meth:`_Lane.run`.
+    blocks of ``RUN_BLOCK`` steps.  The block's level-``(j-1)`` states join
+    the mixture one step at a time, a copy of the table after each step goes
+    to that step's row of the block, and :meth:`_Lane.run_moving` advances
+    level ``j`` against those rows.  Otherwise (the replicated CLT engine)
+    the levels step in lockstep; the trace still records ``RUN_BLOCK``
+    steps at a time.  In a stored depth-2 run, ``freeze_lower`` replaces
+    the running mixture with the fixed transform of a density, and level 2
+    runs with :meth:`_Lane.run`.
     """
     grid = model.grid
     reps = len(streams)
@@ -979,11 +920,11 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             top = j == p
             for k0 in range(0, n, RUN_BLOCK):
                 m = min(RUN_BLOCK, n - k0)
-                means = mixture.add_steps(states[j - 2, :, k0:k0 + m],
-                                          moved[:, k0:k0 + m], rows[:m])
-                if top and f is not None:
-                    means[0] += center_sums
-                    center_sums = np.cumsum(means, axis=0)[-1]
+                for i, k in enumerate(range(k0, k0 + m)):
+                    mixture.add(states[j - 2, :, k], moved[:, k])
+                    rows[i] = mixture.table
+                    if top and f is not None:
+                        center_sums += mixture.center_num / mixture.center_den
                 lanes[j - 1].run_moving(rows[:m], states[j - 1, :, k0:k0 + m],
                                         moved[:, k0:k0 + m])
                 if top and tracer is not None:

@@ -312,18 +312,6 @@ class DenseMixtureAccumulator:
             self.center_num += g_at * (rows @ self.wf)
             self.center_den += g_at
 
-    def add_steps(self, xs, moved, out):
-        """Step ``i`` of ``xs`` through :meth:`add`, then a copy of the
-        table into ``out[i]``; returns the realised means after each step
-        when a test function is given."""
-        means = []
-        for i in range(xs.shape[1]):
-            self.add(xs[:, i], moved[:, i])
-            out[i] = self.table
-            if self.wf is not None:
-                means.append(self.center_num / self.center_den)
-        return np.array(means) if self.wf is not None else None
-
 
 def hastings_ratio_with_q(proposal, x, mu_x, y, mu_y):
     """The chain's Hastings ratio with the proposal density in both

@@ -837,54 +837,12 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
                                    rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("with_f", [False, True], ids=["no-f", "f"])
-@pytest.mark.parametrize("reps", [1, 3])
-def test_mixture_add_steps_equals_adding_step_by_step(reps, with_f, model, grid):
-    wf = grid.trapezoid_weights() * f_clip(grid.nodes) if with_f else None
-    blocks, still = [5, 4, 1, 9, 1], 1  # the second block moves no chain
-    n = sum(blocks)
-    rng = npr.default_rng(reps)
-    moved = rng.uniform(size=(reps, n)) < 0.4
-    moved[:, 5:9] = False
-    xs = np.cumsum(np.where(moved, rng.standard_normal((reps, n)), 0.0), axis=1)
-    stepped = samplers._MixtureAccumulator(model, 1, reps, wf)
-    blocked = samplers._MixtureAccumulator(model, 1, reps, wf)
-    mutation, row_calls = blocked._mutation, []
-
-    class Counting:
-        def rows(self, grid, xs):
-            row_calls.append(len(xs))
-            return mutation.rows(grid, xs)
-
-    blocked._mutation = Counting()
-    k0 = 0
-    for b, m in enumerate(blocks):
-        ref, out = np.empty((m, reps, grid.n_points)), np.empty((m, reps, grid.n_points))
-        ref_means = np.empty((m, reps))
-        calls_before = len(row_calls)
-        for i in range(m):
-            stepped.add(xs[:, k0 + i], moved[:, k0 + i])
-            ref[i] = stepped.table
-            if with_f:
-                ref_means[i] = stepped.center_num / stepped.center_den
-        means = blocked.add_steps(xs[:, k0:k0 + m], moved[:, k0:k0 + m], out)
-        assert _same(out, ref)
-        assert _same(blocked.table, stepped.table)
-        if with_f:
-            assert _same(means, ref_means)
-            assert _same(blocked.center_num, stepped.center_num)
-            assert _same(blocked.center_den, stepped.center_den)
-        else:
-            assert means is None
-        live = moved[:, k0:k0 + m].any(axis=0)
-        live[0] |= k0 == 0
-        assert len(row_calls) - calls_before == np.count_nonzero(live)
-        assert b != still or len(row_calls) == calls_before
-        k0 += m
-
-
+@pytest.mark.parametrize("scheme, reps", [
+    ("smcmc", 6),  # the replicated running mixture, stepped in lockstep
+    ("imcmc", 1),  # the stored one-chain loop of run_imcmc
+])
 def test_mixture_recomputes_rows_only_for_moved_chains(monkeypatch, family,
-                                                       model):
+                                                       model, scheme, reps):
     computed = []
     rows = MutationKernel.rows
 
@@ -894,11 +852,15 @@ def test_mixture_recomputes_rows_only_for_moved_chains(monkeypatch, family,
         return out
 
     monkeypatch.setattr(MutationKernel, "rows", counting_rows)
-    reps, n = 6, 300
-    streams, _ = samplers._replication_streams(8, reps, 2)
-    out = samplers._smcmc_engine(family, model, 2, n, streams, 0.0,
-                                 "previous-final", collect_states=False)
-    accepts = int(out["levels"][0]["accepts"].sum())
+    n = 300
+    if scheme == "smcmc":
+        streams, _ = samplers._replication_streams(8, reps, 2)
+        out = samplers._smcmc_engine(family, model, 2, n, streams, 0.0,
+                                     "previous-final", collect_states=False)
+        accepts = int(out["levels"][0]["accepts"].sum())
+    else:
+        lower, _ = run_imcmc(family, model, 2, n, 8)
+        accepts = round(lower.acceptance_rate * n)
     # every chain on the first step, then one row per accepted move
     assert computed[0] == reps
     assert accepts <= sum(computed) <= reps + accepts < reps * n
