@@ -525,7 +525,8 @@ class _MixtureAccumulator:
     def add(self, x: np.ndarray, moved: np.ndarray) -> None:
         """Add every chain's current state ``x``; ``moved`` flags the chains
         whose state changed since the previous call."""
-        self._recompute(x, slice(None) if self._fresh else np.flatnonzero(moved))
+        if self._fresh or moved.any():
+            self._recompute(x, slice(None) if self._fresh else np.flatnonzero(moved))
         self.table += self._weighted_rows
         if self._wf is not None:
             self.center_num += self._g_moment
@@ -543,8 +544,6 @@ class _MixtureAccumulator:
         """
         self._fresh = False
         xs = x[idx]
-        if not xs.size:
-            return
         g_at = self._model.potential_at(self._level, xs)
         if self._wf is not None:
             self._g[idx] = g_at
