@@ -866,6 +866,19 @@ def test_mixture_recomputes_rows_only_for_moved_chains(monkeypatch, family,
     assert accepts <= sum(computed) <= reps + accepts < reps * n
 
 
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_matrix_rows_at_reads_each_row_at_its_own_point(grid, n_rows):
+    rng = npr.default_rng(n_rows)
+    table = rng.uniform(0.5, 2.0, size=(n_rows, grid.n_points))
+    # two points per row, as a proposal step gathers them; the last node too
+    xs = rng.uniform(grid.lower, grid.upper, size=(2, n_rows))
+    xs[1, -1] = grid.upper
+    want = [[np.interp(x, grid.nodes, row) for x, row in zip(point, table)]
+            for point in xs]
+    np.testing.assert_allclose(samplers._matrix_rows_at(grid, table, xs), want,
+                               rtol=1e-13, atol=0.0)
+
+
 def test_normality_statistics_match_scipy():
     rng = npr.default_rng(3)
     for sample in (rng.standard_normal(200), rng.gamma(2.0, size=150),
