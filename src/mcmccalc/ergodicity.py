@@ -17,7 +17,7 @@ The pieces fit together in the usual Foster--Lyapunov order:
   ``check_resolvent_identity`` and ``asymptotic_variance`` then consume.
 
 Everything here works at quadrature level: no sampling is involved except in
-the replication leg of ``check_v_moment_growth``.
+the chain leg of ``check_v_moment_growth`` (``samplers.run_limiting_chain``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .kernels import (
     HastingsKernel,
     check_invariance,
     iterate_point,
-    sample_step,
 )
 from .measures import (
     GridDensity,
@@ -681,10 +680,11 @@ def check_v_moment_growth(kernels: Sequence, weight: WeightFunction, j_power: in
     root-power drift — ``P(V^{1/j}) <= (P V)^{1/j}`` nodewise by convexity,
     and when a certificate is supplied also
     ``P(V^{1/j}) <= rate^{1/j} V^{1/j} + b^{1/j}`` on its level set; (3) when
-    a certificate is supplied and the first kernel can be simulated, the
+    a certificate is supplied and the first kernel lives on a 1-D grid, the
     iterated expectation bound ``E V(chain_n) <= rate^n V(x0) + b/(1-rate)``
     against ``n_reps`` replications from ``x0`` (in the grid window) at the
     given checkpoints, allowing three standard errors of Monte Carlo slack.
+    Replication ``r`` runs ``run_limiting_chain`` on child ``r`` of ``SeedSequence(seed)``.
     """
     kernels = list(kernels)
     j_power = check_count(j_power, "moment power", minimum=1)
@@ -724,17 +724,16 @@ def check_v_moment_growth(kernels: Sequence, weight: WeightFunction, j_power: in
         "chain_checks": [],
     }
     if chain_leg:
+        # imported here: samplers imports this module at module level
+        from .samplers import run_limiting_chain
         kern = kernels[0]
         v0 = float(weight(x0))
         horizon = max(targets)
         samples = {c: np.empty(n_reps) for c in targets}
         for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_reps)):
-            rng = np.random.default_rng(child)
-            x = float(x0)
-            for step in range(1, horizon + 1):
-                x = sample_step(kern, x, rng)
-                if step in samples:
-                    samples[step][r] = weight(x)
+            states = run_limiting_chain(kern, x0, horizon, np.random.default_rng(child)).states
+            for c in targets:
+                samples[c][r] = weight(states[c - 1])
         lam, b = cert.drift_rate, cert.b
         for c in targets:
             vals = samples[c]

@@ -18,14 +18,14 @@ Two families are implemented.
   starting point only through the second coordinate.
 
 The module also provides point-mass propagation (``P^k(delta_x, .)`` kept as
-an explicit atom plus a density part), single sampling steps with the draw
-order fixed as "one proposal draw, then one uniform", and invariance checks.
+an explicit atom plus a density part), the two-stage sampling step and
+invariance checks; accept/reject chains are simulated in :mod:`mcmccalc.samplers`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -229,21 +229,20 @@ def sample_from_grid_density(grid: Grid1D, values: np.ndarray, u):
 
 @dataclass
 class ProposalKernel:
-    """Proposal density with matching samplers.
+    """Proposal density with its vectorised sampler.
 
-    ``density(x, y)`` must broadcast over arrays; ``sample(x, rng)`` returns
-    one draw from ``density(x, .)`` and whether boundary folding occurred.
-    ``bounded`` marks a uniformly bounded density (precondition of the
-    derivative operations).
+    ``density(x, y)`` must broadcast over arrays; every other field is
+    keyword-only.  ``bounded`` marks a uniformly bounded density
+    (precondition of the derivative operations).
 
     The chain drivers move many proposals at once through the vectorised
     pair: ``draw(rng, count)`` reads ``count`` raw draws from the stream and
     ``propose(x, draws)`` maps them to proposals from ``x`` with their fold
-    mask.  A proposal without them runs only through :func:`sample_step`.
-    ``symmetric`` marks ``density(x, y) == density(y, x)``: ``q`` then
-    cancels from the chain drivers' Hastings ratio, which reads only the
-    target, ``mu(y) / mu(x)``.  The drivers read :meth:`q_pair` only for
-    asymmetric proposals.
+    mask; the chain drivers refuse a proposal without them.  ``symmetric``
+    marks ``density(x, y) == density(y, x)``: ``q`` then cancels from the
+    chain drivers' Hastings ratio, which reads only the target,
+    ``mu(y) / mu(x)``.  The drivers read :meth:`q_pair` only for asymmetric
+    proposals.
 
     On a grid, :meth:`matrix` gives ``q`` at the node pairs and
     :meth:`matrix_t` its transpose as a C-ordered array, so that every
@@ -254,7 +253,7 @@ class ProposalKernel:
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sample: Callable[[float, np.random.Generator], tuple]
+    _: KW_ONLY
     tag: str
     bounded: bool = True
     params: dict = field(default_factory=dict)
@@ -339,8 +338,8 @@ class ProposalKernel:
                 z = np.where(folded, reflect_into(lo, hi, z), z)
             return z, folded
 
-        return ProposalKernel(density, _scalar_sampler(draw, propose), "random-walk",
-                              True, {"sigma": sigma}, draw, propose, symmetric=True)
+        return ProposalKernel(density, tag="random-walk", params={"sigma": sigma},
+                              draw=draw, propose=propose, symmetric=True)
 
     @staticmethod
     def independence(base: GridDensity) -> "ProposalKernel":
@@ -361,18 +360,8 @@ class ProposalKernel:
             y = sample_from_grid_density(grid, vals, draws)
             return y, np.zeros(np.shape(draws), dtype=bool)
 
-        return ProposalKernel(density, _scalar_sampler(draw, propose), "independence",
-                              True, {"base": base.description}, draw, propose)
-
-
-def _scalar_sampler(draw, propose):
-    """``sample(x, rng)`` as the first proposal of ``propose(x, draw(rng, 1))``."""
-
-    def sample(x, rng):
-        y, folded = propose(x, draw(rng, 1))
-        return float(y[0]), bool(folded[0])
-
-    return sample
+        return ProposalKernel(density, tag="independence", params={"base": base.description},
+                              draw=draw, propose=propose)
 
 
 # ---------------------------------------------------------------------------
@@ -722,26 +711,18 @@ def iterate_point(kernel: HastingsKernel, x: float, steps: int) -> AtomPlusDensi
     return m
 
 
-def sample_step(kernel: Kernel, x, rng: np.random.Generator):
-    """One transition; returns the new state only."""
-    return sample_step_detail(kernel, x, rng)[0]
-
-
-def sample_step_detail(kernel: Kernel, x, rng: np.random.Generator):
-    """One transition returning (state, accepted, boundary_folded)."""
-    if isinstance(kernel, GibbsKernel):
-        u1, u2 = rng.uniform(), rng.uniform()
-        c1 = kernel.conditional_first_given_second(float(x[1]))
-        y1 = float(sample_from_grid_density(kernel.grid.axis1, c1, u1))
-        c2 = kernel.conditional_second_given_first(y1)
-        y2 = float(sample_from_grid_density(kernel.grid.axis2, c2, u2))
-        return (y1, y2), True, False
-    y, folded = kernel.proposal.sample(float(x), rng)
-    u = rng.uniform()
-    accept_prob = float(kernel.balancing.g(kernel.ratio_at(x, y)))
-    if u < accept_prob:
-        return y, True, folded
-    return float(x), False, folded
+def sample_step_detail(kernel: GibbsKernel, x, rng: np.random.Generator):
+    """One two-stage transition from ``x = (x1, x2)``, reading one uniform for
+    ``y1`` and then one for ``y2``; returns ``((y1, y2), True, False)``."""
+    if not isinstance(kernel, GibbsKernel):
+        raise InvalidInputError("sample_step_detail steps two-stage kernels only; "
+                                "simulate an accept/reject chain with run_limiting_chain")
+    u1, u2 = rng.uniform(), rng.uniform()
+    c1 = kernel.conditional_first_given_second(float(x[1]))
+    y1 = float(sample_from_grid_density(kernel.grid.axis1, c1, u1))
+    c2 = kernel.conditional_second_given_first(y1)
+    y2 = float(sample_from_grid_density(kernel.grid.axis2, c2, u2))
+    return (y1, y2), True, False
 
 
 def acceptance_rate_quadrature(kernel: HastingsKernel) -> float:

@@ -182,7 +182,7 @@ def test_hastings_derivative_preconditions(grid, mu, rho, f_vals):
         hastings_derivative(kern, cold, f_vals)
     assert "node" in str(exc.value)
 
-    unbounded = ProposalKernel(prop.density, prop.sample, "unbounded-variant", bounded=False)
+    unbounded = ProposalKernel(prop.density, tag="unbounded-variant", bounded=False)
     kern_ub = family_kernel(grid, mu, unbounded, BalancingFunction.barker())
     with pytest.raises(PreconditionError):
         hastings_derivative(kern_ub, rho, f_vals)

@@ -40,6 +40,7 @@ from mcmccalc.measures import (
     gaussian_density,
     integrate_values,
 )
+from mcmccalc.samplers import run_limiting_chain
 
 import oracles
 
@@ -319,10 +320,7 @@ def test_proposal_hole_kills_minorization(grid, mu, v_sq):
         out = np.where(np.abs(y - 4.0) <= 0.5, 0.0, 1.0 / 15.0)
         return np.broadcast_to(out, np.broadcast(x, y).shape).copy()
 
-    def sample(x, rng):  # pragma: no cover - never drawn from
-        raise NotImplementedError
-
-    hole = ProposalKernel(density, sample, "flat-with-hole", True, {})
+    hole = ProposalKernel(density, tag="flat-with-hole", bounded=True, params={})
     kern = HastingsKernel(mu, hole, BalancingFunction.min_one(), validate=False)
     mask = level_set_mask(v_sq, grid, 1.0 + 5.0 ** 2)
     rep = check_minorization([kern], mask, j=1)
@@ -576,3 +574,24 @@ def test_moment_chain_leg_reproducible(rw, v_exp, cert_exp):
     b = check_v_moment_growth([rw], v_exp, 2, cert=cert_exp, checkpoints=(5,),
                               n_reps=40, seed=11)
     assert a["chain_checks"][0]["mean"] == b["chain_checks"][0]["mean"]
+
+
+def test_moment_chain_leg_runs_the_limiting_chain(rw, v_exp, cert_exp):
+    # replication r is run_limiting_chain on child r, read after c steps
+    checkpoints, n_reps, seed, x0 = (3, 5, 10), 30, 7, 0.25
+    out = check_v_moment_growth([rw], v_exp, 2, cert=cert_exp, x0=x0,
+                                checkpoints=checkpoints, n_reps=n_reps, seed=seed)
+    runs = [run_limiting_chain(rw, x0, max(checkpoints), np.random.default_rng(child)).states
+            for child in np.random.SeedSequence(seed).spawn(n_reps)]
+    assert [c["n"] for c in out["chain_checks"]] == list(checkpoints)
+    for check, c in zip(out["chain_checks"], checkpoints):
+        want = np.mean([v_exp(states[c - 1]) for states in runs])
+        assert check["mean"] == float(want)
+
+
+def test_moment_chain_leg_refuses_a_proposal_without_its_vectorised_pair(
+        rw, mu, v_exp, cert_exp):
+    density_only = ProposalKernel(rw.proposal.density, tag="density-only")
+    kern = HastingsKernel(mu, density_only, BalancingFunction.barker(), validate=False)
+    with pytest.raises(InvalidInputError, match="no vectorised sampler"):
+        check_v_moment_growth([kern], v_exp, 2, cert=cert_exp)

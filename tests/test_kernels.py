@@ -27,7 +27,6 @@ from mcmccalc.kernels import (
     iterate_kernel,
     iterate_point,
     sample_from_grid_density,
-    sample_step,
     sample_step_detail,
 )
 from mcmccalc.measures import (
@@ -39,6 +38,7 @@ from mcmccalc.measures import (
     integrate,
     integrate_values,
 )
+from mcmccalc.samplers import run_limiting_chain
 
 import oracles
 
@@ -143,7 +143,7 @@ def test_random_walk_density_matches_sampler(grid):
     prop = ProposalKernel.random_walk(1.5, grid)
     rng = np.random.default_rng(5)
     x0 = -7.5  # near the wall so reflection actually matters
-    draws = np.array([prop.sample(x0, rng)[0] for _ in range(40000)])
+    draws, _ = prop.propose(x0, prop.draw(rng, 40000))
     assert draws.min() >= grid.lower and draws.max() <= grid.upper
     edges = np.linspace(grid.lower, grid.upper, 33)
     hist, _ = np.histogram(draws, bins=edges, density=True)
@@ -156,9 +156,16 @@ def test_independence_proposal(grid, std_normal):
     prop = ProposalKernel.independence(std_normal)
     assert prop.validate_rows(grid) < 1e-6
     rng = np.random.default_rng(17)
-    draws = np.array([prop.sample(0.0, rng)[0] for _ in range(20000)])
+    draws, _ = prop.propose(0.0, prop.draw(rng, 20000))
     assert abs(draws.mean()) < 0.03
     assert abs(draws.std() - 1.0) < 0.03
+
+
+def test_old_positional_proposal_call_fails_loudly(grid):
+    # the sampler argument is gone: an old call must not bind it to ``tag``
+    prop = ProposalKernel.random_walk(1.0, grid)
+    with pytest.raises(TypeError):
+        ProposalKernel(prop.density, lambda x, rng: (x, False), "tag", True)
 
 
 def test_inverse_cdf_sampler_uniform_cells():
@@ -174,10 +181,9 @@ def test_inverse_cdf_sampler_uniform_cells():
        x0=st.floats(-8.0, 8.0), n=st.integers(1, 40),
        kind=st.sampled_from(["random-walk", "independence"]))
 @example(seed=1, sigma=2.6, x0=8.0, n=40, kind="random-walk")
-def test_scalar_sampler_equals_its_oracle_and_the_vectorised_pair(
-        seed, sigma, x0, n, kind, grid):
-    # n scalar draws from one stream: bit-equal to the sampler as first
-    # written, fold flags included, and to one vectorised call of n draws
+def test_vectorised_pair_equals_its_oracle(seed, sigma, x0, n, kind, grid):
+    # one vectorised call of n draws: bit-equal, fold flags included, to n
+    # draws of the sampler as first written from the same stream
     if kind == "random-walk":
         prop = ProposalKernel.random_walk(sigma, grid)
 
@@ -189,14 +195,11 @@ def test_scalar_sampler_equals_its_oracle_and_the_vectorised_pair(
 
         def oracle(rng):
             return oracles.inverse_cdf_sample(grid.nodes, grid.h, base.values, rng)
-    scalar_rng, oracle_rng, pair_rng = (np.random.default_rng(seed) for _ in range(3))
-    scalar = [prop.sample(x0, scalar_rng) for _ in range(n)]
+    oracle_rng, pair_rng = (np.random.default_rng(seed) for _ in range(2))
     expected = [oracle(oracle_rng) for _ in range(n)]
     y, folded = prop.propose(x0, prop.draw(pair_rng, n))
-    ys = np.array([s[0] for s in scalar])
-    assert ys.tobytes() == np.array([e[0] for e in expected]).tobytes()
-    assert ys.tobytes() == y.tobytes()
-    assert [s[1] for s in scalar] == [e[1] for e in expected] == folded.tolist()
+    assert y.tobytes() == np.array([e[0] for e in expected]).tobytes()
+    assert [e[1] for e in expected] == folded.tolist()
 
 
 @pytest.mark.parametrize("x0, sigma, draws, folds", [
@@ -232,7 +235,7 @@ def test_hastings_ratio_never_proposed_pairs(grid, std_normal):
         d = np.abs(np.asarray(y, float) - np.asarray(x, float))
         return np.where(d <= 1.0, 0.5, 0.0)
 
-    prop = ProposalKernel(density, lambda x, rng: (x, False), "band", True)
+    prop = ProposalKernel(density, tag="band", bounded=True)
     kern = HastingsKernel(std_normal, prop, bal, validate=False)
     assert hastings_ratio(kern, -5.0, 5.0) == 1.0
 
@@ -258,7 +261,7 @@ def test_ratio_matrix_matches_where_formula(rw_barker, grid, std_normal):
         d = np.abs(np.asarray(y, float) - np.asarray(x, float))
         return np.where(d <= 1.0, 0.5, 0.0)
 
-    prop = ProposalKernel(band, lambda x, rng: (x, False), "band", True)
+    prop = ProposalKernel(band, tag="band", bounded=True)
     banded = HastingsKernel(std_normal, prop, BalancingFunction.min_one(), validate=False)
     skewed = gaussian_density(grid, 0.4, 0.8).values
     for kern, values in ((rw_barker, None), (rw_barker, skewed), (banded, None)):
@@ -280,7 +283,7 @@ def test_apply_hastings_symmetry_zero(grid, std_normal):
 def test_negative_rejection_mass_detected(grid, std_normal):
     base = ProposalKernel.random_walk(1.0, grid)
     inflated = ProposalKernel(
-        lambda x, y: 1.2 * base.density(x, y), base.sample, "inflated", True
+        lambda x, y: 1.2 * base.density(x, y), tag="inflated", bounded=True
     )
     kern = HastingsKernel(std_normal, inflated, BalancingFunction.min_one(), validate=False)
     with pytest.raises(InternalConsistencyError):
@@ -356,24 +359,21 @@ def test_sample_step_frozen_balancing_never_moves(grid, std_normal):
     )
     prop = ProposalKernel.random_walk(1.0, grid)
     kern = HastingsKernel(std_normal, prop, frozen)
-    rng = np.random.default_rng(0)
-    x = 0.3
-    for _ in range(50):
-        y, accepted, _ = sample_step_detail(kern, x, rng)
-        assert y == x and not accepted
+    run = run_limiting_chain(kern, 0.3, 50, np.random.default_rng(0))
+    assert np.all(run.states == 0.3) and run.acceptance_rate == 0.0
+
+
+def test_sample_step_detail_refuses_accept_reject_kernels(rw_barker):
+    with pytest.raises(InvalidInputError, match="run_limiting_chain"):
+        sample_step_detail(rw_barker, 0.0, np.random.default_rng(0))
 
 
 def test_empirical_acceptance_matches_quadrature(rw_barker):
-    rng = np.random.default_rng(42)
-    x = 0.0
     n = 100_000
-    accepted = 0
-    for _ in range(n):
-        x, acc, _ = sample_step_detail(rw_barker, x, rng)
-        accepted += acc
+    run = run_limiting_chain(rw_barker, 0.0, n, np.random.default_rng(42))
     expected = acceptance_rate_quadrature(rw_barker)
     se = math.sqrt(expected * (1 - expected) / n)
-    assert abs(accepted / n - expected) <= 3 * se
+    assert abs(run.acceptance_rate - expected) <= 3 * se
 
 
 # ---------------------------------------------------------------- two-stage

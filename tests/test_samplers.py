@@ -180,7 +180,7 @@ def test_limiting_chain_validation(flow1_kernel, model):
     with pytest.raises(InvalidInputError):
         run_limiting_chain(flow1_kernel, 0.0, 2.5, 1)
     prop = ProposalKernel(lambda x, y: np.ones_like(np.asarray(y, dtype=float)),
-                          lambda x, rng: (0.0, False), "custom")
+                          tag="custom")
     kern = HastingsKernel(model.flow(1), prop, BalancingFunction.barker(),
                           validate=False)
     with pytest.raises(InvalidInputError, match="no vectorised sampler"):
