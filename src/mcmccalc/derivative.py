@@ -149,7 +149,7 @@ def _value_at_start(kernel, start, f_values) -> float:
     """P(start, f) for one kernel: a density start integrates P f, and a point
     start reads the kernel's own law from that point."""
     if isinstance(start, GridDensity):
-        return integrate_values(kernel.grid, start.values * kernel.apply_to_function(f_values))
+        return start.expect(kernel.apply_to_function(f_values))
     if isinstance(kernel, GibbsKernel):
         return apply_gibbs(kernel, start, f_values)
     return apply_hastings(kernel, float(start), f_values)

@@ -256,7 +256,6 @@ class ProposalKernel:
     _: KW_ONLY
     tag: str
     bounded: bool = True
-    params: dict = field(default_factory=dict)
     draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     propose: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     symmetric: bool = False
@@ -338,8 +337,8 @@ class ProposalKernel:
                 z = np.where(folded, reflect_into(lo, hi, z), z)
             return z, folded
 
-        return ProposalKernel(density, tag="random-walk", params={"sigma": sigma},
-                              draw=draw, propose=propose, symmetric=True)
+        return ProposalKernel(density, tag="random-walk", draw=draw, propose=propose,
+                              symmetric=True)
 
     @staticmethod
     def independence(base: GridDensity) -> "ProposalKernel":
@@ -360,8 +359,7 @@ class ProposalKernel:
             y = sample_from_grid_density(grid, vals, draws)
             return y, np.zeros(np.shape(draws), dtype=bool)
 
-        return ProposalKernel(density, tag="independence", params={"base": base.description},
-                              draw=draw, propose=propose)
+        return ProposalKernel(density, tag="independence", draw=draw, propose=propose)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +387,15 @@ class AtomPlusDensity:
 # ---------------------------------------------------------------------------
 # accept/reject kernel
 # ---------------------------------------------------------------------------
+
+def _hastings_ratio_values(mu_x, q_xy, mu_y, q_yx):
+    """``mu_y q_yx / (mu_x q_xy)``, and 1 where the denominator vanishes (a
+    pair the proposal never makes)."""
+    num = mu_y * q_yx
+    den = mu_x * q_xy
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, 1.0)
+
 
 def _row_blocks(n: int):
     """Slices over the rows of an n x n matrix, ``_BLOCK_ROWS`` at a time."""
@@ -502,15 +509,10 @@ class HastingsKernel:
     def ratio_at(self, x, y):
         """r(x, y) with y scalar or array; x scalar (off-grid allowed)."""
         y = np.asarray(y, dtype=float)
-        mu_x = self.target_at(x)
         mu_y = np.interp(y, self.grid.nodes, self.target.values)
         q_xy = self.proposal.density(x, y)
         q_yx = self.proposal.density(y, np.asarray(x, dtype=float))
-        num = mu_y * q_yx
-        den = mu_x * q_xy
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r = num / den
-        return np.where(den > 0.0, r, 1.0)
+        return _hastings_ratio_values(self.target_at(x), q_xy, mu_y, q_yx)
 
     def point_row(self, x):
         """(acceptance density q(x,.)g(r(x,.)) on nodes, rejection mass at x)."""
@@ -647,11 +649,6 @@ class GibbsFamily:
 # public operations
 # ---------------------------------------------------------------------------
 
-def hastings_ratio(kernel: HastingsKernel, x: float, y: float) -> float:
-    """Target ratio r(x, y); returns 1 on never-proposed pairs."""
-    return float(kernel.ratio_at(x, y))
-
-
 def apply_hastings(kernel: HastingsKernel, x: float, f_values) -> float:
     """One-step expectation P(x, f) from a (possibly off-grid) point."""
     f_values = grid_function(kernel.grid, f_values)
@@ -660,26 +657,10 @@ def apply_hastings(kernel: HastingsKernel, x: float, f_values) -> float:
     return integrate_values(kernel.grid, row * f_values) + rej * fx
 
 
-def apply_hastings_to_density(kernel: HastingsKernel, rho: GridDensity, f_values) -> float:
-    """P(rho, f) = integral of P(x, f) under the start density rho."""
-    check_on_grid(kernel.grid, rho)
-    f_values = grid_function(kernel.grid, f_values)
-    pf = kernel.apply_to_function(f_values)
-    return integrate_values(kernel.grid, rho.values * pf)
-
-
 def apply_gibbs(kernel: GibbsKernel, x, f_values) -> float:
     """One-step expectation of the two-stage kernel from x = (x1, x2)."""
     check_in_window(kernel.grid, x)
     return kernel.apply_from_x2(float(x[1]), grid_function(kernel.grid, f_values))
-
-
-def apply_gibbs_to_density(kernel: GibbsKernel, rho: GridDensity, f_values) -> float:
-    check_on_grid(kernel.grid, rho)
-    f_values = grid_function(kernel.grid, f_values)
-    rho2 = kernel.w1 @ rho.values
-    g = kernel.apply_over_second(f_values)
-    return float((kernel.w2 * rho2) @ g)
 
 
 def iterate_kernel(kernel: Kernel, f_values, steps: int, max_steps: int = DEFAULT_MAX_ITER):
@@ -711,9 +692,9 @@ def iterate_point(kernel: HastingsKernel, x: float, steps: int) -> AtomPlusDensi
     return m
 
 
-def sample_step_detail(kernel: GibbsKernel, x, rng: np.random.Generator):
+def sample_step_detail(kernel: GibbsKernel, x, rng: np.random.Generator) -> tuple:
     """One two-stage transition from ``x = (x1, x2)``, reading one uniform for
-    ``y1`` and then one for ``y2``; returns ``((y1, y2), True, False)``."""
+    ``y1`` and then one for ``y2``; returns ``(y1, y2)``."""
     if not isinstance(kernel, GibbsKernel):
         raise InvalidInputError("sample_step_detail steps two-stage kernels only; "
                                 "simulate an accept/reject chain with run_limiting_chain")
@@ -722,7 +703,7 @@ def sample_step_detail(kernel: GibbsKernel, x, rng: np.random.Generator):
     y1 = float(sample_from_grid_density(kernel.grid.axis1, c1, u1))
     c2 = kernel.conditional_second_given_first(y1)
     y2 = float(sample_from_grid_density(kernel.grid.axis2, c2, u2))
-    return (y1, y2), True, False
+    return y1, y2
 
 
 def acceptance_rate_quadrature(kernel: HastingsKernel) -> float:

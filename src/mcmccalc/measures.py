@@ -12,21 +12,17 @@ module owns that representation:
 * :class:`ContaminationCurve` — the segment ``(1-t)*mu + t*nu``,
 
 plus the basic operations on them: integration, weighted norms of functions
-and of signed measures, curve evaluation, and CSV/JSON serialization with
-bit-exact round-trips.  It also holds the input rules every module
-shares: :func:`grid_function` for node-value functions, :func:`check_count`
-for integer counts, :func:`check_positive`, :func:`check_window`,
-:func:`check_in_window`, :func:`check_on_grid`, :func:`check_start`,
-:func:`check_mixture` and :func:`check_covariance`.
+and of signed measures, and curve evaluation.  It also holds the input
+rules every module shares: :func:`grid_function` for node-value functions,
+:func:`check_count` for integer counts, :func:`check_positive`,
+:func:`check_window`, :func:`check_in_window`, :func:`check_on_grid`,
+:func:`check_start`, :func:`check_mixture` and :func:`check_covariance`.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -39,11 +35,6 @@ POSITIVE_FLOOR = 1e-300
 
 # Unit-mass tolerance for densities (relative to total mass 1).
 MASS_TOL = 1e-10
-
-
-def _fmt(x: float) -> str:
-    """Format a float with 17 significant digits (bit-exact round trip)."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -136,10 +127,6 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
     return float(np.sum(grid.trapezoid_weights() * values))
 
 
-def _interp1(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
-    return np.interp(np.asarray(x, dtype=float), grid.nodes, values)
-
-
 def slice_weights(axis: Grid1D, x: float) -> tuple:
     """``(k, f)``: linear interpolation at ``x`` weighs node ``k`` of ``axis``
     by ``1 - f`` and node ``k + 1`` by ``f``."""
@@ -153,29 +140,6 @@ def interp_slice(axis: Grid1D, rows: np.ndarray, x: float) -> np.ndarray:
     node of ``axis`` (pass ``values.T`` to slice along a second axis)."""
     k, f = slice_weights(axis, x)
     return (1.0 - f) * rows[k] + f * rows[k + 1]
-
-
-def _interp2(grid: Grid2D, values: np.ndarray, x1, x2):
-    """Bilinear interpolation at (x1, x2); scalar or array arguments."""
-    a1, a2 = grid.axis1, grid.axis2
-    x1 = np.clip(np.asarray(x1, dtype=float), a1.lower, a1.upper)
-    x2 = np.clip(np.asarray(x2, dtype=float), a2.lower, a2.upper)
-    t1 = (x1 - a1.lower) / a1.h
-    t2 = (x2 - a2.lower) / a2.h
-    i1 = np.minimum(t1.astype(int), a1.n_points - 2)
-    i2 = np.minimum(t2.astype(int), a2.n_points - 2)
-    f1 = t1 - i1
-    f2 = t2 - i2
-    v00 = values[i1, i2]
-    v10 = values[i1 + 1, i2]
-    v01 = values[i1, i2 + 1]
-    v11 = values[i1 + 1, i2 + 1]
-    return (
-        v00 * (1 - f1) * (1 - f2)
-        + v10 * f1 * (1 - f2)
-        + v01 * (1 - f1) * f2
-        + v11 * f1 * f2
-    )
 
 
 class GridDensity:
@@ -196,7 +160,7 @@ class GridDensity:
     positive : bool
         Apply the positivity floor and mark the density as safe to divide by.
     description : str
-        Free-form tag carried through serialization.
+        Free-form tag naming the density.
     """
 
     def __init__(self, grid, values, normalize=True, positive=False, description=""):
@@ -234,13 +198,12 @@ class GridDensity:
     def mass(self) -> float:
         return integrate_values(self.grid, self.values)
 
-    def at(self, *x):
-        """Evaluate by linear (1-D) or bilinear (2-D) interpolation."""
-        if self.grid.ndim == 1:
-            return _interp1(self.grid, self.values, x[0])
-        if len(x) == 1:
-            x = tuple(np.asarray(x[0]).T) if np.ndim(x[0]) else x[0]
-        return _interp2(self.grid, self.values, x[0], x[1])
+    def at(self, x):
+        """Evaluate a 1-D density at ``x`` (scalar or array) by linear
+        interpolation between the nodes."""
+        if self.grid.ndim != 1:
+            raise InvalidInputError("point evaluation needs a density on a 1-D grid")
+        return np.interp(np.asarray(x, dtype=float), self.grid.nodes, self.values)
 
     def expect(self, f_values) -> float:
         """Integral of a node-value function against this density."""
@@ -265,11 +228,6 @@ class SignedGridFunction:
     @property
     def mass(self) -> float:
         return integrate_values(self.grid, self.values)
-
-    def at(self, *x):
-        if self.grid.ndim == 1:
-            return _interp1(self.grid, self.values, x[0])
-        return _interp2(self.grid, self.values, x[0], x[1])
 
 
 @dataclass
@@ -485,12 +443,6 @@ def check_count(value, what: str = "step count", minimum: Optional[int] = 0,
     return int(value)
 
 
-def integrate(f_values, rho: GridDensity) -> float:
-    """Expectation of a node-value function under a grid density (see
-    :func:`grid_function` for what ``f_values`` may be and what it refuses)."""
-    return rho.expect(grid_function(rho.grid, f_values))
-
-
 def v_norm_function(f_values, weight_values) -> float:
     """Weighted sup norm ``sup |f| / V`` over grid nodes, from node values."""
     weight_values = np.asarray(weight_values, dtype=float)
@@ -519,67 +471,6 @@ def simpson_weights(n_nodes: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_density(density: GridDensity, csv_path) -> None:
-    """Write a density to ``<csv_path>`` plus a JSON header ``<csv_path>.json``.
-
-    1-D files have columns (node, value); 2-D files (node1, node2, value).
-    Floats are written with 17 significant digits so a round trip reproduces
-    the array bit for bit.
-    """
-    csv_path = Path(csv_path)
-    grid = density.grid
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if grid.ndim == 1:
-            writer.writerow(["node", "value"])
-            for x, v in zip(grid.nodes, density.values):
-                writer.writerow([_fmt(x), _fmt(v)])
-            header = {
-                "lower": grid.lower,
-                "upper": grid.upper,
-                "n_points": grid.n_points,
-                "description": density.description,
-            }
-        else:
-            writer.writerow(["node1", "node2", "value"])
-            for i, x1 in enumerate(grid.axis1.nodes):
-                for j, x2 in enumerate(grid.axis2.nodes):
-                    writer.writerow([_fmt(x1), _fmt(x2), _fmt(density.values[i, j])])
-            header = {
-                "lower": [grid.axis1.lower, grid.axis2.lower],
-                "upper": [grid.axis1.upper, grid.axis2.upper],
-                "n_points": [grid.axis1.n_points, grid.axis2.n_points],
-                "description": density.description,
-            }
-    with open(csv_path.with_suffix(csv_path.suffix + ".json"), "w") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
-
-
-def load_density(csv_path, positive=False) -> GridDensity:
-    """Inverse of :func:`save_density`."""
-    csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(csv_path.suffix + ".json")) as fh:
-        header = json.load(fh)
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    if isinstance(header["n_points"], list):
-        g1 = Grid1D(header["lower"][0], header["upper"][0], header["n_points"][0])
-        g2 = Grid1D(header["lower"][1], header["upper"][1], header["n_points"][1])
-        grid = Grid2D(g1, g2)
-        vals = np.array([float(r[2]) for r in body]).reshape(grid.shape())
-    else:
-        grid = Grid1D(header["lower"], header["upper"], header["n_points"])
-        vals = np.array([float(r[1]) for r in body])
-    return GridDensity(grid, vals, normalize=False, positive=positive,
-                       description=header.get("description", ""))
 
 
 # convenient named densities used throughout tests and configs ---------------

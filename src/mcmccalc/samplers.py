@@ -81,6 +81,7 @@ from .kernels import (
     HastingsFamily,
     HastingsKernel,
     ProposalKernel,
+    _hastings_ratio_values,
     sample_step_detail,
 )
 from .measures import (
@@ -368,10 +369,7 @@ class _Lane:
         if self.proposal.symmetric:
             return mu_y / mu_x
         q_xy, q_yx = self.proposal.q_pair(x, y)
-        num = mu_y * q_yx
-        den = mu_x * q_xy
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(den > 0.0, num / den, 1.0)
+        return _hastings_ratio_values(mu_x, q_xy, mu_y, q_yx)
 
     def step(self) -> np.ndarray:
         """Move every chain one step; returns the new states."""
@@ -580,13 +578,13 @@ def check_state_storage(count: int) -> None:
             % (count, gb * count, STATE_STORAGE_CAP, gb * STATE_STORAGE_CAP))
 
 
-def _gibbs_chain(kernel: GibbsKernel, x0, n: int, rng) -> Tuple[np.ndarray, int]:
+def _gibbs_chain(kernel: GibbsKernel, x0, n: int, rng) -> np.ndarray:
     states = np.empty((n, 2))
     x = (float(x0[0]), float(x0[1]))
     for k in range(n):
-        x, _, _ = sample_step_detail(kernel, x, rng)
+        x = sample_step_detail(kernel, x, rng)
         states[k] = x
-    return states, n  # two-stage moves always accept
+    return states
 
 
 def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
@@ -606,8 +604,8 @@ def run_limiting_chain(kernel, x0, n: int, seed: SeedLike) -> ChainRun:
     check_in_window(kernel.grid, x0)
     rng = _level_streams(seed, 1)[0]
     if gibbs:
-        states, accepted = _gibbs_chain(kernel, x0, n, rng)
-        folds = 0
+        states = _gibbs_chain(kernel, x0, n, rng)
+        accepted, folds = n, 0  # two-stage moves always accept and never fold
         descriptor = "two-stage scan @ %s" % kernel.target.description
     else:
         lane = _Lane(kernel.grid, kernel.proposal, kernel.balancing,

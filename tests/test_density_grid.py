@@ -40,8 +40,6 @@ from mcmccalc.kernels import (
     HastingsFamily,
     HastingsKernel,
     ProposalKernel,
-    apply_gibbs_to_density,
-    apply_hastings_to_density,
     check_invariance,
     iterate_density,
 )
@@ -98,7 +96,6 @@ POINT_CONSTANTS = hastings_mvi_constants(FAMILY, MU, NU, 0.37, WEIGHT, t_nodes=5
 # entry -> call with a start density rho (a reference or initial law for the
 # entries that take one)
 START_ENTRIES = {
-    "apply_hastings_to_density": lambda rho: apply_hastings_to_density(KERNEL, rho, F),
     "iterate_density": lambda rho: iterate_density(KERNEL, rho, 30),
     "check_invariance": lambda rho: check_invariance(KERNEL, rho),
     "hastings_derivative": lambda rho: hastings_derivative(KERNEL, rho, F),
@@ -163,7 +160,6 @@ DENSITY_CONSTANTS_2D = gibbs_mvi_constants(GIBBS_FAMILY, MU2, NU2, MU2, WEIGHT, 
 POINT_CONSTANTS_2D = gibbs_mvi_constants(GIBBS_FAMILY, MU2, NU2, (0.5, -0.5), WEIGHT, t_nodes=5)
 
 START_ENTRIES_2D = {
-    "apply_gibbs_to_density": lambda rho: apply_gibbs_to_density(GIBBS, rho, F2),
     "iterate_density": lambda rho: iterate_density(GIBBS, rho, 30),
     "check_invariance": lambda rho: check_invariance(GIBBS, rho),
     "gibbs_derivative": lambda rho: gibbs_derivative(GIBBS, rho, F2),

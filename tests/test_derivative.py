@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mcmccalc.derivative import (
-    OracleReport,
     derivative_for_start,
     drift_via_derivative,
     fd_directional_derivative,
@@ -23,8 +22,6 @@ from mcmccalc.kernels import (
     GibbsKernel,
     HastingsFamily,
     ProposalKernel,
-    apply_hastings_to_density,
-    iterate_kernel,
 )
 from mcmccalc.measures import (
     Grid1D,

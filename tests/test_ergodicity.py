@@ -320,7 +320,7 @@ def test_proposal_hole_kills_minorization(grid, mu, v_sq):
         out = np.where(np.abs(y - 4.0) <= 0.5, 0.0, 1.0 / 15.0)
         return np.broadcast_to(out, np.broadcast(x, y).shape).copy()
 
-    hole = ProposalKernel(density, tag="flat-with-hole", bounded=True, params={})
+    hole = ProposalKernel(density, tag="flat-with-hole", bounded=True)
     kern = HastingsKernel(mu, hole, BalancingFunction.min_one(), validate=False)
     mask = level_set_mask(v_sq, grid, 1.0 + 5.0 ** 2)
     rep = check_minorization([kern], mask, j=1)

@@ -44,9 +44,7 @@ from mcmccalc.kernels import (
     HastingsFamily,
     ProposalKernel,
     apply_gibbs,
-    apply_gibbs_to_density,
     apply_hastings,
-    apply_hastings_to_density,
     iterate_density,
     iterate_kernel,
 )
@@ -59,7 +57,6 @@ from mcmccalc.measures import (
     gaussian2d_density,
     gaussian_density,
     grid_function,
-    integrate,
     simpson_weights,
     v_norm_function,
 )
@@ -96,9 +93,7 @@ def fk():
 # entry -> (valid values, call taking the values; ``fk`` is the model fixture)
 ENTRIES = {
     "apply_hastings": (F, lambda f, fk: apply_hastings(KERN, 0.3, f)),
-    "apply_hastings_to_density": (F, lambda f, fk: apply_hastings_to_density(KERN, RHO, f)),
     "apply_gibbs": (F2, lambda f, fk: apply_gibbs(GIBBS, (0.1, 0.2), f)),
-    "apply_gibbs_to_density": (F2, lambda f, fk: apply_gibbs_to_density(GIBBS, RHO2, f)),
     "iterate_kernel": (F, lambda f, fk: iterate_kernel(KERN, f, 2)),
     "iterate_kernel-two-stage": (F2, lambda f, fk: iterate_kernel(GIBBS, f, 2)),
     "derivative_for_start-density": (F, lambda f, fk: derivative_for_start(KERN, RHO, f)),
@@ -115,7 +110,6 @@ ENTRIES = {
     # the chains evaluate the test function at their states, the check at the nodes
     "clt_experiment": (FK_F, lambda f, fk: clt_experiment(
         "smcmc", fk[1], lambda x: f if x is FK_GRID.nodes else np.cos(x), 100, 100, 1)),
-    "integrate": (F, lambda f, fk: integrate(f, RHO)),
     "v_norm_function": (F, lambda f, fk: v_norm_function(f, np.ones(GRID.n_points))),
     "v_alpha_norm": (F, lambda f, fk: v_alpha_norm(f, np.ones(GRID.n_points), 0.25)),
     "verify_ftc": (F, lambda f, fk: verify_ftc(FAMILY, MU, NU, 0.3, f, t_nodes=5)),

@@ -12,10 +12,7 @@ from mcmccalc.measures import (
     curve_at,
     gaussian2d_density,
     gaussian_density,
-    integrate,
     integrate_values,
-    load_density,
-    save_density,
     simpson_weights,
     v_norm_function,
     v_norm_measure,
@@ -179,10 +176,8 @@ def test_curve_linearity_against_three_point_combination():
 def test_integrate_contract():
     g = Grid1D(-8.0, 8.0, 2049)
     mu = gaussian_density(g, 0.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        integrate(np.full(g.n_points, np.nan), mu)
-    assert integrate(np.full(g.n_points, 3.25), mu) == pytest.approx(3.25, abs=1e-10)
-    second = integrate(g.nodes**2, mu)
+    assert mu.expect(np.full(g.n_points, 3.25)) == pytest.approx(3.25, abs=1e-10)
+    second = mu.expect(g.nodes**2)
     assert abs(second - 1.0) <= 1e-4
     assert abs(second - oracles.FROZEN["second_moment_trunc8"]) < 1e-6
 
@@ -210,27 +205,6 @@ def test_simpson_weights():
     assert np.sum(w * t**3) == pytest.approx(0.25, abs=1e-14)
 
 
-def test_csv_roundtrip_is_bit_exact(tmp_path):
-    g = Grid1D(-8.0, 8.0, 513)
-    mu = gaussian_density(g, 0.3, 1.1)
-    p = tmp_path / "mu.csv"
-    save_density(mu, p)
-    back = load_density(p, positive=True)
-    assert back.grid == g
-    assert np.array_equal(back.values, mu.values)
-    assert back.description == mu.description
-
-
-def test_csv_roundtrip_2d(tmp_path):
-    g = Grid2D(Grid1D(-6.0, 6.0, 33), Grid1D(-6.0, 6.0, 41))
-    mu = gaussian2d_density(g, [0.0, 0.0], np.array([[1.0, 0.4], [0.4, 1.0]]))
-    p = tmp_path / "mu2.csv"
-    save_density(mu, p)
-    back = load_density(p, positive=True)
-    assert back.grid.shape() == (33, 41)
-    assert np.array_equal(back.values, mu.values)
-
-
 def test_density_interpolation_matches_nodes():
     g = Grid1D(-8.0, 8.0, 257)
     mu = gaussian_density(g, 0.0, 1.0)
@@ -238,6 +212,13 @@ def test_density_interpolation_matches_nodes():
     # between nodes: linear interpolation
     x = 0.5 * (g.nodes[10] + g.nodes[11])
     assert mu.at(x) == pytest.approx(0.5 * (mu.values[10] + mu.values[11]), rel=1e-14)
+
+
+def test_point_evaluation_refuses_a_2d_density():
+    g = Grid2D(Grid1D(-6.0, 6.0, 33), Grid1D(-6.0, 6.0, 41))
+    mu = gaussian2d_density(g, [0.0, 0.0], np.array([[1.0, 0.4], [0.4, 1.0]]))
+    with pytest.raises(InvalidInputError, match="1-D grid"):
+        mu.at((0.5, -0.5))
 
 
 def test_gaussian2d_density_marginal():

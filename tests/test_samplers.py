@@ -42,7 +42,6 @@ from mcmccalc.kernels import (
 from mcmccalc.measures import (
     Grid1D,
     Grid2D,
-    GridDensity,
     POSITIVE_FLOOR,
     WeightFunction,
     gaussian2d_density,
