@@ -379,7 +379,8 @@ class AtomPlusDensity:
     def mass(self) -> float:
         return self.atom + integrate_values(self.grid, self.density)
 
-    def expect(self, f_values: np.ndarray) -> float:
+    def expect(self, f_values) -> float:
+        f_values = grid_function(self.grid, f_values)
         fx = float(np.interp(self.x, self.grid.nodes, f_values))
         return self.atom * fx + integrate_values(self.grid, self.density * f_values)
 

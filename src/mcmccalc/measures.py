@@ -206,8 +206,9 @@ class GridDensity:
         return np.interp(np.asarray(x, dtype=float), self.grid.nodes, self.values)
 
     def expect(self, f_values) -> float:
-        """Integral of a node-value function against this density."""
-        return integrate_values(self.grid, np.asarray(f_values, dtype=float) * self.values)
+        """Integral of a function against this density (see
+        :func:`grid_function` for what ``f_values`` may be and what it refuses)."""
+        return integrate_values(self.grid, grid_function(self.grid, f_values) * self.values)
 
 
 class SignedGridFunction:

@@ -324,6 +324,19 @@ def hastings_ratio_with_q(proposal, x, mu_x, y, mu_y):
         return np.where(den > 0.0, num / den, 1.0)
 
 
+def two_stage_density_expectation(nodes1, nodes2, joint, rho, f):
+    """P(rho, f) for the two-stage kernel of the joint node values ``joint``:
+    draw y1 from joint(. | x2), then y2 from joint(. | y1), under the start
+    ``rho``; every integral is a trapezoid sum over the nodes."""
+    w1 = np.trapezoid(np.eye(len(nodes1)), nodes1, axis=1)
+    w2 = np.trapezoid(np.eye(len(nodes2)), nodes2, axis=1)
+    second_given_first = joint / (joint @ w2)[:, None]
+    first_given_second = joint / (w1 @ joint)[None, :]
+    g = (second_given_first * f) @ w2                  # E[f(y1, y2) | y1]
+    h = (w1 * g) @ first_given_second                  # E[g(y1) | x2]
+    return float(((w1 @ rho) * w2) @ h)
+
+
 def stepped_run(lane, n, out, moved=None):
     """The per-step loop a lane's ``run`` replaces: ``n`` calls to
     ``lane.step()``, storing every chain's state and accept flag in column

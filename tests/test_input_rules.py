@@ -120,6 +120,11 @@ ENTRIES = {
     "poisson_resolvent": (F, lambda f, fk: poisson_resolvent(KERN, f)),
     "check_resolvent_identity": (F, lambda f, fk: check_resolvent_identity(FAMILY, MU, NU, f)),
     "pushforward_density": (GRID.nodes, lambda f, fk: pushforward_density(MU, lambda x: f)),
+    # P(rho, f) is rho.expect(kernel.apply_to_function(f)); P(x, f) reads the
+    # one-step law from x
+    "GridDensity.expect": (F, lambda f, fk: RHO.expect(f)),
+    "GridDensity.expect-2d": (F2, lambda f, fk: RHO2.expect(f)),
+    "AtomPlusDensity.expect": (F, lambda f, fk: KERN.propagate_point(0.3).expect(f)),
 }
 
 

@@ -234,6 +234,27 @@ def test_hastings_ratio_never_proposed_pairs(grid, std_normal):
     assert float(kern.ratio_at(-5.0, 5.0)) == 1.0
 
 
+def _band(x, y):
+    # never proposes a move longer than 1
+    d = np.abs(np.asarray(y, float) - np.asarray(x, float))
+    return np.where(d <= 1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("proposal", ["band", "independence", "random_walk"])
+def test_hastings_ratio_matches_the_ratio_with_q(grid, std_normal, proposal):
+    prop = {
+        "band": lambda: ProposalKernel(_band, tag="band", bounded=True),
+        "independence": lambda: ProposalKernel.independence(gaussian_density(grid, 0.5, 1.6)),
+        "random_walk": lambda: ProposalKernel.random_walk(0.8, grid),
+    }[proposal]()
+    kern = HastingsKernel(std_normal, prop, BalancingFunction.barker(), validate=False)
+    y = np.linspace(-3.0, 3.0, 41)
+    for x in (-1.3, 0.0, 0.45):
+        mu_x = np.full(y.shape, kern.target_at(x))
+        with_q = oracles.hastings_ratio_with_q(prop, np.full(y.shape, x), mu_x, y, std_normal.at(y))
+        assert np.array_equal(kern.ratio_at(x, y), with_q)
+
+
 def test_family_shares_one_read_only_proposal_matrix(grid, std_normal):
     prop = ProposalKernel.random_walk(1.0, grid)
     family = HastingsFamily(prop, BalancingFunction.barker())
@@ -440,6 +461,16 @@ def test_gibbs_density_propagation_matches_apply(grid2, corr_gauss):
     pushed = kern.propagate_density(rho.values)
     via_measure = integrate_values(grid2, pushed * f)
     assert via_function == pytest.approx(via_measure, abs=1e-10)
+
+
+def test_gibbs_density_expectation_matches_the_two_conditionals(grid2, corr_gauss):
+    kern = GibbsKernel(corr_gauss)
+    rho = gaussian2d_density(grid2, [0.4, -0.2], np.array([[0.5, 0.0], [0.0, 0.7]]))
+    x1g, x2g = grid2.mesh()
+    f = np.cos(x1g - 0.3 * x2g)
+    want = oracles.two_stage_density_expectation(
+        grid2.axis1.nodes, grid2.axis2.nodes, corr_gauss.values, rho.values, f)
+    assert rho.expect(kern.apply_to_function(f)) == pytest.approx(want, abs=1e-12)
 
 
 def test_gibbs_sampler_conditional_means(grid2, corr_gauss):

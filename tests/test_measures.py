@@ -176,10 +176,30 @@ def test_curve_linearity_against_three_point_combination():
 def test_integrate_contract():
     g = Grid1D(-8.0, 8.0, 2049)
     mu = gaussian_density(g, 0.0, 1.0)
+    with pytest.raises(InvalidInputError):
+        mu.expect(np.full(g.n_points, np.nan))
     assert mu.expect(np.full(g.n_points, 3.25)) == pytest.approx(3.25, abs=1e-10)
     second = mu.expect(g.nodes**2)
     assert abs(second - 1.0) <= 1e-4
     assert abs(second - oracles.FROZEN["second_moment_trunc8"]) < 1e-6
+
+
+EXPECT_GRIDS = {
+    "1d": Grid1D(-6.0, 6.0, 65),
+    "2d": Grid2D(Grid1D(-6.0, 6.0, 33), Grid1D(-5.0, 5.0, 41)),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(EXPECT_GRIDS))
+def test_expect_takes_a_callable_at_the_nodes(dim):
+    g = EXPECT_GRIDS[dim]
+    if dim == "1d":
+        rho, fn, at_nodes = gaussian_density(g, 0.2, 0.8), np.cos, np.cos(g.nodes)
+    else:
+        x1, x2 = g.mesh()
+        rho = gaussian2d_density(g, [0.1, 0.0], np.array([[0.6, 0.0], [0.0, 0.7]]))
+        fn, at_nodes = (lambda a, b: np.cos(a) * np.tanh(b)), np.cos(x1) * np.tanh(x2)
+    assert rho.expect(fn) == rho.expect(at_nodes)
 
 
 def test_weight_functions():
