@@ -1029,6 +1029,7 @@ def _run_ergodicity_check(settings, out_dir: Path):
                            max(p.b for p in parts) + 1e-9,
                            max(p.d for p in parts),
                            j=max(p.j for p in parts))
+        del kernels[1:]  # only the first is read below: free the others' matrices
     with _stage(kind, "geometric-rate"):
         rate = estimate_geometric_rate(kernels[0], (-3.0, 0.0, 3.0), 40, weight)
     with _stage(kind, "poisson-equation"):

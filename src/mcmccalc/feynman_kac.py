@@ -34,7 +34,7 @@ import csv
 import importlib.resources
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,8 +96,9 @@ class MutationKernel:
 
     ``density`` must broadcast over numpy arrays in both arguments and return
     nonnegative finite values.  Rows are always consumed through
-    :meth:`rows`, which divides each one by its grid quadrature mass, so the
-    density only has to be correct up to an x-dependent constant.
+    :meth:`rows` (or its two halves, :meth:`densities` and
+    :meth:`normalise`), which divides each one by its grid quadrature mass,
+    so the density only has to be correct up to an x-dependent constant.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -107,11 +108,22 @@ class MutationKernel:
         """Quadrature-normalised transition rows from the points ``xs``.
 
         Returns an array of shape ``(len(xs), grid.n_points)`` whose i-th row
-        integrates to one against the trapezoid weights.  A run of equal
-        consecutive points (a chain that rejected) evaluates the density
-        once and repeats the row.  The normalising matrix-vector product
-        still runs on every row: BLAS may round a row differently with
-        another set of rows, and the result must match evaluating each point.
+        integrates to one against the trapezoid weights: :meth:`densities`
+        followed by :meth:`normalise` on all the rows at once.
+        """
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        raw, own = self.densities(grid, xs)
+        # raw may be the density's own array: leave it as it is
+        return self.normalise(grid, xs, raw, raw if own else None)
+
+    def densities(self, grid: Grid1D, xs: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Unnormalised rows ``density(x, nodes)`` from the points ``xs``,
+        shape ``(len(xs), grid.n_points)``, checked finite and nonnegative,
+        and whether the array is this call's own.
+
+        A run of equal consecutive points (a chain that rejected) evaluates
+        the density once and repeats the row in a new array; without
+        repeats the array may be the density's own.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if xs.ndim != 1:
@@ -130,18 +142,26 @@ class MutationKernel:
                 % (raw.shape, (pts.size, grid.n_points))
             )
         _check_finite_nonnegative(raw, "mutation density")
-        if pts is not xs:
-            raw = raw[np.cumsum(first) - 1]
+        if pts is xs:
+            return raw, False
+        return raw[np.cumsum(first) - 1], True
+
+    def normalise(self, grid: Grid1D, xs: np.ndarray, raw: np.ndarray,
+                  out: Optional[np.ndarray]) -> np.ndarray:
+        """Divide each row of ``raw`` (the rows from the points ``xs``) by
+        its trapezoid mass, into ``out`` (None: a new array).
+
+        The masses come from one matrix-vector product over the rows as
+        given.  BLAS may round a row differently with another set of rows,
+        so a caller that must match another call's rows passes the same set.
+        """
         mass = raw @ grid.trapezoid_weights()
         if (mass <= 0.0).any():
             bad = float(xs[int(np.argmin(mass))])
             raise InvalidInputError(
                 "mutation row from x=%g carries no mass on the grid" % bad
             )
-        if pts is xs:  # raw may be the density's own array: leave it as it is
-            return raw / mass[:, None]
-        raw /= mass[:, None]  # the expanded copy is this call's own
-        return raw
+        return np.divide(raw, mass[:, None], out=out)
 
 
 def gaussian_mutation(mean_map: Callable[[np.ndarray], np.ndarray],

@@ -37,11 +37,11 @@ the run.  Against a fixed target (the limiting chain, every level of a stored
 sequential run, level 1 of a stored interacting run) every proposal reads the
 one target; an upper level of a stored interacting run reads, for each
 proposal, that step's row of its running mixture, so its levels run one after
-another, and each block of the mixture's rows is built from the block of
-states below.  Rounds stop at draw-block ends, so the streams are read in
-the order above and the states are bit-identical to stepping one step at a
-time.  The replicated engines whose states are not stored (their mixtures
-and running sums need every step of every chain) step in lockstep.
+another, and each block of the mixture's rows is built in one update from
+the block of states below.  Rounds stop at draw-block ends, so the streams
+are read in the order above and the states are bit-identical to stepping one
+step at a time.  The replicated engines whose states are not stored (their
+mixtures and running sums need every step of every chain) step in lockstep.
 
 The CLT harness validates the two asymptotic-variance displays: the
 random-centered statistic (each replication centered at its own realised
@@ -502,7 +502,9 @@ class _MixtureAccumulator:
     quadrature vector ``wf`` of a test function, the accumulator also keeps
     ``center_num`` and ``center_den``, the running sums of
     ``G(x_r) M(x_r, wf)`` and ``G(x_r)``: their ratio is the realised mean of
-    the test function under row ``r``'s normalised mixture.
+    the test function under row ``r``'s normalised mixture.  States join one
+    step at a time (:meth:`add`) or a block of steps at a time
+    (:meth:`add_block`), with the same bits.
     """
 
     def __init__(self, model: FeynmanKacModel, level: int, reps: int,
@@ -529,6 +531,66 @@ class _MixtureAccumulator:
         if self._wf is not None:
             self.center_num += self._g_moment
             self.center_den += self._g
+
+    def add_block(self, x: np.ndarray, moved: np.ndarray,
+                  tables: np.ndarray) -> Optional[np.ndarray]:
+        """Add ``m`` consecutive steps as ``m`` calls of :meth:`add` would,
+        with the same bits: step ``i`` adds ``x[:, i]`` with the flags
+        ``moved[:, i]`` (both R x m), and the table after it goes to
+        ``tables[i]`` (m x R x N).  With ``wf``, returns the realised means
+        ``center_num / center_den`` after each step (m x R).
+
+        The potentials and densities of every (step, chain) that moved come
+        from one call each.  Their normalising products run per step and
+        per block of ``MIN_REPLICATIONS`` chains, the rows that
+        :meth:`_recompute` passes to one call, so each row keeps its bits.
+        The tables and the centre sums are cumulative sums along the step
+        axis from the running ones, which add the steps in order as ``+=``
+        does.
+        """
+        grid, reps = self._model.grid, len(self.table)
+        moved = moved.T.copy()
+        if self._fresh:  # the first step fills every chain's cached row
+            self._recompute(x[:, 0], slice(None))
+            moved[0] = False
+        steps, chains = np.nonzero(moved)
+        new = steps.size
+        points = x[chains, steps]
+        g_at = self._model.potential_at(self._level, points)
+        raw, _ = self._mutation.densities(grid, points)
+        # the cached weighted rows, then one per (step, chain) that moved
+        weighted = np.empty((reps + new, grid.n_points))
+        weighted[:reps] = self._weighted_rows
+        moments = np.empty(new)
+        group = steps * reps + chains // MIN_REPLICATIONS
+        edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), new]
+        for a, b in zip(edges, edges[1:]):
+            rows = self._mutation.normalise(grid, points[a:b], raw[a:b],
+                                            weighted[reps + a:reps + b])
+            if self._wf is not None:
+                moments[a:b] = g_at[a:b] * (rows @ self._wf)
+            np.multiply(g_at[a:b, None], rows, out=rows)
+        # each chain's latest row at each step (new rows outrank cached ones)
+        latest = np.zeros(moved.shape, dtype=np.intp)
+        latest[0] = np.arange(reps)
+        latest[steps, chains] = reps + np.arange(new)
+        np.maximum.accumulate(latest, axis=0, out=latest)
+        np.take(weighted, latest, axis=0, out=tables)
+        tables[0] += self.table
+        np.cumsum(tables, axis=0, out=tables)
+        self.table[...] = tables[-1]
+        self._weighted_rows = weighted[latest[-1]]
+        if self._wf is None:
+            return None
+        g = np.concatenate((self._g, g_at))[latest]
+        moment = np.concatenate((self._g_moment, moments))[latest]
+        self._g, self._g_moment = g[-1].copy(), moment[-1].copy()
+        g[0] += self.center_den
+        moment[0] += self.center_num
+        np.cumsum(g, axis=0, out=g)
+        np.cumsum(moment, axis=0, out=moment)
+        self.center_num, self.center_den = moment[-1], g[-1]
+        return moment / g
 
     def _recompute(self, x: np.ndarray, idx) -> None:
         """Recompute the cached weighted rows (and potentials and moments)
@@ -834,8 +896,8 @@ class _TraceRecorder:
     def record(self, rows: np.ndarray, k0: int) -> None:
         """Record steps ``k0, k0 + 1, ...`` from their table rows."""
         m = len(rows)
-        # one 1-D product per row: a stacked gemv rounds the masses differently
-        mass = np.array([row @ self._weights for row in rows])
+        # a stack of 1 x N products: one gemv over the rows rounds differently
+        mass = (rows[:, None, :] @ self._weights)[:, 0]
         mu = rows / mass[:, None]
         prev = mu[:1] if self._prev is None else self._prev[None, :]
         delta = np.abs(mu - np.concatenate([prev, mu[:-1]]))
@@ -869,13 +931,15 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     step ``k``, so when states are collected the levels run one after
     another: level 1 with :meth:`_Lane.run`, then each level ``j >= 2`` in
     blocks of ``RUN_BLOCK`` steps.  The block's level-``(j-1)`` states join
-    the mixture one step at a time, a copy of the table after each step goes
-    to that step's row of the block, and :meth:`_Lane.run_moving` advances
-    level ``j`` against those rows.  Otherwise (the replicated CLT engine)
-    the levels step in lockstep; the trace still records ``RUN_BLOCK``
-    steps at a time.  In a stored depth-2 run, ``freeze_lower`` replaces
-    the running mixture with the fixed transform of a density, and level 2
-    runs with :meth:`_Lane.run`.
+    the mixture in one :meth:`_MixtureAccumulator.add_block`, which writes
+    the table after each step to that step's row of the block, and
+    :meth:`_Lane.run_moving` advances level ``j`` against those rows.
+    Otherwise (the replicated CLT engine) the levels step in lockstep and
+    the mixtures grow by :meth:`_MixtureAccumulator.add`, since a one-step
+    block would copy the R x N table twice more per step; the trace still
+    records ``RUN_BLOCK`` steps at a time.  In a stored depth-2 run,
+    ``freeze_lower`` replaces the running mixture with the fixed transform
+    of a density, and level 2 runs with :meth:`_Lane.run`.
     """
     grid = model.grid
     reps = len(streams)
@@ -917,11 +981,10 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
             top = j == p
             for k0 in range(0, n, RUN_BLOCK):
                 m = min(RUN_BLOCK, n - k0)
-                for i, k in enumerate(range(k0, k0 + m)):
-                    mixture.add(states[j - 2, :, k], moved[:, k])
-                    rows[i] = mixture.table
-                    if top and f is not None:
-                        center_sums += mixture.center_num / mixture.center_den
+                centres = mixture.add_block(states[j - 2, :, k0:k0 + m],
+                                            moved[:, k0:k0 + m], rows[:m])
+                if top and f is not None:  # in step order, as += would add them
+                    center_sums = np.cumsum(np.vstack((center_sums, centres)), axis=0)[-1]
                 lanes[j - 1].run_moving(rows[:m], states[j - 1, :, k0:k0 + m],
                                         moved[:, k0:k0 + m])
                 if top and tracer is not None:

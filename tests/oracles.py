@@ -291,9 +291,9 @@ class DenseMixtureAccumulator:
     every step, every chain's normalised mutation row and potential are
     recomputed from its current state, whether the chain moved or not.
 
-    Drop-in for the chain engines' accumulator (same constructor and
-    ``add``); ``moved`` is ignored.  The model is only called through its
-    ``grid``, ``mutation(level).rows`` and ``potential_at``.
+    Drop-in for the chain engines' accumulator (same constructor, ``add``
+    and ``add_block``); ``moved`` is ignored.  The model is only called
+    through its ``grid``, ``mutation(level).rows`` and ``potential_at``.
     """
 
     def __init__(self, model, level, reps, wf=None):
@@ -311,6 +311,17 @@ class DenseMixtureAccumulator:
         if self.wf is not None:
             self.center_num += g_at * (rows @ self.wf)
             self.center_den += g_at
+
+    def add_block(self, x, moved, tables):
+        """One ``add`` per step (column of ``x``); the table after step i
+        goes to ``tables[i]``, and with ``wf`` the per-step means come back."""
+        centres = []
+        for i in range(x.shape[1]):
+            self.add(x[:, i], moved[:, i])
+            tables[i] = self.table
+            if self.wf is not None:
+                centres.append(self.center_num / self.center_den)
+        return np.array(centres) if self.wf is not None else None
 
 
 def hastings_ratio_with_q(proposal, x, mu_x, y, mu_y):

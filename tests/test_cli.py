@@ -266,6 +266,33 @@ def test_chain_csv_keeps_its_pinned_bytes(tmp_path, kind, seed):
     assert read_manifest(out)["outputs"]["chains"]["sha256"] == digest
 
 
+# d1_statistics.csv sha256 of the same imcmc-run configs: the adaptation trace
+# of the top-level running mixture, so the mixture's row arithmetic and the
+# trace recorder are pinned to the byte as well as the states
+PINNED_TRACE_CSVS = {
+    1: "ce5aff81ccea4fba57b9679069e2f8eec25999deee26cd378b6f504bd89295d8",
+    5: "f167e1e3e6dfeed8536ee31d1c5ba824a4dcc890b490ecdae70d11cde2ded15a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TRACE_CSVS))
+def test_imcmc_trace_csv_keeps_its_pinned_bytes(tmp_path, seed):
+    cfg = write_config(tmp_path, {"kind": "imcmc-run", "depth": 2, "steps": 3000,
+                                  "seed": seed})
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["MCMCCALC_THREADS"] = "2"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "mcmccalc.cli", "imcmc-run", "--config",
+                          cfg, "--out", str(out)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256((out / "d1_statistics.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_TRACE_CSVS[seed]
+    assert read_manifest(out)["outputs"]["d1_statistics"]["sha256"] == digest
+
+
 def test_chain_csv_covers_every_level(tmp_path):
     cfg = write_config(tmp_path, {"kind": "smcmc-run", "steps": 120, "depth": 3})
     out = tmp_path / "out"

@@ -1,16 +1,18 @@
-"""No module of the library imports a name that it does not read.
+"""No module of the library or of its tests imports a name that it does
+not read.
 
 An import that nothing reads costs load time and names a dependency the
-module does not have.  This module parses ``src/`` and lists every
-module-level imported name that its module never reads (``__future__``
-imports aside).
+module does not have.  This module parses ``src/`` and ``tests/`` and lists
+every module-level imported name that its module never reads
+(``__future__`` imports aside).
 """
 
 import ast
 from pathlib import Path
 from typing import List
 
-LIBRARY = Path(__file__).resolve().parents[1] / "src" / "mcmccalc"
+TESTS = Path(__file__).resolve().parent
+LIBRARY = TESTS.parent / "src" / "mcmccalc"
 
 
 def _unused_imports(folder: Path) -> List[str]:
@@ -29,6 +31,10 @@ def _unused_imports(folder: Path) -> List[str]:
 
 def test_every_module_level_import_is_read():
     assert _unused_imports(LIBRARY) == []
+
+
+def test_every_test_module_import_is_read():
+    assert _unused_imports(TESTS) == []
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):

@@ -836,6 +836,41 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
                                    rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       reps=st.sampled_from([1, 2, 3, 4, 5, 6, 7, samplers.MIN_REPLICATIONS + 30]),
+       blocks=st.lists(st.integers(1, samplers.RUN_BLOCK), min_size=1, max_size=4),
+       move_rate=st.floats(0.0, 1.0), with_wf=st.booleans())
+def test_mixture_block_update_equals_adding_step_by_step(seed, reps, blocks, move_rate,
+                                                         with_wf, model):
+    grid = model.grid
+    rng = npr.default_rng(seed)
+    n = sum(blocks)
+    moved = rng.uniform(size=(reps, n)) < move_rate
+    x = np.empty((reps, n))
+    x[:, 0] = rng.uniform(-4.0, 4.0, reps)
+    for k in range(1, n):  # a chain that did not move sits where it was
+        x[:, k] = np.where(moved[:, k], rng.uniform(-4.0, 4.0, reps), x[:, k - 1])
+    wf = grid.trapezoid_weights() * f_clip(grid.nodes) if with_wf else None
+    stepped = samplers._MixtureAccumulator(model, 1, reps, wf)
+    blocked = samplers._MixtureAccumulator(model, 1, reps, wf)
+    k0 = 0
+    for m in blocks:
+        tables = np.empty((m, reps, grid.n_points))
+        centres = blocked.add_block(x[:, k0:k0 + m], moved[:, k0:k0 + m], tables)
+        assert (centres is None) == (wf is None)
+        for i in range(m):
+            stepped.add(x[:, k0 + i], moved[:, k0 + i])
+            assert _same(tables[i], stepped.table), (k0, i)
+            if wf is not None:
+                assert _same(centres[i], stepped.center_num / stepped.center_den), (k0, i)
+        assert _same(blocked.table, stepped.table)
+        if wf is not None:
+            assert _same(blocked.center_num, stepped.center_num)
+            assert _same(blocked.center_den, stepped.center_den)
+        k0 += m
+
+
 @pytest.mark.parametrize("scheme, reps", [
     ("smcmc", 6),  # the replicated running mixture, stepped in lockstep
     ("imcmc", 1),  # the stored one-chain loop of run_imcmc
@@ -843,14 +878,14 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
 def test_mixture_recomputes_rows_only_for_moved_chains(monkeypatch, family,
                                                        model, scheme, reps):
     computed = []
-    rows = MutationKernel.rows
+    densities = MutationKernel.densities
 
-    def counting_rows(self, grid, xs):
-        out = rows(self, grid, xs)
-        computed.append(out.shape[0])
+    def counting_densities(self, grid, xs):
+        out = densities(self, grid, xs)
+        computed.append(out[0].shape[0])
         return out
 
-    monkeypatch.setattr(MutationKernel, "rows", counting_rows)
+    monkeypatch.setattr(MutationKernel, "densities", counting_densities)
     n = 300
     if scheme == "smcmc":
         streams, _ = samplers._replication_streams(8, reps, 2)
