@@ -534,19 +534,15 @@ class _MixtureAccumulator:
 
     def add_block(self, x: np.ndarray, moved: np.ndarray,
                   tables: np.ndarray) -> Optional[np.ndarray]:
-        """Add ``m`` consecutive steps as ``m`` calls of :meth:`add` would,
-        with the same bits: step ``i`` adds ``x[:, i]`` with the flags
-        ``moved[:, i]`` (both R x m), and the table after it goes to
-        ``tables[i]`` (m x R x N).  With ``wf``, returns the realised means
-        ``center_num / center_den`` after each step (m x R).
+        """Add ``m`` steps with the bits of ``m`` :meth:`add` calls: step
+        ``i`` adds ``x[:, i]`` with the flags ``moved[:, i]`` (R x m), and
+        the table after it goes to ``tables[i]`` (m x R x N).  With ``wf``,
+        returns ``center_num / center_den`` after each step (m x R).
 
-        The potentials and densities of every (step, chain) that moved come
-        from one call each.  Their normalising products run per step and
-        per block of ``MIN_REPLICATIONS`` chains, the rows that
-        :meth:`_recompute` passes to one call, so each row keeps its bits.
-        The tables and the centre sums are cumulative sums along the step
-        axis from the running ones, which add the steps in order as ``+=``
-        does.
+        Moved rows are evaluated in one call but normalised per step and
+        per ``MIN_REPLICATIONS`` chains, as :meth:`_recompute` does; the
+        running sums are cumulative sums along the step axis, which add the
+        steps in order as ``+=`` does.
         """
         grid, reps = self._model.grid, len(self.table)
         moved = moved.T.copy()
@@ -934,10 +930,9 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     the mixture in one :meth:`_MixtureAccumulator.add_block`, which writes
     the table after each step to that step's row of the block, and
     :meth:`_Lane.run_moving` advances level ``j`` against those rows.
-    Otherwise (the replicated CLT engine) the levels step in lockstep and
-    the mixtures grow by :meth:`_MixtureAccumulator.add`, since a one-step
-    block would copy the R x N table twice more per step; the trace still
-    records ``RUN_BLOCK`` steps at a time.  In a stored depth-2 run,
+    Otherwise (the replicated CLT engine) the levels step in lockstep, each
+    mixture through ``add`` (a one-step block would copy the table twice
+    more); the trace still records ``RUN_BLOCK`` steps at a time.  In a stored depth-2 run,
     ``freeze_lower`` replaces the running mixture with the fixed transform
     of a density, and level 2 runs with :meth:`_Lane.run`.
     """
