@@ -25,6 +25,7 @@ invariance checks; accept/reject chains are simulated in :mod:`mcmccalc.samplers
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Optional, Union
 
@@ -57,9 +58,10 @@ _BLOCK_ROWS = 32
 # balancing rules
 # ---------------------------------------------------------------------------
 
-def _sum_powers(u: np.ndarray, m: int) -> np.ndarray:
-    """S_m(u) = 1 + u + ... + u**m by Horner (m >= 0)."""
-    acc = np.ones_like(u)
+def _sum_powers(u, m: int):
+    """S_m(u) = 1 + u + ... + u**m by Horner (m >= 0), for an array or a
+    float ``u``; S_0 is the float 1.0, which broadcasts as ones would."""
+    acc = 1.0
     for _ in range(m):
         acc = 1.0 + u * acc
     return acc
@@ -74,6 +76,14 @@ def _poly_g(x: np.ndarray, j: int) -> np.ndarray:
         u = np.where(small, 1.0, 1.0 / np.maximum(x, 1.0))
     hi = _sum_powers(u, j - 1) / _sum_powers(u, j)
     return np.where(small, lo, hi)
+
+
+def _poly_g_float(t: float, j: int) -> float:
+    """:func:`_poly_g` at one float, in the same Horner order."""
+    if t <= 1.0:
+        return t * _sum_powers(t, j - 1) / _sum_powers(t, j)
+    u = 1.0 / t
+    return _sum_powers(u, j - 1) / _sum_powers(u, j)
 
 
 def _poly_g_prime(x: np.ndarray, j: int) -> np.ndarray:
@@ -107,12 +117,18 @@ class BalancingFunction:
     ``g`` and ``g_prime`` must act elementwise, ``custom`` rules included:
     the dense kernel passes apply them to the target ratio one row block at
     a time, so an entry must not depend on the other entries of its array.
+
+    ``g_float`` is ``g`` on one Python float, with the bits ``g`` gives
+    that entry; the one-chain runs of the chain drivers step with it.  The
+    packaged rules carry one; without it (``custom``) the runs call ``g`` on
+    length-1 arrays, which, elementwise, keeps its bits.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     g_prime: Optional[Callable[[np.ndarray], np.ndarray]]
     tag: str
     small_value_factor: float = 1.0
+    g_float: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         self._validate_identity()
@@ -149,7 +165,11 @@ class BalancingFunction:
             np.copyto(out, 0.0, where=np.isinf(t))
             return out
 
-        return BalancingFunction(g, gp, "barker", small_value_factor=0.5)
+        def g_float(t):
+            return 1.0 if t == math.inf else t / (1.0 + t)
+
+        return BalancingFunction(g, gp, "barker", small_value_factor=0.5,
+                                 g_float=g_float)
 
     @staticmethod
     def min_one() -> "BalancingFunction":
@@ -158,6 +178,7 @@ class BalancingFunction:
             None,
             "min-one",
             small_value_factor=1.0,
+            g_float=lambda t: min(1.0, t),
         )
 
     @staticmethod
@@ -170,6 +191,7 @@ class BalancingFunction:
             lambda t: _poly_g_prime(t, j),
             f"gj({j})",
             small_value_factor=j / (j + 1.0),
+            g_float=lambda t: _poly_g_float(t, j),
         )
 
     @staticmethod
@@ -183,6 +205,20 @@ class BalancingFunction:
 # ---------------------------------------------------------------------------
 # proposals
 # ---------------------------------------------------------------------------
+
+def interp_float(nodes: list, values: list, v: float) -> float:
+    """``np.interp(v, nodes, values)`` for one float, with its bits: the
+    interval comes from ``bisect_right``, an exact node and the window ends
+    read the node value, and in between the slope is applied as numpy's
+    compiled loop applies it."""
+    j = bisect_right(nodes, v) - 1
+    if j < 0:
+        return values[0]
+    if j == len(nodes) - 1 or nodes[j] == v:
+        return values[j]
+    return ((values[j + 1] - values[j]) / (nodes[j + 1] - nodes[j]) * (v - nodes[j])
+            + values[j])
+
 
 def reflect_into(lo: float, hi: float, z):
     """Fold real numbers into [lo, hi] by repeated boundary reflection."""
@@ -236,13 +272,20 @@ class ProposalKernel:
     (precondition of the derivative operations).
 
     The chain drivers move many proposals at once through the vectorised
-    pair: ``draw(rng, count)`` reads ``count`` raw draws from the stream and
-    ``propose(x, draws)`` maps them to proposals from ``x`` with their fold
-    mask; the chain drivers refuse a proposal without them.  ``symmetric``
-    marks ``density(x, y) == density(y, x)``: ``q`` then cancels from the
-    chain drivers' Hastings ratio, which reads only the target,
-    ``mu(y) / mu(x)``.  The drivers read :meth:`q_pair` only for asymmetric
-    proposals.
+    pair: ``draw(rng, count)`` reads ``count`` draws from the stream (all
+    the work that does not depend on the state) and ``propose(x, draws)``
+    maps them to proposals from ``x`` with their fold mask; the chain
+    drivers refuse a proposal without them.  ``symmetric`` marks
+    ``density(x, y) == density(y, x)``: ``q`` then cancels from the chain
+    drivers' Hastings ratio, which reads only the target, ``mu(y) / mu(x)``.
+    The drivers read :meth:`q_pair` only for asymmetric proposals.
+
+    The one-chain runs of the chain drivers step in Python floats, through
+    ``propose_float(x, d)`` for one draw ``d``, which returns ``(y, folded)``, and
+    ``q_pair_float(x, y)``: :meth:`propose` and :meth:`q_pair` at one
+    point, with their bits.  Without them (a hand-built proposal, or an
+    instance whose ``q_pair`` was replaced) the runs call the vector forms
+    on length-1 arrays, which keeps their bits.
 
     On a grid, :meth:`matrix` gives ``q`` at the node pairs and
     :meth:`matrix_t` its transpose as a C-ordered array, so that every
@@ -259,6 +302,8 @@ class ProposalKernel:
     draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     propose: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     symmetric: bool = False
+    propose_float: Optional[Callable[[float, float], tuple]] = None
+    q_pair_float: Optional[Callable[[float, float], tuple]] = None
     _matrix: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def q_pair(self, x, y):
@@ -337,8 +382,14 @@ class ProposalKernel:
                 z = np.where(folded, reflect_into(lo, hi, z), z)
             return z, folded
 
+        def propose_float(x, d):
+            z = x + sigma * d
+            if z < lo or z > hi:
+                return float(reflect_into(lo, hi, z)), True
+            return z, False
+
         return ProposalKernel(density, tag="random-walk", draw=draw, propose=propose,
-                              symmetric=True)
+                              symmetric=True, propose_float=propose_float)
 
     @staticmethod
     def independence(base: GridDensity) -> "ProposalKernel":
@@ -346,20 +397,28 @@ class ProposalKernel:
             raise InvalidInputError("independence proposal needs a 1-D base density")
         grid = base.grid
         vals = base.values
+        nodes_list, vals_list = grid.nodes.tolist(), vals.tolist()
 
         def density(x, y):
             y = np.asarray(y, dtype=float)
             out = np.interp(y, grid.nodes, vals)
             return np.broadcast_to(out, np.broadcast(np.asarray(x, dtype=float), y).shape).copy()
 
+        # a proposal does not depend on the state: the inverse CDF maps a
+        # whole block of uniforms when they are drawn, and the drawn points
+        # are the proposals
         def draw(rng, count):
-            return rng.uniform(size=count)
+            return sample_from_grid_density(grid, vals, rng.uniform(size=count))
 
         def propose(x, draws):
-            y = sample_from_grid_density(grid, vals, draws)
-            return y, np.zeros(np.shape(draws), dtype=bool)
+            return draws, np.zeros(np.shape(draws), dtype=bool)
 
-        return ProposalKernel(density, tag="independence", draw=draw, propose=propose)
+        def q_pair_float(x, y):
+            return interp_float(nodes_list, vals_list, y), interp_float(nodes_list, vals_list, x)
+
+        return ProposalKernel(density, tag="independence", draw=draw, propose=propose,
+                              propose_float=lambda x, d: (d, False),
+                              q_pair_float=q_pair_float)
 
 
 # ---------------------------------------------------------------------------

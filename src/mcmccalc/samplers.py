@@ -30,18 +30,19 @@ accepted when a uniform falls below ``g`` of the Hastings ratio
 ``mu(y) q(y, x) / (mu(x) q(x, y))``; a symmetric proposal's ``q`` cancels, so
 its chains read only the target, ``mu(y) / mu(x)``.
 
-A chain that rejects stays where it is.  So a chain whose states are
-stored advances a rejection run at a time: from its state the next proposals
-are judged together as if all were rejected, and the first accepted one ends
-the run.  Against a fixed target (the limiting chain, every level of a stored
-sequential run, level 1 of a stored interacting run) every proposal reads the
-one target; an upper level of a stored interacting run reads, for each
-proposal, that step's row of its running mixture, so its levels run one after
-another, and each block of the mixture's rows is built in one update from
-the block of states below.  Rounds stop at draw-block ends, so the streams
-are read in the order above and the states are bit-identical to stepping one
-step at a time.  The replicated engines whose states are not stored (their
-mixtures and running sums need every step of every chain) step in lockstep.
+A chain whose states are stored advances alone, a step at a time in Python
+floats: the draws and uniforms of a draw block become lists, and each step
+reads the target through a float twin of the vectorised read and calls the
+float forms of the proposal and the balancing rule, which give the bits of
+the vector arithmetic.  Against a fixed target (the limiting chain, every
+level of a stored sequential run, level 1 of a stored interacting run) every
+step reads the one target; an upper level of a stored interacting run reads,
+at each step, that step's row of its running mixture, so its levels run one
+after another, and each block of the mixture's rows is built in one update
+from the block of states below.  The streams are read in the order above and
+the states are bit-identical to stepping the chains in lockstep, which the
+replicated engines whose states are not stored do (their mixtures and
+running sums need every step of every chain).
 
 The CLT harness validates the two asymptotic-variance displays: the
 random-centered statistic (each replication centered at its own realised
@@ -82,6 +83,7 @@ from .kernels import (
     HastingsKernel,
     ProposalKernel,
     _hastings_ratio_values,
+    interp_float,
     sample_step_detail,
 )
 from .measures import (
@@ -97,7 +99,7 @@ from .measures import (
 )
 
 DRAW_BLOCK = 1024
-RUN_BLOCK = 32  # proposals judged together in one rejection run (_Lane.run)
+RUN_BLOCK = 32  # steps of a stored interacting level per block of its mixture rows
 MIN_BATCHES = 20
 DEFAULT_BATCH_COUNT = 40  # batches of the batch-means variance
 DEFAULT_ALPHA = 0.25  # exponent of the V**alpha norm in the CLT report
@@ -263,25 +265,54 @@ def _matrix_rows_at(grid: Grid1D, table: np.ndarray, xs: np.ndarray) -> np.ndarr
     return flat[at] * (1.0 - frac) + flat[at + 1] * frac
 
 
+def _row_reader(grid: Grid1D, get: Callable[[int], float]) -> Callable[[int, float], float]:
+    """The float twin of :func:`_matrix_rows_at`: ``read(base, v)`` is the
+    row whose node ``i`` is ``get(base + i)`` at the float ``v``, with the
+    bits :func:`_matrix_rows_at` gives that entry."""
+    lower, h, top = float(grid.lower), float(grid.h), grid.n_points - 2
+
+    def read(base, v):
+        pos = (v - lower) / h
+        i = min(max(int(pos), 0), top)
+        frac = pos - i
+        return get(base + i) * (1.0 - frac) + get(base + i + 1) * frac
+
+    return read
+
+
+def _at_one_point(vector: Callable) -> Callable:
+    """The float form of an elementwise vector rule: the rule on length-1
+    arrays, which keeps its bits, with each output as a Python scalar."""
+    def at(*args):
+        out = vector(*(np.array([a]) for a in args))
+        if isinstance(out, tuple):
+            return tuple(np.asarray(o).item() for o in out)
+        return np.asarray(out).item()
+
+    return at
+
+
 class _Lane:
     """R parallel accept/reject chains against a shared or per-chain target.
 
     :meth:`step` moves all R chains one step in lockstep, for engines whose
     per-step consumers (mixtures, running sums) need every step.
     :meth:`run` moves every chain ``n`` steps against its fixed target, and
-    :meth:`run_moving` against per-step tables, both a rejection run at a
-    time.  All three read the same draws in the same order and share the
-    acceptance arithmetic, so a run reproduces the states, counts and cursor
-    of stepping (with the target refreshed before each step) bit for bit.
+    :meth:`run_moving` against per-step tables, one chain at a time in
+    Python floats.  All three read the same draws in the same order, and the
+    float steps repeat the vector arithmetic of :meth:`step` bit for bit, so
+    a run reproduces the states, counts and cursor of stepping (with the
+    target refreshed before each step).
 
     ``accepted`` holds the accept mask of the latest step: a chain whose
     entry is False still sits where it was before that step.  The proposal
     must carry its vectorised pair (``ProposalKernel.draw`` and
-    ``propose``).
+    ``propose``); the runs use the float forms of the proposal and the
+    balancing rule where they have them, and the vector forms on length-1
+    arrays where they do not.
 
-    The round arithmetic (:meth:`_proposals`) runs under its caller's
-    ``np.errstate(over="ignore")``: :meth:`step` enters it once per step and
-    :meth:`_advance` once per run, not once per round.
+    The vector arithmetic runs under ``np.errstate(over="ignore")``:
+    :meth:`step` enters it once per step and :meth:`_advance` once per run.
     """
 
     def __init__(self, grid: Grid1D, proposal: ProposalKernel, balancing,
@@ -306,6 +337,14 @@ class _Lane:
         self.accepted: Optional[np.ndarray] = None
         self.target: Optional[np.ndarray] = None
         self.mu_x: Optional[np.ndarray] = None
+        # the float forms of the runs; an instance's own q_pair outranks the
+        # float form its proposal family was built with
+        self._propose_float = proposal.propose_float or _at_one_point(proposal.propose)
+        self._q_pair_float = (proposal.q_pair_float
+                              if proposal.q_pair_float and "q_pair" not in vars(proposal)
+                              else _at_one_point(proposal.q_pair))
+        self._g_float = balancing.g_float or _at_one_point(balancing.g)
+        self._nodes = grid.nodes.tolist()
 
     # target handling ------------------------------------------------------
 
@@ -337,26 +376,14 @@ class _Lane:
         self._accept_u = accept_u
         self._cursor = 0
 
-    def _proposals(self, x: np.ndarray, mu_x: Optional[np.ndarray],
-                   table: np.ndarray, d: np.ndarray, u: np.ndarray):
-        """Proposals from the states ``x`` (target values ``mu_x``) for the
-        draws ``d``, with their fold mask, the target values at ``x`` and at
-        the proposals, and the accept mask under the uniforms ``u``.  Every
-        operation is elementwise, so one chain may pass several steps' draws
-        at once: each is judged as if the chain were still at ``x``.  With
-        ``mu_x`` None, ``table`` holds one row per draw, and the value at
-        ``x`` is read from each row in the same gather as the proposal's."""
-        y, folded = self.proposal.propose(x, d)
-        if mu_x is None:
-            xy = np.empty((2, y.size))
-            xy[0] = x
-            xy[1] = y
-            mu_x, mu_y = _matrix_rows_at(self.grid, table, xy)
-            mu_x = np.maximum(mu_x, POSITIVE_FLOOR)
-        else:
-            mu_y = self._target_at(table, y)
-        ratio = self._hastings_ratio(x, mu_x, y, mu_y)
-        return y, folded, mu_x, mu_y, u < self.balancing.g(ratio)
+    def _proposals(self, d: np.ndarray, u: np.ndarray):
+        """Proposals from the states for the draws ``d``, with their fold
+        mask, the target values at them and the accept mask under the
+        uniforms ``u``."""
+        y, folded = self.proposal.propose(self.x, d)
+        mu_y = self._target_at(self.target, y)
+        ratio = self._hastings_ratio(self.x, self.mu_x, y, mu_y)
+        return y, folded, mu_y, u < self.balancing.g(ratio)
 
     def _hastings_ratio(self, x: np.ndarray, mu_x: np.ndarray, y: np.ndarray,
                         mu_y: np.ndarray) -> np.ndarray:
@@ -380,8 +407,7 @@ class _Lane:
         self._cursor += 1
 
         with np.errstate(over="ignore"):
-            y, folded, _, mu_y, accept = self._proposals(self.x, self.mu_x,
-                                                         self.target, d, u)
+            y, folded, mu_y, accept = self._proposals(d, u)
         self.accepted = accept
         self.x = np.where(accept, y, self.x)
         self.mu_x = np.where(accept, np.maximum(mu_y, POSITIVE_FLOOR), self.mu_x)
@@ -396,9 +422,9 @@ class _Lane:
         Chain ``r``'s state after step ``k`` goes to ``out[r, k]`` and, when
         ``moved`` is given, whether that step was accepted to
         ``moved[r, k]``.  The chains do not interact, so within each draw
-        block they advance in turn, each a rejection run at a time (see
-        :meth:`_run_chain`); the cursor then moves past the block's steps,
-        so each stream is consumed as under :meth:`step`.
+        block they advance in turn (see :meth:`_run_chain`); the cursor then
+        moves past the block's steps, so each stream is consumed as under
+        :meth:`step`.
         """
         self._advance(n, out, moved, None)
 
@@ -409,9 +435,9 @@ class _Lane:
         fixed one.
 
         Stepping would write ``rows[k]`` into the target, :meth:`refresh`
-        and :meth:`step`; here each proposal reads its own step's row, for
-        the current state's value as well.  Afterwards the target is (a
-        copy of) the last table.
+        and :meth:`step`; here each step reads its own row, for the current
+        state's value as well.  Afterwards the target is (a copy of) the
+        last table.
         """
         self._advance(len(rows), out, moved, rows)
         if len(rows):
@@ -434,7 +460,7 @@ class _Lane:
                     last[r] = self._run_chain(
                         r, out[r, done:done + m],
                         None if moved is None else moved[r, done:done + m],
-                        None if rows is None else rows[done:done + m, r])
+                        None if rows is None else rows[done:done + m])
                 self.accepted = last
                 self._cursor += m
                 done += m
@@ -442,51 +468,64 @@ class _Lane:
     def _run_chain(self, r: int, out: np.ndarray, moved: Optional[np.ndarray],
                    rows: Optional[np.ndarray]) -> bool:
         """Advance chain ``r`` ``len(out)`` steps over its draws from the
-        cursor, against its fixed target or, when given, against ``rows``
-        (its table row for each step); returns whether the last step was
+        cursor, against its fixed target or, when given, against its row of
+        ``rows[k]`` at step ``k``; returns whether the last step was
         accepted.
 
-        A rejected chain stays where it is, so from state ``x`` the next
-        proposals are judged together as if every one were rejected, and the
-        first accepted one ends the run of rejections.  A round takes at
-        most ``RUN_BLOCK`` proposals.  Rounds run under the caller's
-        ``np.errstate(over="ignore")`` (:meth:`_advance` enters it), and
-        write the chain's state and target value through views; the accept
-        and fold counts are added to the lane's once, at the end.
+        The steps run in Python floats: the target is read through
+        :func:`interp_float` (a 1-D target) or :func:`_row_reader` (a table),
+        the float twins of :meth:`_target_at`, and the proposal and the
+        balancing rule through their float forms.  The ratio and the floors
+        on the target value are those of :meth:`step`.  The states, flags
+        and counts are written to the lane once, at the end.
         """
-        x = self.x[r:r + 1]
-        mu_x = self.mu_x[r:r + 1]
-        state = x[0]
-        if rows is None:
-            table = self.target if self.target.ndim == 1 else self.target[r:r + 1]
-            mu_in = mu_x
-        else:  # proposal i is judged against step i's row, as refresh does
-            mu_in = None
-        draws = self._draws[r, self._cursor:]
-        uniforms = self._accept_u[r, self._cursor:]
-        accepts = folds = 0
         n = len(out)
-        done = 0
-        while done < n:
-            k = min(n - done, RUN_BLOCK)
+        draws = self._draws[r, self._cursor:self._cursor + n].tolist()
+        uniforms = self._accept_u[r, self._cursor:self._cursor + n].tolist()
+        propose, g = self._propose_float, self._g_float
+        q_pair = None if self.proposal.symmetric else self._q_pair_float
+        width = self.grid.n_points
+        if rows is not None:  # step k reads chain r's row of rows[k]
+            row_at = _row_reader(self.grid, rows.item)
+            stride = rows.shape[1] * width
+
+            def read(v, k):
+                return row_at(r * width + k * stride, v)
+        elif self.target.ndim == 1:
+            nodes, values = self._nodes, self.target.tolist()
+
+            def read(v, k):
+                return interp_float(nodes, values, v)
+        else:
+            row_at = _row_reader(self.grid, self.target.item)
+
+            def read(v, k):
+                return row_at(r * width, v)
+        x, mu_x = self.x.item(r), self.mu_x.item(r)
+        states, flags = [], []
+        accepts = folds = 0
+        for k in range(n):
             if rows is not None:
-                table = rows[done:done + k]
-            y, folded, mu_now, mu_y, accept = self._proposals(
-                x, mu_in, table, draws[done:done + k], uniforms[done:done + k])
-            j = int(accept.argmax())
-            hit = bool(accept[j])
-            used = j + 1 if hit else k
-            out[done:done + used] = state
-            if hit:
-                state = out[done + j] = x[0] = y[j]
-                mu_x[0] = max(mu_y[j], POSITIVE_FLOOR)
-                accepts += 1
+                mu_x = max(read(x, k), POSITIVE_FLOOR)
+            y, folded = propose(x, draws[k])
+            mu_y = read(y, k)
+            if q_pair is None:
+                t = mu_y / mu_x
             else:
-                mu_x[0] = mu_now[-1]
-            if moved is not None:
-                moved[done:done + used] = accept[:used]
-            folds += np.count_nonzero(folded[:used])
-            done += used
+                q_xy, q_yx = q_pair(x, y)
+                den = mu_x * q_xy
+                t = mu_y * q_yx / den if den > 0.0 else 1.0
+            hit = uniforms[k] < g(t)
+            if hit:
+                x, mu_x = y, max(mu_y, POSITIVE_FLOOR)
+                accepts += 1
+            folds += folded
+            states.append(x)
+            flags.append(hit)
+        out[:] = states
+        if moved is not None:
+            moved[:] = flags
+        self.x[r], self.mu_x[r] = x, mu_x
         self.accept_count[r] += accepts
         self.fold_count[r] += folds
         return hit

@@ -266,6 +266,36 @@ def test_chain_csv_keeps_its_pinned_bytes(tmp_path, kind, seed):
     assert read_manifest(out)["outputs"]["chains"]["sha256"] == digest
 
 
+# the same for families off the default (seed 1): the independence proposal
+# and the min-one and gj(2) rules, each stepped through its own float forms
+PINNED_FAMILY_CHAIN_CSVS = {
+    "smcmc-independence": ("smcmc-run", {"proposal": "independence"},
+                           "1cff9453de8842cc4fbde3ca4ce08caec2c8b1874e924cc86764cb46469a7877"),
+    "imcmc-gj2": ("imcmc-run", {"balancing": {"exponent": 2}},
+                  "31b9020576aaa04d69355c5999f792dd23acb43911341d6dbbb738ef23693742"),
+    "smcmc-min-one": ("smcmc-run", {"balancing": "min-one"},
+                      "9fe2277c99f00d696718c8967ea5e135e5e29efccdb1f150164ed1825e10c65c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FAMILY_CHAIN_CSVS))
+def test_family_chain_csv_keeps_its_pinned_bytes(tmp_path, name):
+    kind, family, pinned = PINNED_FAMILY_CHAIN_CSVS[name]
+    cfg = write_config(tmp_path, {"kind": kind, "depth": 2, "steps": 3000, "seed": 1,
+                                  "family": family})
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["MCMCCALC_THREADS"] = "2"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "mcmccalc.cli", kind, "--config", cfg,
+                          "--out", str(out)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256((out / "chains.csv").read_bytes()).hexdigest()
+    assert digest == pinned
+
+
 # d1_statistics.csv sha256 of the same imcmc-run configs: the adaptation trace
 # of the top-level running mixture, so the mixture's row arithmetic and the
 # trace recorder are pinned to the byte as well as the states

@@ -306,14 +306,24 @@ def test_lane_run_of_several_chains_matches_stepping(table, grid, model):
     assert np.all(ran.accept_count > 0)
 
 
+# the packaged rules step with their float forms; the custom rule has none,
+# so a run calls its vector form on length-1 arrays
+_GENERATED_RULES = st.sampled_from(
+    [BalancingFunction.barker(), BalancingFunction.min_one()]
+    + [BalancingFunction.polynomial(j) for j in (1, 2, 3)]
+    + [BalancingFunction.custom(lambda t: np.minimum(1.0, np.asarray(t, float)))])
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.05, 2.6),
-       x0=st.floats(-8.0, 8.0), n=st.integers(0, 1100))
-def test_lane_run_equals_stepping_on_generated_inputs(seed, sigma, x0, n, model):
+       x0=st.floats(-8.0, 8.0), n=st.integers(0, 1100), balancing=_GENERATED_RULES,
+       kind=st.sampled_from(["random-walk", "independence"]))
+def test_lane_run_equals_stepping_on_generated_inputs(seed, sigma, x0, n, balancing,
+                                                      kind, model):
     grid = model.grid
-    proposal = ProposalKernel.random_walk(sigma, grid)
+    proposal = _proposal(kind, grid, sigma)
     _assert_run_matches_stepping(
-        lambda: _one_chain_lane(grid, proposal, BalancingFunction.barker(),
+        lambda: _one_chain_lane(grid, proposal, balancing,
                                 model.flow(1).values, x0=x0, seed=seed), n)
 
 
@@ -426,14 +436,15 @@ def test_lane_moving_run_matches_stepping_with_folds(grid):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.05, 2.6),
        x0=st.floats(-8.0, 8.0), n=st.integers(1, 1100),
-       start=st.integers(0, 500))
+       start=st.integers(0, 500), balancing=_GENERATED_RULES,
+       kind=st.sampled_from(["random-walk", "independence"]))
 def test_lane_moving_run_equals_stepping_on_generated_inputs(seed, sigma, x0,
-                                                            n, start, model):
+                                                            n, start, balancing,
+                                                            kind, model):
     grid = model.grid
-    proposal = ProposalKernel.random_walk(sigma, grid)
+    proposal = _proposal(kind, grid, sigma)
     _assert_moving_run_matches_stepping(
-        lambda: _moving_lane(grid, proposal, BalancingFunction.barker(),
-                             [x0], [seed]),
+        lambda: _moving_lane(grid, proposal, balancing, [x0], [seed]),
         [_moving_rows(grid, n, start=start)])
 
 
@@ -453,7 +464,8 @@ def test_symmetric_ratio_matches_the_ratio_with_q(seed, sigma, x0, start,
     rng = npr.default_rng(seed)
     x = lane.x
     d, u = rng.standard_normal(samplers.RUN_BLOCK), rng.uniform(size=samplers.RUN_BLOCK)
-    y, _, mu_x, mu_y, accept = lane._proposals(x, lane.mu_x, lane.target, d, u)
+    y, _, mu_y, accept = lane._proposals(d, u)
+    mu_x = lane.mu_x
     ratio = lane._hastings_ratio(x, mu_x, y, mu_y)
     with_q = oracles.hastings_ratio_with_q(proposal, x, mu_x, y, mu_y)
     assert np.all(np.abs(ratio - with_q)
