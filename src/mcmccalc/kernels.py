@@ -59,8 +59,7 @@ _BLOCK_ROWS = 32
 # ---------------------------------------------------------------------------
 
 def _sum_powers(u, m: int):
-    """S_m(u) = 1 + u + ... + u**m by Horner (m >= 0), for an array or a
-    float ``u``; S_0 is the float 1.0, which broadcasts as ones would."""
+    """S_m(u) = 1 + u + ... + u**m by Horner (m >= 0), ``u`` an array or a float."""
     acc = 1.0
     for _ in range(m):
         acc = 1.0 + u * acc
@@ -118,10 +117,9 @@ class BalancingFunction:
     the dense kernel passes apply them to the target ratio one row block at
     a time, so an entry must not depend on the other entries of its array.
 
-    ``g_float`` is ``g`` on one Python float, with the bits ``g`` gives
-    that entry; the one-chain runs of the chain drivers step with it.  The
-    packaged rules carry one; without it (``custom``) the runs call ``g`` on
-    length-1 arrays, which, elementwise, keeps its bits.
+    ``g_float`` is ``g`` on one Python float, with its bits, for the chain
+    drivers' one-chain runs; without it (``custom``) they call ``g`` on
+    length-1 arrays.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -165,11 +163,8 @@ class BalancingFunction:
             np.copyto(out, 0.0, where=np.isinf(t))
             return out
 
-        def g_float(t):
-            return 1.0 if t == math.inf else t / (1.0 + t)
-
         return BalancingFunction(g, gp, "barker", small_value_factor=0.5,
-                                 g_float=g_float)
+                                 g_float=lambda t: 1.0 if t == math.inf else t / (1.0 + t))
 
     @staticmethod
     def min_one() -> "BalancingFunction":
@@ -207,10 +202,8 @@ class BalancingFunction:
 # ---------------------------------------------------------------------------
 
 def interp_float(nodes: list, values: list, v: float) -> float:
-    """``np.interp(v, nodes, values)`` for one float, with its bits: the
-    interval comes from ``bisect_right``, an exact node and the window ends
-    read the node value, and in between the slope is applied as numpy's
-    compiled loop applies it."""
+    """``np.interp(v, nodes, values)`` at one float, with numpy's exact-node,
+    window-end and slope arithmetic, so with its bits."""
     j = bisect_right(nodes, v) - 1
     if j < 0:
         return values[0]
@@ -280,12 +273,11 @@ class ProposalKernel:
     drivers' Hastings ratio, which reads only the target, ``mu(y) / mu(x)``.
     The drivers read :meth:`q_pair` only for asymmetric proposals.
 
-    The one-chain runs of the chain drivers step in Python floats, through
-    ``propose_float(x, d)`` for one draw ``d``, which returns ``(y, folded)``, and
-    ``q_pair_float(x, y)``: :meth:`propose` and :meth:`q_pair` at one
-    point, with their bits.  Without them (a hand-built proposal, or an
-    instance whose ``q_pair`` was replaced) the runs call the vector forms
-    on length-1 arrays, which keeps their bits.
+    The drivers' one-chain runs step in Python floats through
+    ``propose_float(x, d)`` and ``q_pair_float(x, y)``, :meth:`propose` and
+    :meth:`q_pair` at one point with their bits; without them (a hand-built
+    proposal, or an instance whose ``q_pair`` was replaced) the runs call
+    the vector forms on length-1 arrays.
 
     On a grid, :meth:`matrix` gives ``q`` at the node pairs and
     :meth:`matrix_t` its transpose as a C-ordered array, so that every
@@ -397,28 +389,24 @@ class ProposalKernel:
             raise InvalidInputError("independence proposal needs a 1-D base density")
         grid = base.grid
         vals = base.values
-        nodes_list, vals_list = grid.nodes.tolist(), vals.tolist()
+        nodes, values = grid.nodes.tolist(), vals.tolist()
 
         def density(x, y):
             y = np.asarray(y, dtype=float)
             out = np.interp(y, grid.nodes, vals)
             return np.broadcast_to(out, np.broadcast(np.asarray(x, dtype=float), y).shape).copy()
 
-        # a proposal does not depend on the state: the inverse CDF maps a
-        # whole block of uniforms when they are drawn, and the drawn points
-        # are the proposals
+        # the proposals do not depend on the state: they are drawn whole
         def draw(rng, count):
             return sample_from_grid_density(grid, vals, rng.uniform(size=count))
 
         def propose(x, draws):
             return draws, np.zeros(np.shape(draws), dtype=bool)
 
-        def q_pair_float(x, y):
-            return interp_float(nodes_list, vals_list, y), interp_float(nodes_list, vals_list, x)
-
         return ProposalKernel(density, tag="independence", draw=draw, propose=propose,
                               propose_float=lambda x, d: (d, False),
-                              q_pair_float=q_pair_float)
+                              q_pair_float=lambda x, y: (interp_float(nodes, values, y),
+                                                         interp_float(nodes, values, x)))
 
 
 # ---------------------------------------------------------------------------

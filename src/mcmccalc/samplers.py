@@ -31,18 +31,14 @@ accepted when a uniform falls below ``g`` of the Hastings ratio
 its chains read only the target, ``mu(y) / mu(x)``.
 
 A chain whose states are stored advances alone, a step at a time in Python
-floats: the draws and uniforms of a draw block become lists, and each step
-reads the target through a float twin of the vectorised read and calls the
-float forms of the proposal and the balancing rule, which give the bits of
-the vector arithmetic.  Against a fixed target (the limiting chain, every
-level of a stored sequential run, level 1 of a stored interacting run) every
-step reads the one target; an upper level of a stored interacting run reads,
-at each step, that step's row of its running mixture, so its levels run one
-after another, and each block of the mixture's rows is built in one update
-from the block of states below.  The streams are read in the order above and
-the states are bit-identical to stepping the chains in lockstep, which the
-replicated engines whose states are not stored do (their mixtures and
-running sums need every step of every chain).
+floats that repeat the bits of the vector arithmetic.  Against a fixed target
+(the limiting chain, every level of a stored sequential run, level 1 of a
+stored interacting run) every step reads the one target; an upper level of a
+stored interacting run reads each step's row of its running mixture, so its
+levels run one after another, and each block of the mixture's rows is built
+in one update from the block of states below.  The states are bit-identical
+to stepping in lockstep, which the replicated engines whose states are not
+stored do (their mixtures and running sums need every step of every chain).
 
 The CLT harness validates the two asymptotic-variance displays: the
 random-centered statistic (each replication centered at its own realised
@@ -266,9 +262,8 @@ def _matrix_rows_at(grid: Grid1D, table: np.ndarray, xs: np.ndarray) -> np.ndarr
 
 
 def _row_reader(grid: Grid1D, get: Callable[[int], float]) -> Callable[[int, float], float]:
-    """The float twin of :func:`_matrix_rows_at`: ``read(base, v)`` is the
-    row whose node ``i`` is ``get(base + i)`` at the float ``v``, with the
-    bits :func:`_matrix_rows_at` gives that entry."""
+    """The float twin of :func:`_matrix_rows_at`, with its bits: ``read(base,
+    v)`` is the row whose node ``i`` is ``get(base + i)`` at ``v``."""
     lower, h, top = float(grid.lower), float(grid.h), grid.n_points - 2
 
     def read(base, v):
@@ -281,13 +276,12 @@ def _row_reader(grid: Grid1D, get: Callable[[int], float]) -> Callable[[int, flo
 
 
 def _at_one_point(vector: Callable) -> Callable:
-    """The float form of an elementwise vector rule: the rule on length-1
-    arrays, which keeps its bits, with each output as a Python scalar."""
+    """An elementwise vector rule on length-1 arrays, which keeps its bits,
+    with Python scalars in and out: the float form of a rule without one."""
     def at(*args):
         out = vector(*(np.array([a]) for a in args))
-        if isinstance(out, tuple):
-            return tuple(np.asarray(o).item() for o in out)
-        return np.asarray(out).item()
+        return (tuple(np.asarray(o).item() for o in out) if isinstance(out, tuple)
+                else np.asarray(out).item())
 
     return at
 
@@ -307,9 +301,7 @@ class _Lane:
     ``accepted`` holds the accept mask of the latest step: a chain whose
     entry is False still sits where it was before that step.  The proposal
     must carry its vectorised pair (``ProposalKernel.draw`` and
-    ``propose``); the runs use the float forms of the proposal and the
-    balancing rule where they have them, and the vector forms on length-1
-    arrays where they do not.
+    ``propose``).
 
     The vector arithmetic runs under ``np.errstate(over="ignore")``:
     :meth:`step` enters it once per step and :meth:`_advance` once per run.
@@ -337,14 +329,11 @@ class _Lane:
         self.accepted: Optional[np.ndarray] = None
         self.target: Optional[np.ndarray] = None
         self.mu_x: Optional[np.ndarray] = None
-        # the float forms of the runs; an instance's own q_pair outranks the
-        # float form its proposal family was built with
+        # the runs' float forms; an instance's own q_pair outranks its family's
         self._propose_float = proposal.propose_float or _at_one_point(proposal.propose)
-        self._q_pair_float = (proposal.q_pair_float
-                              if proposal.q_pair_float and "q_pair" not in vars(proposal)
-                              else _at_one_point(proposal.q_pair))
+        self._q_pair_float = (proposal.q_pair_float if "q_pair" not in vars(proposal)
+                              else None) or _at_one_point(proposal.q_pair)
         self._g_float = balancing.g_float or _at_one_point(balancing.g)
-        self._nodes = grid.nodes.tolist()
 
     # target handling ------------------------------------------------------
 
@@ -377,9 +366,8 @@ class _Lane:
         self._cursor = 0
 
     def _proposals(self, d: np.ndarray, u: np.ndarray):
-        """Proposals from the states for the draws ``d``, with their fold
-        mask, the target values at them and the accept mask under the
-        uniforms ``u``."""
+        """Proposals from the states for the draws ``d``, their fold mask,
+        target values, and accept mask under the uniforms ``u``."""
         y, folded = self.proposal.propose(self.x, d)
         mu_y = self._target_at(self.target, y)
         ratio = self._hastings_ratio(self.x, self.mu_x, y, mu_y)
@@ -472,35 +460,30 @@ class _Lane:
         ``rows[k]`` at step ``k``; returns whether the last step was
         accepted.
 
-        The steps run in Python floats: the target is read through
-        :func:`interp_float` (a 1-D target) or :func:`_row_reader` (a table),
-        the float twins of :meth:`_target_at`, and the proposal and the
-        balancing rule through their float forms.  The ratio and the floors
-        on the target value are those of :meth:`step`.  The states, flags
-        and counts are written to the lane once, at the end.
+        The steps run in Python floats, through the float twins of
+        :meth:`_target_at` (:func:`interp_float` and :func:`_row_reader`) and
+        the float forms of the proposal and the balancing rule, with the
+        ratio and floors of :meth:`step`.  The states, flags and counts are
+        written to the lane once, at the end.
         """
         n = len(out)
         draws = self._draws[r, self._cursor:self._cursor + n].tolist()
         uniforms = self._accept_u[r, self._cursor:self._cursor + n].tolist()
         propose, g = self._propose_float, self._g_float
         q_pair = None if self.proposal.symmetric else self._q_pair_float
-        width = self.grid.n_points
-        if rows is not None:  # step k reads chain r's row of rows[k]
-            row_at = _row_reader(self.grid, rows.item)
-            stride = rows.shape[1] * width
-
-            def read(v, k):
-                return row_at(r * width + k * stride, v)
-        elif self.target.ndim == 1:
-            nodes, values = self._nodes, self.target.tolist()
+        if rows is None and self.target.ndim == 1:
+            nodes, values = self.grid.nodes.tolist(), self.target.tolist()
 
             def read(v, k):
                 return interp_float(nodes, values, v)
-        else:
-            row_at = _row_reader(self.grid, self.target.item)
+        else:  # chain r's row of the table, or of rows[k] at step k
+            table = self.target if rows is None else rows
+            width = self.grid.n_points
+            stride = 0 if rows is None else rows.shape[1] * width
+            row_at = _row_reader(self.grid, table.item)
 
             def read(v, k):
-                return row_at(r * width, v)
+                return row_at(r * width + k * stride, v)
         x, mu_x = self.x.item(r), self.mu_x.item(r)
         states, flags = [], []
         accepts = folds = 0

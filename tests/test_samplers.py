@@ -280,6 +280,20 @@ def test_lane_run_matches_stepping_without_target_mass(grid):
     assert 0.4 < lane.accept_count[0] / 2101 < 0.6  # g(1) = 1/2
 
 
+def test_lane_run_reads_a_replaced_q_pair(grid):
+    # an instance's own q_pair outranks the float form of its family: with a
+    # vanishing forward density every ratio is 1, where the family's q_pair
+    # would never accept against a massless target
+    proposal = _proposal("independence", grid)
+    vanishing = dataclasses.replace(proposal)
+    vanishing.q_pair = lambda x, y: (0.0 * proposal.q_pair(x, y)[0],
+                                     proposal.q_pair(x, y)[1])
+    lane = _assert_run_matches_stepping(
+        lambda: _one_chain_lane(grid, vanishing, BalancingFunction.barker(),
+                                np.zeros(grid.n_points), x0=1.5), 2100)
+    assert 0.4 < lane.accept_count[0] / 2101 < 0.6  # g(1) = 1/2
+
+
 @pytest.mark.parametrize("table", ["1-D", "(R, N)"])
 def test_lane_run_of_several_chains_matches_stepping(table, grid, model):
     proposal = ProposalKernel.random_walk(1.0, grid)
