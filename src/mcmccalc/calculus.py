@@ -107,6 +107,8 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
     t-rule): its ``lhs`` and its actions at every t it shares with this rule
     (matched as exact floats) are taken as they are, so only the new curve
     points are differentiated.  The result is bit-equal to a fresh call.
+    The curve points to differentiate run in contiguous shards in forked
+    workers (:func:`~mcmccalc.workers.run_forked`).
 
     Raises
     ------
@@ -133,26 +135,32 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
     curve = ContaminationCurve(mu, nu)
     chi = mu.values - nu.values   # direction matching the lhs orientation
 
-    actions = np.empty(t_nodes)
-    for m, t in enumerate(ts):
-        if t in known:
-            actions[m] = known[t]
-            continue
-        kern_t = family.at(curve_at(curve, t))
-        try:
-            deriv = derivative_for_start(kern_t, start, f_ref, ratio_ceiling)
-        except PreconditionError as exc:
-            raise PreconditionError(
-                f"derivative unavailable along the curve at t={t:.6g}: {exc}"
-            ) from exc
-        actions[m] = deriv.action(chi)
-
     if reuse is not None:
         lhs = reuse.lhs
-    else:
+    else:  # before the fork, so that every worker shares the proposal matrices
         lhs = _value_at_start(family.at(mu), start, f_ref) - _value_at_start(
             family.at(nu), start, f_ref
         )
+
+    todo = [t for t in ts if t not in known]
+
+    def differentiate(lo: int, hi: int) -> list:
+        out = []
+        for t in todo[lo:hi]:
+            kern_t = family.at(curve_at(curve, t))
+            try:
+                deriv = derivative_for_start(kern_t, start, f_ref, ratio_ceiling)
+            except PreconditionError as exc:
+                raise PreconditionError(
+                    f"derivative unavailable along the curve at t={t:.6g}: {exc}"
+                ) from exc
+            out.append(deriv.action(chi))
+        return out
+
+    # a shard stops at its first bad point, and the earliest failed shard raises
+    parts = run_forked(differentiate, shards(len(todo), worker_count(len(todo)))) if todo else []
+    fresh = iter([a for part in parts for a in part])
+    actions = np.array([known[t] if t in known else next(fresh) for t in ts])
     rhs = float(wts @ actions)
     return FtcReport(float(lhs), rhs, abs(lhs - rhs), t_nodes, actions, ts,
                      inputs=inputs)
@@ -353,9 +361,9 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
     sub-level set {z : r(x, z) <= 1} instead.
 
     A density start's curve points are checked against the warm-start
-    ceiling, and the proposal matrices built, in this process; the budgets,
-    which make no multi-threaded BLAS call, then run in contiguous shards of
-    curve points in forked workers (:func:`~mcmccalc.workers.run_forked`).
+    ceiling, and the proposal matrices built, in this process; the budgets
+    then run in contiguous shards of curve points in forked workers
+    (:func:`~mcmccalc.workers.run_forked`).
     A point start's budgets cost O(N) each and run here."""
     check_start(mu.grid, start)
     ts, wts = _t_quadrature(t_nodes)

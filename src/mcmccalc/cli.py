@@ -82,7 +82,8 @@ supported negative control and fails the run with exit code 1.
 
 Environment: MCMCCALC_OUT_DIR supplies the default output directory and
 MCMCCALC_THREADS caps the numeric thread pools and the worker processes of
-clt-report.  Nothing else is read.
+clt-report.  Nothing else is read.  OPENBLAS_THREAD_TIMEOUT, when unset, is
+set to 8 for the BLAS library.
 """
 
 from __future__ import annotations
@@ -92,11 +93,15 @@ import os
 from .workers import run_forked, shards, thread_cap, worker_count
 
 # Thread caps must reach the BLAS layer before numpy loads it; honoured when
-# this module is the process entry point, harmless otherwise.
+# this module is the process entry point, harmless otherwise.  OpenBLAS's
+# idle helper threads sleep after 2^8 cycles instead of spinning for 2^28,
+# so a forked sweep's processes do not take each other's cores; an explicit
+# value wins.
 _THREADS = thread_cap()
 if _THREADS is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, str(_THREADS))
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "8")
 
 import argparse
 import csv
@@ -987,10 +992,9 @@ def _run_mvi_check(settings, out_dir: Path):
 
 def _sample_sets(family, model, seed: int, count: int, steps: int) -> list:
     """The samples of ``count`` one-level chains of ``steps`` steps, each on
-    its own stream spawned from ``seed``, in order.  The chains make no
-    multi-threaded BLAS call, so they run in contiguous shards in forked
-    workers (:func:`~mcmccalc.workers.run_forked`); their transforms, which
-    do, stay with the caller."""
+    its own stream spawned from ``seed``, in order.  The chains run in
+    contiguous shards in forked workers
+    (:func:`~mcmccalc.workers.run_forked`)."""
     children = np.random.SeedSequence(seed).spawn(count)
 
     def chains(lo: int, hi: int) -> list:

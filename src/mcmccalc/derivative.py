@@ -147,8 +147,10 @@ class OracleReport:
 
 def _value_at_start(kernel, start, f_values) -> float:
     """P(start, f) for one kernel: a density start integrates P f, and a point
-    start reads the kernel's own law from that point."""
+    start reads the kernel's own law from that point.  A density start must
+    live on the kernel's grid."""
     if isinstance(start, GridDensity):
+        check_on_grid(kernel.grid, start)
         return start.expect(kernel.apply_to_function(f_values))
     if isinstance(kernel, GibbsKernel):
         return apply_gibbs(kernel, start, f_values)

@@ -30,6 +30,7 @@ from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .measures import (
@@ -285,6 +286,9 @@ class ProposalKernel:
     strided view ``matrix(grid).T``.  When the matrix equals its transpose
     bit for bit (a random walk on a grid of exactly representable nodes),
     :meth:`matrix_t` returns the matrix itself and costs no memory.
+    ``symmetric_matrix(grid)``, when given, returns that matrix built a
+    faster way, bit-equal to ``density`` at the node pairs and symmetric by
+    construction, or None where it cannot.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -296,6 +300,7 @@ class ProposalKernel:
     symmetric: bool = False
     propose_float: Optional[Callable[[float, float], tuple]] = None
     q_pair_float: Optional[Callable[[float, float], tuple]] = None
+    symmetric_matrix: Optional[Callable[[Grid1D], Optional[np.ndarray]]] = None
     _matrix: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def q_pair(self, x, y):
@@ -322,10 +327,12 @@ class ProposalKernel:
 
     def _matrices(self, grid: Grid1D) -> tuple:
         if self._matrix is None or self._matrix[0] != grid:
-            n = grid.nodes
-            q = np.asarray(self.density(n[:, None], n[None, :]))
+            q = qt = None if self.symmetric_matrix is None else self.symmetric_matrix(grid)
+            if q is None:
+                n = grid.nodes
+                q = np.asarray(self.density(n[:, None], n[None, :]))
+                qt = q if np.array_equal(q, q.T) else np.ascontiguousarray(q.T)
             q.flags.writeable = False
-            qt = q if np.array_equal(q, q.T) else np.ascontiguousarray(q.T)
             qt.flags.writeable = False
             self._matrix = (grid, q, qt)
         return self._matrix[1:]
@@ -346,6 +353,14 @@ class ProposalKernel:
         The density adds the two first mirror images, which matches the
         folding sampler for any step size that cannot cross the window twice
         and keeps the kernel symmetric in (x, y).
+
+        On a dyadic grid (nodes ``k*h`` for consecutive integers k, h a power
+        of two, 2*lower and 2*upper integer multiples of h, every multiple
+        at most 2^51 in magnitude) each difference the density forms is
+        exact: ``y - x`` depends only on j - i and both mirror differences
+        only on i + j.  Its matrix is then built from the three exp terms on
+        2N - 1 differences each, read through sliding windows and summed in
+        the density's order, with the same bits as the N^2 evaluation.
         """
         lo, hi = grid.lower, grid.upper
         check_random_walk_sigma(sigma, lo, hi)
@@ -380,8 +395,31 @@ class ProposalKernel:
                 return float(reflect_into(lo, hi, z)), True
             return z, False
 
+        def symmetric_matrix(grid):
+            n = grid.nodes
+            size = n.size
+            h = float(n[1] - n[0])
+            if not (h > 0.0 and math.frexp(h)[0] == 0.5):
+                return None
+            # the first node and both doubled walls in units of h: integers
+            # small enough that every sum of three is exact
+            first, lo2, hi2 = float(n[0]) / h, 2.0 * lo / h, 2.0 * hi / h
+            if not (all(c == math.floor(c) and abs(c) <= 2.0**51
+                        for c in (first, first + size - 1, lo2, hi2))
+                    and np.array_equal((first + np.arange(size)) * h, n)):
+                return None
+            r = np.arange(2 * size - 1)
+            d0 = (r - (size - 1)) * h  # y - x at j - i = r - (N - 1)
+            d1 = (hi2 - 2.0 * first - r) * h  # (2 upper - y) - x at i + j = r
+            d2 = (lo2 - 2.0 * first - r) * h  # (2 lower - y) - x at i + j = r
+            e0, e1, e2 = (sliding_window_view(np.exp(-d * d / s2), size) for d in (d0, d1, d2))
+            q = np.add(e0[::-1], e1)
+            q += e2
+            return np.multiply(inv, q, out=q)
+
         return ProposalKernel(density, tag="random-walk", draw=draw, propose=propose,
-                              symmetric=True, propose_float=propose_float)
+                              symmetric=True, propose_float=propose_float,
+                              symmetric_matrix=symmetric_matrix)
 
     @staticmethod
     def independence(base: GridDensity) -> "ProposalKernel":

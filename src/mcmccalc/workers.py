@@ -118,13 +118,16 @@ def run_forked(run: Callable[..., T], pieces: Sequence[tuple]) -> List[T]:
     """``[run(*args) for args in pieces]``, with the pieces after the first
     in forked children while this process runs the first.
 
-    A forked piece makes no multi-threaded BLAS call: OpenBLAS's helper
-    threads spin after each call, so two processes that each use 2 BLAS
-    threads fight over 2 cores.  The caller does the BLAS work before the
-    fork, and a sweep whose every piece needs large BLAS products stays
-    serial: on a 2-vCPU Xeon VM, a ``verify_ftc`` sweep whose curve points
-    each end in four 1025 x 1025 matrix-vector products took 0.65-1.13 s
-    in two forked shards against 0.42-0.61 s serial, with the same bits.
+    A forked piece may call multi-threaded BLAS.  OpenBLAS's helper threads
+    spin for about 2^28 cycles after each call unless
+    ``OPENBLAS_THREAD_TIMEOUT`` shortens the wait, and a spinning helper
+    takes a core from the sibling process.  The command line driver sets
+    that variable to 8 before numpy loads (a library caller sets it before
+    importing numpy); the bits are the same either way.  On a 2-vCPU Xeon
+    VM at 2 BLAS threads, a 1025-point ``ftc-check``, whose 33 curve points
+    each end in four 1025 x 1025 matrix-vector products, took 0.26-0.31 s
+    with its sweep in two forked shards at timeout 8, against 0.56-0.86 s at
+    the default timeout and 0.37-0.47 s serial at either.
 
     If this process raises (in the first piece, or while it waits), the
     children are killed and waited for, and the exception propagates;

@@ -193,7 +193,7 @@ def test_ftc_report_carries_integrand(family, mu, nu, rho, f_vals):
 
 @pytest.mark.parametrize("fine_nodes, coarse_nodes", [(33, 17), (35, 19)])
 @pytest.mark.parametrize("two_stage", [False, True])
-def test_ftc_reuse_is_bit_equal_to_a_fresh_call(request, monkeypatch, two_stage,
+def test_ftc_reuse_is_bit_equal_to_a_fresh_call(request, monkeypatch, tmp_path, two_stage,
                                                  fine_nodes, coarse_nodes):
     import mcmccalc.calculus as calculus
 
@@ -203,15 +203,18 @@ def test_ftc_reuse_is_bit_equal_to_a_fresh_call(request, monkeypatch, two_stage,
     fine = verify_ftc(family, mu, nu, rho, f, t_nodes=fine_nodes)
     fresh = verify_ftc(family, mu, nu, rho, f, t_nodes=coarse_nodes)
 
-    evaluated = []
+    log = tmp_path / "evaluated"  # one line per call, forked workers' calls included
+    log.write_text("")
     real = calculus.derivative_for_start
 
     def counting(kern, *args):
-        evaluated.append(kern.target)
+        with open(log, "a") as out:
+            out.write("call\n")
         return real(kern, *args)
 
     monkeypatch.setattr(calculus, "derivative_for_start", counting)
     reused = verify_ftc(family, mu, nu, rho, f, t_nodes=coarse_nodes, reuse=fine)
+    evaluated = log.read_text().splitlines()
     assert (reused.lhs, reused.rhs, reused.residual) == (fresh.lhs, fresh.rhs, fresh.residual)
     assert reused.node_actions.tobytes() == fresh.node_actions.tobytes()
     assert reused.ts.tobytes() == fresh.ts.tobytes()

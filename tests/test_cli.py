@@ -547,15 +547,18 @@ def test_ergodicity_check_without_drift_certificate_exits_3(tmp_path, monkeypatc
 def test_ftc_check_differentiates_each_curve_point_once(tmp_path, monkeypatch):
     import mcmccalc.calculus as calculus
 
-    calls = []
+    log = tmp_path / "calls"  # one line per call, forked workers' calls included
+    log.write_text("")
     real = calculus.derivative_for_start
 
     def counting(*args):
-        calls.append(args[0])
+        with open(log, "a") as out:
+            out.write("call\n")
         return real(*args)
 
     monkeypatch.setattr(calculus, "derivative_for_start", counting)
     assert main(["ftc-check", "--out", str(tmp_path / "o")]) == 0
+    calls = log.read_text().splitlines()
     assert len(calls) == 33  # the 17-node coarse rule reuses the 33-node fine one
 
 
@@ -565,6 +568,33 @@ def test_cli_import_leaves_scipy_out():
          "import sys, mcmccalc.cli; assert 'scipy' not in sys.modules"],
         capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
+
+
+# prints OPENBLAS_THREAD_TIMEOUT as it stands when the import of numpy begins
+_TIMEOUT_AT_NUMPY_IMPORT = """
+import os, sys
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Watch())
+import mcmccalc.cli
+"""
+
+
+@pytest.mark.parametrize("given, seen", [(None, "8"), ("28", "28")], ids=["unset", "explicit"])
+def test_the_cli_sets_the_blas_thread_timeout_before_numpy_loads(given, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-c", _TIMEOUT_AT_NUMPY_IMPORT], env=env,
+                           capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == [seen]
 
 
 def _run_at_threads(threads, args):

@@ -22,6 +22,7 @@ from mcmccalc.calculus import (
     verify_ftc_intrinsic,
 )
 from mcmccalc.derivative import (
+    _value_at_start,
     derivative_for_start,
     fd_directional_derivative,
     gibbs_derivative,
@@ -96,6 +97,7 @@ POINT_CONSTANTS = hastings_mvi_constants(FAMILY, MU, NU, 0.37, WEIGHT, t_nodes=5
 # entry -> call with a start density rho (a reference or initial law for the
 # entries that take one)
 START_ENTRIES = {
+    "_value_at_start": lambda rho: _value_at_start(KERNEL, rho, F),
     "iterate_density": lambda rho: iterate_density(KERNEL, rho, 30),
     "check_invariance": lambda rho: check_invariance(KERNEL, rho),
     "hastings_derivative": lambda rho: hastings_derivative(KERNEL, rho, F),
@@ -160,6 +162,7 @@ DENSITY_CONSTANTS_2D = gibbs_mvi_constants(GIBBS_FAMILY, MU2, NU2, MU2, WEIGHT, 
 POINT_CONSTANTS_2D = gibbs_mvi_constants(GIBBS_FAMILY, MU2, NU2, (0.5, -0.5), WEIGHT, t_nodes=5)
 
 START_ENTRIES_2D = {
+    "_value_at_start": lambda rho: _value_at_start(GIBBS, rho, F2),
     "iterate_density": lambda rho: iterate_density(GIBBS, rho, 30),
     "check_invariance": lambda rho: check_invariance(GIBBS, rho),
     "gibbs_derivative": lambda rho: gibbs_derivative(GIBBS, rho, F2),

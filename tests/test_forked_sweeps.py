@@ -1,6 +1,6 @@
-"""Forked sweeps of the grid kinds: the density-start mean-value budgets,
-the mean-value trials and the ergodicity sample chains each make one
-``run_forked`` call, give the same bits at one and two workers and leave no
+"""Forked sweeps of the grid kinds: the FTC curve points, the density-start
+mean-value budgets, the mean-value trials and the ergodicity sample chains
+each make one ``run_forked`` call, give the same bits at one and two workers and leave no
 child behind; the sweeps that stay in the caller fork nothing."""
 
 import dataclasses
@@ -19,6 +19,7 @@ from mcmccalc.calculus import (
     mh_mvi_constants,
     mvi_bound,
     random_bv_function,
+    verify_ftc,
 )
 from mcmccalc.errors import PreconditionError
 from mcmccalc.feynman_kac import default_ssm_model
@@ -51,6 +52,14 @@ def _barker_constants():
 
 def _min_one_constants():
     return mh_mvi_constants(_family(BalancingFunction.min_one()), MU, NU, RHO, WEIGHT)
+
+
+def _ftc(start):
+    def call():
+        report = verify_ftc(_family(BalancingFunction.barker()), MU, NU, start,
+                            np.cos(0.8 * GRID.nodes))
+        return report.lhs, report.rhs, report.residual, report.node_actions
+    return call
 
 
 def _trials(start):
@@ -99,6 +108,8 @@ def _no_children_left():
 
 # (module whose run_forked the sweep calls, the call)
 SWEEPS = {
+    "FTC curve points, density start": (calculus, _ftc(RHO)),
+    "FTC curve points, point start": (calculus, _ftc(0.37)),
     "barker constants, density start": (calculus, _barker_constants),
     "min-one constants, density start": (calculus, _min_one_constants),
     "trials, density start": (calculus, _trials(RHO)),
@@ -134,6 +145,16 @@ def test_a_sweep_forks_once_and_keeps_its_bits(monkeypatch, name):
 
 def _refuse_to_fork(run, pieces):
     raise AssertionError("this sweep must not fork")
+
+
+def test_a_forked_ftc_curve_point_names_its_t_in_the_caller(monkeypatch):
+    monkeypatch.setenv("MCMCCALC_THREADS", "2")
+    narrow = gaussian_density(GRID, 0.0, 0.4)  # only t = 1 puts rho/mu_t^2 over the ceiling
+    with pytest.raises(PreconditionError,
+                       match=r"derivative unavailable along the curve at t=1: .*exceeds ceiling"):
+        verify_ftc(_family(BalancingFunction.barker()), MU, narrow, RHO, np.cos(GRID.nodes),
+                   t_nodes=5)  # t = 1 is in the last of two shards, a forked one
+    _no_children_left()
 
 
 def test_a_curve_point_over_the_warm_start_ceiling_is_refused_before_any_fork(monkeypatch):

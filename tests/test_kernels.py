@@ -271,6 +271,31 @@ def test_family_shares_one_read_only_proposal_matrix(grid, std_normal):
     assert prop.matrix(grid).tobytes() == q.tobytes()
 
 
+@pytest.mark.parametrize("window, points, sigma, structured", [
+    ((-8.0, 8.0), 257, 1.0, True),
+    ((-8.0, 8.0), 513, 1.0, True),
+    ((-8.0, 8.0), 1025, 1.0, True),
+    ((-4.0, 12.0), 513, 0.7, True),   # asymmetric about 0
+    ((0.5, 8.5), 257, 1.3, True),     # no node at 0
+    ((-6.0, 6.0), 241, 1.0, False),   # h = 0.05 is not a power of two
+    ((0.3, 16.3), 1025, 1.0, False),  # the nodes are not multiples of h
+], ids=str)
+def test_random_walk_matrix_equals_the_density_at_the_node_pairs(window, points, sigma,
+                                                                  structured):
+    grid = Grid1D(*window, points)
+    prop = ProposalKernel.random_walk(sigma, grid)
+    assert (prop.symmetric_matrix(grid) is not None) == structured
+    q = prop.matrix(grid)
+    n = grid.nodes
+    assert q.tobytes() == prop.density(n[:, None], n[None, :]).tobytes()
+    if structured:
+        assert prop.matrix_t(grid) is q
+    # a walk built on another window reads its walls, not the grid's
+    wide = ProposalKernel.random_walk(sigma, Grid1D(window[0] - 1.0, window[1] + 1.0, 33))
+    assert (wide.symmetric_matrix(grid) is not None) == structured
+    assert wide.matrix(grid).tobytes() == wide.density(n[:, None], n[None, :]).tobytes()
+
+
 def test_ratio_matrix_matches_where_formula(rw_barker, grid, std_normal):
     def band(x, y):
         d = np.abs(np.asarray(y, float) - np.asarray(x, float))
