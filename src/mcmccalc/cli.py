@@ -82,8 +82,8 @@ supported negative control and fails the run with exit code 1.
 
 Environment: MCMCCALC_OUT_DIR supplies the default output directory and
 MCMCCALC_THREADS caps the numeric thread pools and the worker processes of
-clt-report.  Nothing else is read.  OPENBLAS_THREAD_TIMEOUT, when unset, is
-set to 8 for the BLAS library.
+clt-report and of the grid kinds' forked sweeps.  Nothing else is read.
+OPENBLAS_THREAD_TIMEOUT, when unset, is set to 8 for the BLAS library.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Forked sweeps of the grid kinds: the FTC curve points, the density-start
 mean-value budgets, the mean-value trials and the ergodicity sample chains
-each make one ``run_forked`` call, give the same bits at one and two workers and leave no
-child behind; the sweeps that stay in the caller fork nothing."""
+each make one ``run_forked`` call, give the same bits at one and two workers
+and leave no child behind; the sweeps that stay in the caller fork nothing."""
 
 import dataclasses
 import os
