@@ -106,7 +106,6 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "8")
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -223,6 +222,7 @@ _MODEL_KINDS = {"ergodicity-check", "smcmc-run", "imcmc-run", "clt-report"}
 # Residual below this is integration noise; refinement ratios stop meaning
 # anything there and the refinement check passes outright.
 _REFINEMENT_FLOOR = 1e-12
+CSV_BLOCK = 4096  # chain steps per string that chains.csv is written in
 
 
 # --------------------------------------------------------------------------
@@ -764,8 +764,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: List[str], rows) -> None:
-    """Write ``rows`` of Python numbers (``tolist()`` values, not numpy
-    scalars) under ``header``; the csv module writes a float as its repr."""
+    """Write ``rows`` of Python numbers (``tolist()`` values, not numpy scalars)
+    under ``header``; the csv module writes a float as its repr, as
+    :func:`_write_chain_csv` does."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -833,10 +834,21 @@ def _write_d1_statistics(out_dir: Path, checkpoints, sup_stats, v_stats) -> Path
     return path
 
 
-def _chain_csv_rows(runs):
-    for level, run in enumerate(runs, start=1):
-        yield from zip(itertools.repeat(level), itertools.count(1),
-                       run.states.tolist())
+def _write_chain_csv(path: Path, runs) -> None:
+    """chains.csv: the bytes :func:`_write_csv` gives the rows ``(level,
+    step, state)``, written a string per ``CSV_BLOCK`` steps.  Each run of
+    consecutive states with the same float64 bits (so -0.0 is not 0.0) takes
+    its repr once."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write("level,step,state\n")
+        for level, run in enumerate(runs, start=1):
+            head = "%d," % level
+            for k0 in range(0, run.states.size, CSV_BLOCK):
+                block = run.states[k0:k0 + CSV_BLOCK]
+                new = np.concatenate(([True], np.diff(block.view(np.int64)) != 0))
+                tails = [",%r\n" % v for v in block[new].tolist()]
+                fh.write("".join([head + str(k) + tails[i] for k, i in zip(
+                    range(k0 + 1, k0 + 1 + block.size), (np.cumsum(new) - 1).tolist())]))
 
 
 def _invariance_checks(kind, settings, family, model, out):
@@ -1106,7 +1118,7 @@ def _run_smcmc(settings, out_dir: Path):
 
     with _stage(kind, "write-artifacts"):
         path = out_dir / "chains.csv"
-        _write_csv(path, ["level", "step", "state"], _chain_csv_rows(runs))
+        _write_chain_csv(path, runs)
     return checks, report, {"chains": path}
 
 
@@ -1139,7 +1151,7 @@ def _run_imcmc(settings, out_dir: Path):
     files = {}
     with _stage(kind, "write-artifacts"):
         path = out_dir / "chains.csv"
-        _write_csv(path, ["level", "step", "state"], _chain_csv_rows(runs))
+        _write_chain_csv(path, runs)
         files["chains"] = path
         if settings["depth"] >= 2:
             files["d1_statistics"] = _write_d1_statistics(

@@ -70,6 +70,13 @@ def _check_finite_nonnegative(a: np.ndarray, what: str) -> None:
         raise InvalidInputError(f"{what} must be finite and nonnegative")
 
 
+def check_row_masses(xs: np.ndarray, mass: np.ndarray) -> None:
+    """Refuse the mutation rows from the points ``xs`` unless every mass is positive."""
+    if not (mass > 0.0).all():
+        raise InvalidInputError("mutation row from x=%g carries no mass on the grid"
+                                % float(xs[int(np.argmin(mass))]))
+
+
 def _check_flow_grid(grid) -> None:
     if grid.ndim != 1:
         raise InvalidInputError("reweight/mutate flows are one-dimensional")
@@ -96,9 +103,9 @@ class MutationKernel:
 
     ``density`` must broadcast over numpy arrays in both arguments and return
     nonnegative finite values.  Rows are always consumed through
-    :meth:`rows` (or its two halves, :meth:`densities` and
-    :meth:`normalise`), which divides each one by its grid quadrature mass,
-    so the density only has to be correct up to an x-dependent constant.
+    :meth:`rows` (or :meth:`densities` and :func:`check_row_masses`), which
+    divides each one by its grid quadrature mass, so the density only has
+    to be correct up to an x-dependent constant.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -108,18 +115,23 @@ class MutationKernel:
         """Quadrature-normalised transition rows from the points ``xs``.
 
         Returns an array of shape ``(len(xs), grid.n_points)`` whose i-th row
-        integrates to one against the trapezoid weights: :meth:`densities`
-        followed by :meth:`normalise` on all the rows at once.
+        integrates to one against the trapezoid weights: :meth:`densities`,
+        each row divided by its mass.  The masses come from one
+        matrix-vector product over all the rows; BLAS may round a row
+        differently with another set of rows, so a caller that must match
+        these bits takes its masses over the same set.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         raw, own = self.densities(grid, xs)
+        mass = raw @ grid.trapezoid_weights()
+        check_row_masses(xs, mass)
         # raw may be the density's own array: leave it as it is
-        return self.normalise(grid, xs, raw, raw if own else None)
+        return np.divide(raw, mass[:, None], out=raw if own else None)
 
     def densities(self, grid: Grid1D, xs: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Unnormalised rows ``density(x, nodes)`` from the points ``xs``,
-        shape ``(len(xs), grid.n_points)``, checked finite and nonnegative,
-        and whether the array is this call's own.
+        shape ``(len(xs), grid.n_points)``, checked finite and nonnegative
+        unless its ``_in_range`` flag is set, and whether the array is this call's own.
 
         A run of equal consecutive points (a chain that rejected) evaluates
         the density once and repeats the row in a new array; without
@@ -141,27 +153,11 @@ class MutationKernel:
                 "mutation density returned shape %r, expected %r"
                 % (raw.shape, (pts.size, grid.n_points))
             )
-        _check_finite_nonnegative(raw, "mutation density")
+        if not getattr(self.density, "_in_range", False):
+            _check_finite_nonnegative(raw, "mutation density")
         if pts is xs:
             return raw, False
         return raw[np.cumsum(first) - 1], True
-
-    def normalise(self, grid: Grid1D, xs: np.ndarray, raw: np.ndarray,
-                  out: Optional[np.ndarray]) -> np.ndarray:
-        """Divide each row of ``raw`` (the rows from the points ``xs``) by
-        its trapezoid mass, into ``out`` (None: a new array).
-
-        The masses come from one matrix-vector product over the rows as
-        given.  BLAS may round a row differently with another set of rows,
-        so a caller that must match another call's rows passes the same set.
-        """
-        mass = raw @ grid.trapezoid_weights()
-        if (mass <= 0.0).any():
-            bad = float(xs[int(np.argmin(mass))])
-            raise InvalidInputError(
-                "mutation row from x=%g carries no mass on the grid" % bad
-            )
-        return np.divide(raw, mass[:, None], out=out)
 
 
 def gaussian_mutation(mean_map: Callable[[np.ndarray], np.ndarray],
@@ -183,6 +179,9 @@ def gaussian_mutation(mean_map: Callable[[np.ndarray], np.ndarray],
         np.multiply(norm, out, out=out)
         return out if out.ndim else out[()]
 
+    # norm * exp(-0.5 * z * z) lies in [0, norm]: with a finite norm the rows need
+    # no scan (a NaN mean gives a NaN mass, which check_row_masses refuses)
+    density._in_range = math.isfinite(norm)
     return MutationKernel(density=density, tag=tag)
 
 

@@ -68,6 +68,7 @@ from .feynman_kac import (
     EmpiricalMeasure,
     FeynmanKacModel,
     check_depth,
+    check_row_masses,
     smcmc_variance_recursion,
 )
 from .ergodicity import asymptotic_variance, poisson_resolvent
@@ -561,10 +562,10 @@ class _MixtureAccumulator:
         the table after it goes to ``tables[i]`` (m x R x N).  With ``wf``,
         returns ``center_num / center_den`` after each step (m x R).
 
-        Moved rows are evaluated in one call but normalised per step and
-        per ``MIN_REPLICATIONS`` chains, as :meth:`_recompute` does; the
-        running sums are cumulative sums along the step axis, which add the
-        steps in order as ``+=`` does.
+        Moved rows are evaluated in one call, their masses taken by one
+        product per step and per ``MIN_REPLICATIONS`` chains (the call shape
+        of :meth:`_recompute`'s, which fixes their bits), then checked,
+        divided and weighted at once.  The tables add the steps in order.
         """
         grid, reps = self._model.grid, len(self.table)
         moved = moved.T.copy()
@@ -579,23 +580,26 @@ class _MixtureAccumulator:
         # the cached weighted rows, then one per (step, chain) that moved
         weighted = np.empty((reps + new, grid.n_points))
         weighted[:reps] = self._weighted_rows
-        moments = np.empty(new)
+        mass, moments, w = np.empty(new), np.empty(new), grid.trapezoid_weights()
         group = steps * reps + chains // MIN_REPLICATIONS
         edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), new]
-        for a, b in zip(edges, edges[1:]):
-            rows = self._mutation.normalise(grid, points[a:b], raw[a:b],
-                                            weighted[reps + a:reps + b])
-            if self._wf is not None:
-                moments[a:b] = g_at[a:b] * (rows @ self._wf)
-            np.multiply(g_at[a:b, None], rows, out=rows)
+        groups = list(zip(edges, edges[1:]))
+        for a, b in groups:
+            mass[a:b] = raw[a:b] @ w
+        check_row_masses(points, mass)
+        rows = np.divide(raw, mass[:, None], out=weighted[reps:])
+        if self._wf is not None:
+            for a, b in groups:
+                moments[a:b] = g_at[a:b] * (rows[a:b] @ self._wf)
+        np.multiply(g_at[:, None], rows, out=rows)
         # each chain's latest row at each step (new rows outrank cached ones)
         latest = np.zeros(moved.shape, dtype=np.intp)
         latest[0] = np.arange(reps)
         latest[steps, chains] = reps + np.arange(new)
         np.maximum.accumulate(latest, axis=0, out=latest)
         np.take(weighted, latest, axis=0, out=tables)
-        tables[0] += self.table
-        np.cumsum(tables, axis=0, out=tables)
+        for i, step in enumerate(tables):
+            np.add(tables[i - 1] if i else self.table, step, out=step)
         self.table[...] = tables[-1]
         self._weighted_rows = weighted[latest[-1]]
         if self._wf is None:
@@ -917,8 +921,10 @@ class _TraceRecorder:
         # a stack of 1 x N products: one gemv over the rows rounds differently
         mass = (rows[:, None, :] @ self._weights)[:, 0]
         mu = rows / mass[:, None]
-        prev = mu[:1] if self._prev is None else self._prev[None, :]
-        delta = np.abs(mu - np.concatenate([prev, mu[:-1]]))
+        delta = np.empty_like(mu)
+        np.subtract(mu[0], mu[0] if self._prev is None else self._prev, out=delta[0])
+        np.subtract(mu[1:], mu[:-1], out=delta[1:])
+        np.abs(delta, out=delta)
         self.trace.sup_increments[k0:k0 + m] = delta.max(axis=1)
         self.trace.v_increments[k0:k0 + m] = (self._weighted_v * delta).sum(axis=1)
         self._prev = mu[-1]

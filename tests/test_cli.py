@@ -336,6 +336,37 @@ def test_chain_csv_covers_every_level(tmp_path):
     assert np.all(np.isfinite(values))
 
 
+def test_chain_csv_writer_has_the_bytes_of_csv_writer(tmp_path):
+    import csv
+    import itertools
+    from types import SimpleNamespace
+
+    from mcmccalc import cli
+
+    block = cli.CSV_BLOCK
+    # level 1: a repeat run across the first block edge, a sign flip of zero
+    # inside a run of zeros (0.0 == -0.0, their bits and reprs differ), a
+    # subnormal and the extremes; level 2: a run longer than a block
+    lower = np.full(2 * block + 7, 0.25)
+    lower[block - 3:block + 5] = 2.0
+    lower[block + 5:block + 11] = [0.0, 0.0, -0.0, -0.0, 0.0, 5e-324]
+    lower[block + 11:block + 15] = [1e300, 1e300, -1e300, -1e300]
+    upper = np.full(block + 3, -0.0)
+    upper[0], upper[-1] = 0.0, 0.0
+    runs = [SimpleNamespace(states=lower), SimpleNamespace(states=upper)]
+    got = tmp_path / "chains.csv"
+    cli._write_chain_csv(got, runs)
+    want = tmp_path / "want.csv"
+    with want.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["level", "step", "state"])
+        for level, run in enumerate(runs, start=1):
+            writer.writerows(zip(itertools.repeat(level), itertools.count(1),
+                                 run.states.tolist()))
+    assert got.read_bytes() == want.read_bytes()
+    assert b"\n1,%d,-0.0\n" % (block + 8) in got.read_bytes()
+
+
 def test_negative_control_fails_invariance(tmp_path):
     cfg = write_config(tmp_path, {
         "kind": "smcmc-run",

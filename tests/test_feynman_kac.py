@@ -163,6 +163,45 @@ def test_mutation_rejects_bad_densities(grid):
         gaussian_mutation(3.0, 1.0)
 
 
+def test_zero_mass_rows_are_refused_alike_by_rows_and_add_block(grid, eta_base):
+    from mcmccalc.samplers import _MixtureAccumulator
+
+    # no mass from x > 1: the first such state of the block is 1.5
+    move = MutationKernel(lambda x, y: np.where(x > 1.0, 0.0, 1.0) + 0.0 * y)
+    model = FeynmanKacModel(grid, [lambda y: np.ones_like(y)], [move], eta_base)
+    x = np.array([[0.0, 0.0, 0.5, 1.5, 1.5, 3.0, 0.2]])
+    moved = np.concatenate(([[True]], x[:, 1:] != x[:, :-1]), axis=1)
+    message = "mutation row from x=1.5 carries no mass on the grid"
+    with pytest.raises(InvalidInputError) as from_rows:
+        move.rows(grid, x[0])
+    assert str(from_rows.value) == message
+    mixture = _MixtureAccumulator(model, 1, 1)
+    with pytest.raises(InvalidInputError) as from_block:
+        mixture.add_block(x, moved, np.empty((x.shape[1], 1, grid.n_points)))
+    assert str(from_block.value) == message
+
+
+def test_gaussian_rows_skip_the_value_scan_and_refuse_a_nan_mean(grid, monkeypatch):
+    from mcmccalc import feynman_kac
+
+    xs = np.array([-0.4, 0.0, 0.0, 2.5])
+    gaussian = gaussian_mutation(np.tanh, SSM_NOISE_STD)
+    want = gaussian.rows(grid, xs)
+    # a norm that overflows keeps the scan
+    with np.errstate(all="ignore"), pytest.raises(InvalidInputError,
+                                                  match="mutation density must be finite"):
+        gaussian_mutation(np.tanh, 1e-310).rows(grid, xs)
+    scanned = []
+    monkeypatch.setattr(feynman_kac, "_check_finite_nonnegative",
+                        lambda a, what: scanned.append(what))
+    assert gaussian.rows(grid, xs).tobytes() == want.tobytes()
+    assert scanned == []
+    MutationKernel(lambda x, y: gaussian.density(x, y)).rows(grid, xs)  # a custom one
+    assert scanned == ["mutation density"]
+    with pytest.raises(InvalidInputError, match="x=nan carries no mass"):
+        gaussian.rows(grid, np.array([0.0, np.nan]))
+
+
 @pytest.mark.parametrize("x, y", [
     (np.linspace(-9.0, 9.0, 37)[:, None], np.linspace(-8.0, 8.0, 513)[None, :]),
     (np.array([0.3, 7.9]), np.array([1.0, -2.5])),
