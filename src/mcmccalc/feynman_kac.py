@@ -102,10 +102,11 @@ class MutationKernel:
     """A Markov move described by a transition density ``density(x, y)``.
 
     ``density`` must broadcast over numpy arrays in both arguments and return
-    nonnegative finite values.  Rows are always consumed through
-    :meth:`rows` (or :meth:`densities` and :func:`check_row_masses`), which
-    divides each one by its grid quadrature mass, so the density only has
-    to be correct up to an x-dependent constant.
+    nonnegative finite values.  Every row is divided by its grid quadrature
+    mass, by :meth:`rows` or by the chain mixtures, which take their masses
+    from :meth:`densities` in groups of their own and check them with
+    :func:`check_row_masses`; so the density only has to be correct up to
+    an x-dependent constant.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -117,9 +118,7 @@ class MutationKernel:
         Returns an array of shape ``(len(xs), grid.n_points)`` whose i-th row
         integrates to one against the trapezoid weights: :meth:`densities`,
         each row divided by its mass.  The masses come from one
-        matrix-vector product over all the rows; BLAS may round a row
-        differently with another set of rows, so a caller that must match
-        these bits takes its masses over the same set.
+        matrix-vector product over all the rows.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         raw, own = self.densities(grid, xs)

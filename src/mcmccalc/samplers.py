@@ -521,13 +521,19 @@ class _MixtureAccumulator:
     Row ``r`` of ``table`` is ``sum_k G(x_r^k) M(x_r^k, .)`` over the states
     added so far.  A chain that rejected its last move sits at the same point,
     so its weighted row ``G(x_r) M(x_r, .)`` is kept per chain and recomputed
-    only for the chains that moved (all of them on the first step).  With the
-    quadrature vector ``wf`` of a test function, the accumulator also keeps
-    ``center_num`` and ``center_den``, the running sums of
-    ``G(x_r) M(x_r, wf)`` and ``G(x_r)``: their ratio is the realised mean of
-    the test function under row ``r``'s normalised mixture.  States join one
-    step at a time (:meth:`add`) or a block of steps at a time
-    (:meth:`add_block`), with the same bits.
+    only for the chains that moved (all of them on the first step).  States
+    join one step at a time (:meth:`add`) or a block of steps at a time
+    (:meth:`add_block`), with the same bits.  With the quadrature vector
+    ``wf`` of a test function, :meth:`add` also keeps ``center_num`` and
+    ``center_den``, the running sums of ``G(x_r) M(x_r, wf)`` and
+    ``G(x_r)``: their ratio is the realised mean of the test function under
+    row ``r``'s normalised mixture.
+
+    Both weigh their new rows in :meth:`_weigh`, whose normalising products
+    run one per group of rows from the same step and the same block of
+    ``MIN_REPLICATIONS`` chains: a product rounds with the rows that share
+    its call, so a chain's row then depends on its own block only, whichever
+    process runs the block.
     """
 
     def __init__(self, model: FeynmanKacModel, level: int, reps: int,
@@ -539,6 +545,7 @@ class _MixtureAccumulator:
         self._fresh = True
         self.table = np.zeros((reps, model.grid.n_points))
         self._weighted_rows = np.empty_like(self.table)
+        self._block_starts = np.arange(MIN_REPLICATIONS, reps, MIN_REPLICATIONS)
         if wf is not None:
             self._g = np.empty(reps)
             self._g_moment = np.empty(reps)
@@ -549,49 +556,36 @@ class _MixtureAccumulator:
         """Add every chain's current state ``x``; ``moved`` flags the chains
         whose state changed since the previous call."""
         if self._fresh or moved.any():
-            self._recompute(x, slice(None) if self._fresh else np.flatnonzero(moved))
+            self._recompute(x, np.arange(len(x)) if self._fresh else np.flatnonzero(moved))
         self.table += self._weighted_rows
         if self._wf is not None:
             self.center_num += self._g_moment
             self.center_den += self._g
 
-    def add_block(self, x: np.ndarray, moved: np.ndarray,
-                  tables: np.ndarray) -> Optional[np.ndarray]:
+    def add_block(self, x: np.ndarray, moved: np.ndarray, tables: np.ndarray) -> None:
         """Add ``m`` steps with the bits of ``m`` :meth:`add` calls: step
         ``i`` adds ``x[:, i]`` with the flags ``moved[:, i]`` (R x m), and
-        the table after it goes to ``tables[i]`` (m x R x N).  With ``wf``,
-        returns ``center_num / center_den`` after each step (m x R).
+        the table after it goes to ``tables[i]`` (m x R x N).  The centring
+        sums are not kept: an accumulator with ``wf`` steps through
+        :meth:`add`.
 
-        Moved rows are evaluated in one call, their masses taken by one
-        product per step and per ``MIN_REPLICATIONS`` chains (the call shape
-        of :meth:`_recompute`'s, which fixes their bits), then checked,
-        divided and weighted at once.  The tables add the steps in order.
+        Every row that moved in the block is weighed in one :meth:`_weigh`
+        call, grouped per step and per ``MIN_REPLICATIONS`` chains; the
+        tables add the steps in order.
         """
         grid, reps = self._model.grid, len(self.table)
         moved = moved.T.copy()
         if self._fresh:  # the first step fills every chain's cached row
-            self._recompute(x[:, 0], slice(None))
+            self._recompute(x[:, 0], np.arange(reps))
             moved[0] = False
         steps, chains = np.nonzero(moved)
         new = steps.size
-        points = x[chains, steps]
-        g_at = self._model.potential_at(self._level, points)
-        raw, _ = self._mutation.densities(grid, points)
         # the cached weighted rows, then one per (step, chain) that moved
         weighted = np.empty((reps + new, grid.n_points))
         weighted[:reps] = self._weighted_rows
-        mass, moments, w = np.empty(new), np.empty(new), grid.trapezoid_weights()
         group = steps * reps + chains // MIN_REPLICATIONS
         edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), new]
-        groups = list(zip(edges, edges[1:]))
-        for a, b in groups:
-            mass[a:b] = raw[a:b] @ w
-        check_row_masses(points, mass)
-        rows = np.divide(raw, mass[:, None], out=weighted[reps:])
-        if self._wf is not None:
-            for a, b in groups:
-                moments[a:b] = g_at[a:b] * (rows[a:b] @ self._wf)
-        np.multiply(g_at[:, None], rows, out=rows)
+        self._weigh(x[chains, steps], list(zip(edges, edges[1:])), weighted[reps:])
         # each chain's latest row at each step (new rows outrank cached ones)
         latest = np.zeros(moved.shape, dtype=np.intp)
         latest[0] = np.arange(reps)
@@ -602,50 +596,45 @@ class _MixtureAccumulator:
             np.add(tables[i - 1] if i else self.table, step, out=step)
         self.table[...] = tables[-1]
         self._weighted_rows = weighted[latest[-1]]
-        if self._wf is None:
-            return None
-        g = np.concatenate((self._g, g_at))[latest]
-        moment = np.concatenate((self._g_moment, moments))[latest]
-        self._g, self._g_moment = g[-1].copy(), moment[-1].copy()
-        g[0] += self.center_den
-        moment[0] += self.center_num
-        np.cumsum(g, axis=0, out=g)
-        np.cumsum(moment, axis=0, out=moment)
-        self.center_num, self.center_den = moment[-1], g[-1]
-        return moment / g
 
-    def _recompute(self, x: np.ndarray, idx) -> None:
+    def _recompute(self, x: np.ndarray, idx: np.ndarray) -> None:
         """Recompute the cached weighted rows (and potentials and moments)
-        of the chains ``idx`` (a sorted index array, or every chain) at their
-        states in ``x``.
-
-        The rows come from one :meth:`MutationKernel.rows` call per block of
-        ``MIN_REPLICATIONS`` chains: a normalising product rounds with the
-        rows that share its call, so a chain's row then depends on its own
-        block only, whichever process runs the block.
-        """
+        of the chains ``idx`` (sorted) at their states in ``x``, grouped per
+        block of ``MIN_REPLICATIONS`` chains."""
         self._fresh = False
-        xs = x[idx]
-        g_at = self._model.potential_at(self._level, xs)
+        edges = [0, *idx.searchsorted(self._block_starts).tolist(), idx.size]
+        groups = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+        rows, g_at, moments = self._weigh(x[idx], groups)
+        self._weighted_rows[idx] = rows
         if self._wf is not None:
             self._g[idx] = g_at
-        reps = len(self.table)
-        if reps <= MIN_REPLICATIONS:
-            # one block: the split below gives the same call, but its index
-            # arithmetic and indexed writes add 15-20 us a call, 6% of the
-            # one-chain runs' time (BENCH_18.json, "single_block_branch")
-            blocks = [(xs, g_at, idx)]
-        else:
-            chains = np.arange(reps)[idx]
-            cuts = np.searchsorted(chains, range(MIN_REPLICATIONS, reps, MIN_REPLICATIONS))
-            edges = [0, *cuts.tolist(), chains.size]
-            blocks = [(xs[a:b], g_at[a:b], chains[a:b])
-                      for a, b in zip(edges, edges[1:]) if b > a]
-        for points, g, chains in blocks:
-            rows = self._mutation.rows(self._model.grid, points)
-            if self._wf is not None:
-                self._g_moment[chains] = g * (rows @ self._wf)
-            self._weighted_rows[chains] = np.multiply(g[:, None], rows, out=rows)
+            self._g_moment[idx] = moments
+
+    def _weigh(self, points: np.ndarray, groups: List[Tuple[int, int]],
+               out: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The weighted rows ``G(x) M(x, .)`` of ``points`` (in ``out``, else
+        in memory taken after the densities, which is still in cache), their
+        potentials and, with ``wf``, moments ``G(x) M(x, wf)``.
+
+        The rows are evaluated in one call and checked, divided and weighted
+        at once; each group ``(a, b)`` of points takes its masses (and
+        moments) by one product over its own rows, which fixes their bits.
+        """
+        g_at = self._model.potential_at(self._level, points)
+        raw, own = self._mutation.densities(self._model.grid, points)
+        mass, w = np.empty(len(points)), self._model.grid.trapezoid_weights()
+        for a, b in groups:
+            mass[a:b] = raw[a:b] @ w
+        check_row_masses(points, mass)
+        rows = np.divide(raw, mass[:, None], out=raw if own and out is None else out)
+        moments = None
+        if self._wf is not None:
+            moments = np.empty(len(points))
+            for a, b in groups:
+                moments[a:b] = g_at[a:b] * (rows[a:b] @ self._wf)
+        np.multiply(g_at[:, None], rows, out=rows)
+        return rows, g_at, moments
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +759,8 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     replication and step; a replication's row is recomputed only on the steps
     where its chain moved, and reused from the row cache after a rejection.
     When states are collected, each level moves against its fixed target
-    with :meth:`_Lane.run`.
+    with :meth:`_Lane.run`.  The top level's sums of ``f`` over the steps
+    are kept only when states are not collected (the CLT shards).
     """
     grid = model.grid
     reps = len(streams)
@@ -789,13 +779,11 @@ def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
         mixture = (_MixtureAccumulator(model, level, reps)
                    if (build_next and not collect_states) else None)
         states = np.empty((reps, n)) if collect_states else None
-        f_sums = np.zeros(reps) if (f is not None and level == p) else None
+        f_sums = (np.zeros(reps) if (f is not None and level == p and not collect_states)
+                  else None)
 
         if collect_states:
             lane.run(n, states)
-            if f_sums is not None:
-                for x in states.T:
-                    f_sums += f(x)
         else:
             for k in range(n):
                 x = lane.step()
@@ -938,7 +926,6 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                   n: int, streams: Sequence[Sequence[np.random.Generator]],
                   x0: float, f: Optional[Callable] = None,
                   f_nodes: Optional[np.ndarray] = None,
-                  freeze_lower: Optional[GridDensity] = None,
                   collect_states: bool = False,
                   trace_weight: Optional[WeightFunction] = None
                   ) -> Dict[str, object]:
@@ -946,10 +933,8 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
 
     At step ``k`` the level-``j`` chain (``j >= 2``) moves against the
     running mixture of the level-``(j-1)`` states of steps ``1..k``, a
-    :class:`_MixtureAccumulator` that caches each chain's weighted row,
-    potential and ``f``-moment and recomputes them only for the chains whose
-    last step was accepted.  The top level's running target mean of ``f``
-    accumulates incrementally for the random-centered statistic.
+    :class:`_MixtureAccumulator` that caches each chain's weighted row and
+    recomputes it only for the chains whose last step was accepted.
 
     A level's target at step ``k`` depends on the level below only up to
     step ``k``, so when states are collected the levels run one after
@@ -960,16 +945,13 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     :meth:`_Lane.run_moving` advances level ``j`` against those rows.
     Otherwise (the replicated CLT engine) the levels step in lockstep, each
     mixture through ``add`` (a one-step block would copy the table twice
-    more); the trace still records ``RUN_BLOCK`` steps at a time.  In a stored depth-2 run,
-    ``freeze_lower`` replaces the running mixture with the fixed transform
-    of a density, and level 2 runs with :meth:`_Lane.run`.
+    more); the trace still records ``RUN_BLOCK`` steps at a time.  Only
+    then, given ``f`` and its node values ``f_nodes``, the top level's sums
+    of ``f`` and of its running target mean of ``f`` (kept by the top
+    mixture's ``f``-moments) accumulate for the random-centered statistic.
     """
     grid = model.grid
     reps = len(streams)
-    weights = grid.trapezoid_weights()
-    if freeze_lower is not None and (p != 2 or not collect_states):
-        raise InvalidInputError(
-            "freezing the lower level is a depth-2 device of stored runs")
 
     lanes = [_Lane(grid, family.proposal, family.balancing,
                    np.full(reps, float(x0)),
@@ -977,14 +959,12 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
              for level in range(1, p + 1)]
     lanes[0].set_target(model.flow(1).values)
 
-    f_sums = np.zeros(reps) if f is not None else None
-    center_sums = np.zeros(reps) if f is not None else None
-    wf = weights * f_nodes if f_nodes is not None else None
-    mixtures = [] if freeze_lower is not None else [
-        _MixtureAccumulator(model, j - 1, reps,
-                            wf if (j == p and f is not None) else None)
-        for j in range(2, p + 1)
-    ]
+    f_sums = center_sums = wf = None
+    if f is not None and not collect_states:
+        f_sums, center_sums = np.zeros(reps), np.zeros(reps)
+        wf = grid.trapezoid_weights() * f_nodes
+    mixtures = [_MixtureAccumulator(model, j - 1, reps, wf if j == p else None)
+                for j in range(2, p + 1)]
     tracer = (_TraceRecorder(grid, n, trace_weight)
               if trace_weight is not None else None)
 
@@ -995,28 +975,15 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
         # with the current level's once they have joined its mixture
         moved = np.empty((reps, n), dtype=bool)
         lanes[0].run(n, states[0], moved)
-        if freeze_lower is not None:
-            frozen_table = model.transform(1, freeze_lower).values
-            lanes[1].set_target(frozen_table)
-            lanes[1].run(n, states[1], moved)
         rows = np.empty((min(RUN_BLOCK, n), reps, grid.n_points))
         for j, mixture in enumerate(mixtures, start=2):
-            top = j == p
             for k0 in range(0, n, RUN_BLOCK):
                 m = min(RUN_BLOCK, n - k0)
-                centres = mixture.add_block(states[j - 2, :, k0:k0 + m],
-                                            moved[:, k0:k0 + m], rows[:m])
-                if top and f is not None:  # in step order, as += would add them
-                    center_sums = np.cumsum(np.vstack((center_sums, centres)), axis=0)[-1]
+                mixture.add_block(states[j - 2, :, k0:k0 + m], moved[:, k0:k0 + m], rows[:m])
                 lanes[j - 1].run_moving(rows[:m], states[j - 1, :, k0:k0 + m],
                                         moved[:, k0:k0 + m])
-                if top and tracer is not None:
+                if j == p and tracer is not None:
                     tracer.record(rows[:m, 0], k0)
-        if f is not None:
-            for x in states[-1].T:
-                f_sums += f(x)
-                if freeze_lower is not None:
-                    center_sums += float(np.sum(weights * frozen_table * f_nodes))
     else:
         # replication 0's top-level rows, recorded a block at a time as above
         trace_rows = (np.empty((min(RUN_BLOCK, n), grid.n_points))
@@ -1032,7 +999,7 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                     lane.refresh()
                 x_prev = lane.step()
                 moved = lane.accepted
-            if f is not None:
+            if f_sums is not None:
                 f_sums += f(x_prev)
                 center_sums += mixtures[-1].center_num / mixtures[-1].center_den
             if trace_rows is not None:
@@ -1051,9 +1018,7 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
         "descriptors": [
             _level_descriptor(family, 1, "reference flow level 1")
         ] + [
-            _level_descriptor(family, j,
-                              "frozen mixture" if freeze_lower is not None
-                              else "running mixture level %d" % j)
+            _level_descriptor(family, j, "running mixture level %d" % j)
             for j in range(2, p + 1)
         ],
     }
@@ -1064,7 +1029,6 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
 
 def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
               seed: SeedLike, x0: float = 0.0,
-              freeze_lower: Optional[GridDensity] = None,
               trace_weight: Optional[WeightFunction] = None
               ) -> Union[List[ChainRun], Tuple[List[ChainRun], AdaptationTrace]]:
     """Run the interacting scheme once; one chain per level.
@@ -1072,24 +1036,18 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     All levels start at ``x0``; at step ``k`` level ``p`` moves against the
     transform of level ``p-1``'s running sample set of steps ``1..k``.  The
     levels run one after another (see :func:`_imcmc_engine`), which gives
-    the same states as stepping them together.  ``freeze_lower`` replaces
-    the running measure with a fixed density (a depth-2 diagnostic: the top
-    chain becomes homogeneous).
-    Passing ``trace_weight`` additionally returns the adaptation trace of the
-    top-level target (per-step sup and weighted-norm increments, thinned
-    snapshots).
+    the same states as stepping them together.  Passing ``trace_weight``
+    additionally returns the adaptation trace of the top-level target
+    (per-step sup and weighted-norm increments, thinned snapshots).
     """
     family = _resolve_family(family)
     n = check_count(n, minimum=1)
     p_levels = check_depth(p_levels, model.n_levels)
     check_in_window(model.grid, x0)
-    if freeze_lower is not None:
-        check_on_grid(model.grid, freeze_lower)
     check_state_storage(p_levels * n)
     streams = [_level_streams(seed, p_levels)]
     engine = _imcmc_engine(family, model, p_levels, n, streams, float(x0),
-                           freeze_lower=freeze_lower, collect_states=True,
-                           trace_weight=trace_weight)
+                           collect_states=True, trace_weight=trace_weight)
     digest = _seed_digest(seed)
     runs = []
     for j in range(p_levels):

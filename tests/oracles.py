@@ -314,14 +314,10 @@ class DenseMixtureAccumulator:
 
     def add_block(self, x, moved, tables):
         """One ``add`` per step (column of ``x``); the table after step i
-        goes to ``tables[i]``, and with ``wf`` the per-step means come back."""
-        centres = []
+        goes to ``tables[i]``."""
         for i in range(x.shape[1]):
             self.add(x[:, i], moved[:, i])
             tables[i] = self.table
-            if self.wf is not None:
-                centres.append(self.center_num / self.center_den)
-        return np.array(centres) if self.wf is not None else None
 
 
 def hastings_ratio_with_q(proposal, x, mu_x, y, mu_y):

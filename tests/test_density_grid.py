@@ -53,7 +53,7 @@ from mcmccalc.measures import (
     gaussian2d_density,
     gaussian_density,
 )
-from mcmccalc.samplers import check_adaptation_conditions, run_imcmc
+from mcmccalc.samplers import check_adaptation_conditions
 
 GRID = Grid1D(-8.0, 8.0, 65)
 OTHER = Grid1D(-6.0, 6.0, 65)
@@ -116,7 +116,6 @@ START_ENTRIES = {
     "mvi_bound": lambda rho: mvi_bound(DENSITY_CONSTANTS, MU, NU, rho, WEIGHT),
     "empirical_mvi_check": lambda rho: empirical_mvi_check(
         FAMILY, MU, NU, rho, WEIGHT, DENSITY_CONSTANTS, n_trials=3),
-    "run_imcmc-freeze_lower": lambda rho: run_imcmc(FAMILY, MODEL, 2, 10, 1, freeze_lower=rho),
     "FeynmanKacModel-eta1": lambda rho: FeynmanKacModel(
         GRID, MODEL.potentials[:1], MODEL.mutations[:1], rho),
     "boltzmann_gibbs-grid": lambda rho: boltzmann_gibbs(

@@ -17,7 +17,7 @@ import pytest
 
 from mcmccalc import samplers, workers
 from mcmccalc.errors import DegenerateWeightsError
-from mcmccalc.feynman_kac import MutationKernel, default_ssm_model
+from mcmccalc.feynman_kac import default_ssm_model
 from mcmccalc.kernels import BalancingFunction, HastingsFamily, ProposalKernel
 from mcmccalc.measures import WeightFunction
 from mcmccalc.samplers import MIN_REPLICATIONS, SchemeConfig, clt_experiment
@@ -95,15 +95,16 @@ def test_block_shards_reproduce_the_whole_run(scheme, p, reps, family, model):
             assert _same_bits(_joined(parts, key), whole[key]), key
 
 
-def _recorded_rows(monkeypatch):
+def _recorded_groups(monkeypatch):
+    """The size of every group of rows the mixtures weigh together."""
     sizes = []
-    rows = MutationKernel.rows
+    weigh = samplers._MixtureAccumulator._weigh
 
-    def recording(self, grid, xs):
-        sizes.append(np.size(xs))
-        return rows(self, grid, xs)
+    def recording(self, points, groups, out=None):
+        sizes.extend(b - a for a, b in groups)
+        return weigh(self, points, groups, out)
 
-    monkeypatch.setattr(MutationKernel, "rows", recording)
+    monkeypatch.setattr(samplers._MixtureAccumulator, "_weigh", recording)
     return sizes
 
 
@@ -113,16 +114,14 @@ def test_mixture_rows_are_formed_one_block_at_a_time(monkeypatch, reps, model):
     x = rng.uniform(-3.0, 3.0, (12, reps))
     moved = rng.uniform(size=(12, reps)) < 0.02  # some steps move no chain at all
     moved[5, :MIN_REPLICATIONS] = False
-    sizes = _recorded_rows(monkeypatch)
+    sizes = _recorded_groups(monkeypatch)
     whole = samplers._MixtureAccumulator(model, 1, reps, np.ones(model.grid.n_points))
     for xk, mk in zip(x, moved):
         whole.add(xk, mk)
     blocks = [slice(b, b + MIN_REPLICATIONS) for b in range(0, reps, MIN_REPLICATIONS)]
     live = [[True] * len(blocks)] + [[mk[block].any() for block in blocks] for mk in moved[1:]]
-    if reps == MIN_REPLICATIONS:  # one rows call per step where some chain moved
-        assert len(sizes) == sum(any(step) for step in live)
-    else:
-        assert len(sizes) == sum(sum(step) for step in live)
+    # one group per step and live block
+    assert len(sizes) == sum(sum(step) for step in live)
     assert max(sizes) <= MIN_REPLICATIONS
     # each block's rows, sums and moments are those of a run of that block alone
     for block in blocks:

@@ -490,21 +490,25 @@ def test_symmetric_ratio_matches_the_ratio_with_q(seed, sigma, x0, start,
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize("p", [2, 3])
 def test_imcmc_engine_stored_equals_lockstep(reps, p, family, model):
-    def engine(collect_states):
+    def engine(collect_states, **sums):
         streams, _ = samplers._replication_streams(11, reps, p)
         return samplers._imcmc_engine(
-            family, model, p, 1100, streams, 0.0, f=f_clip,
-            f_nodes=f_clip(model.grid.nodes), collect_states=collect_states,
-            trace_weight=WeightFunction.one_plus_square())
+            family, model, p, 1100, streams, 0.0, collect_states=collect_states,
+            trace_weight=WeightFunction.one_plus_square(), **sums)
 
-    stored, lockstep = engine(True), engine(False)
+    # the lockstep engine with its f sums, the stored one without
+    stored = engine(True)
+    lockstep = engine(False, f=f_clip, f_nodes=f_clip(model.grid.nodes))
     assert stored["states"].shape == (p, reps, 1100)
     for name in ("finals", "accepts", "folds"):
         assert len(stored[name]) == p
         for a, b in zip(stored[name], lockstep[name]):
             assert _same(a, b), name
-    for name in ("f_sums", "center_sums"):
-        assert _same(stored[name], lockstep[name]), name
+    # the lockstep f sums are those of the stored top-level states, in stepping order
+    f_sums = np.zeros(reps)
+    for x in stored["states"][-1].T:
+        f_sums += f_clip(x)
+    assert _same(f_sums, lockstep["f_sums"])
     for name in ("sup_increments", "v_increments", "snapshots"):
         assert _same(getattr(stored["trace"], name),
                      getattr(lockstep["trace"], name)), name
@@ -661,22 +665,6 @@ def test_imcmc_is_bit_reproducible(family, model):
     assert "running mixture level 2" in a[1].kernel_descriptor
 
 
-def test_imcmc_frozen_lower_level_is_homogeneous(family, model, grid):
-    eta = gaussian_density(grid, 0.3, 1.1)
-    frozen = run_imcmc(family, model, 2, 4000, 123, freeze_lower=eta)
-    kern = family.at(model.transform(1, eta), validate=False)
-    stream = npr.default_rng(npr.SeedSequence(123).spawn(2)[1])
-    lim = run_limiting_chain(kern, 0.0, 4000, stream)
-    assert np.array_equal(frozen[1].states, lim.states)
-    assert "frozen mixture" in frozen[1].kernel_descriptor
-    # the frozen target never moves, so the adaptation trace is silent
-    _, trace = run_imcmc(family, model, 2, 800, 99, freeze_lower=eta,
-                         trace_weight=WeightFunction.one_plus_square())
-    assert float(np.max(trace.sup_increments)) == 0.0
-    with pytest.raises(InvalidInputError, match="depth-2"):
-        run_imcmc(family, model, 3, 100, 1, freeze_lower=eta)
-
-
 def test_imcmc_trace_statistics_trend_down(family, model):
     weight = WeightFunction.one_plus_square()
     runs, trace = run_imcmc(family, model, 2, 20_000, 5, trace_weight=weight)
@@ -776,8 +764,11 @@ def test_experiment_replication_equals_standalone_run(family, model):
     reps, n = 3, 400
     streams, _ = samplers._replication_streams(77, reps, 2)
     engine = samplers._smcmc_engine(family, model, 2, n, streams, 0.0,
-                                    "previous-final", collect_states=True,
-                                    f=f_clip)
+                                    "previous-final", collect_states=True)
+    # the f sums of the unstored engine on the same streams
+    streams, _ = samplers._replication_streams(77, reps, 2)
+    f_sums = samplers._smcmc_engine(family, model, 2, n, streams, 0.0, "previous-final",
+                                    collect_states=False, f=f_clip)["levels"][1]["f_sums"]
     children = npr.SeedSequence(77).spawn(reps + 1)
     for r in range(reps):
         levels = run_smcmc(family, model, 2, n, children[r])
@@ -787,7 +778,7 @@ def test_experiment_replication_equals_standalone_run(family, model):
         total = 0.0
         for value in f_clip(levels[1][0].states):  # the stepping order
             total += value
-        assert engine["levels"][1]["f_sums"][r] == total
+        assert f_sums[r] == total
 
 
 def test_incremental_mixture_matches_the_transform(family, model, grid):
@@ -806,9 +797,11 @@ def test_incremental_mixture_matches_the_transform(family, model, grid):
         assert np.max(np.abs(table / (table @ w) - dens.values)) < 1e-12
 
 
-def _run_engine(monkeypatch, accumulator, scheme, p, reps, family, model):
+def _run_engine(monkeypatch, accumulator, scheme, p, reps, family, model, stored=True):
     """One engine run with ``accumulator`` standing in for the mixture
-    accumulator; returns the engine output and every accumulator built."""
+    accumulator; returns the engine output and every accumulator built.  The
+    interacting engine stores its states, or (``stored=False``) steps in
+    lockstep with the sums of ``f_clip``."""
     built = []
 
     class Recording(accumulator):
@@ -822,10 +815,12 @@ def _run_engine(monkeypatch, accumulator, scheme, p, reps, family, model):
         out = samplers._smcmc_engine(family, model, p, 300, streams, 0.0,
                                      "previous-final", collect_states=False,
                                      f=f_clip)
+    elif stored:
+        out = samplers._imcmc_engine(family, model, p, 300, streams, 0.0,
+                                     collect_states=True)
     else:
         out = samplers._imcmc_engine(family, model, p, 300, streams, 0.0,
-                                     f=f_clip, f_nodes=f_clip(model.grid.nodes),
-                                     collect_states=True)
+                                     f=f_clip, f_nodes=f_clip(model.grid.nodes))
     return out, built
 
 
@@ -853,6 +848,11 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
                               dense["levels"][-1]["f_sums"])
     else:
         assert np.array_equal(cached["states"], dense["states"])
+        # the centring sums, kept only by the lockstep engine
+        cached, cached_accs = _run_engine(monkeypatch, samplers._MixtureAccumulator,
+                                          scheme, p, reps, family, model, stored=False)
+        dense, dense_accs = _run_engine(monkeypatch, oracles.DenseMixtureAccumulator,
+                                        scheme, p, reps, family, model, stored=False)
         np.testing.assert_allclose(cached["center_sums"], dense["center_sums"],
                                    rtol=1e-12, atol=0.0)
         top, top_dense = cached_accs[-1], dense_accs[-1]
@@ -866,9 +866,9 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
 @given(seed=st.integers(0, 2**32 - 1),
        reps=st.sampled_from([1, 2, 3, 4, 5, 6, 7, samplers.MIN_REPLICATIONS + 30]),
        blocks=st.lists(st.integers(1, samplers.RUN_BLOCK), min_size=1, max_size=4),
-       move_rate=st.floats(0.0, 1.0), with_wf=st.booleans())
+       move_rate=st.floats(0.0, 1.0))
 def test_mixture_block_update_equals_adding_step_by_step(seed, reps, blocks, move_rate,
-                                                         with_wf, model):
+                                                         model):
     grid = model.grid
     rng = npr.default_rng(seed)
     n = sum(blocks)
@@ -877,23 +877,16 @@ def test_mixture_block_update_equals_adding_step_by_step(seed, reps, blocks, mov
     x[:, 0] = rng.uniform(-4.0, 4.0, reps)
     for k in range(1, n):  # a chain that did not move sits where it was
         x[:, k] = np.where(moved[:, k], rng.uniform(-4.0, 4.0, reps), x[:, k - 1])
-    wf = grid.trapezoid_weights() * f_clip(grid.nodes) if with_wf else None
-    stepped = samplers._MixtureAccumulator(model, 1, reps, wf)
-    blocked = samplers._MixtureAccumulator(model, 1, reps, wf)
+    stepped = samplers._MixtureAccumulator(model, 1, reps)
+    blocked = samplers._MixtureAccumulator(model, 1, reps)
     k0 = 0
     for m in blocks:
         tables = np.empty((m, reps, grid.n_points))
-        centres = blocked.add_block(x[:, k0:k0 + m], moved[:, k0:k0 + m], tables)
-        assert (centres is None) == (wf is None)
+        blocked.add_block(x[:, k0:k0 + m], moved[:, k0:k0 + m], tables)
         for i in range(m):
             stepped.add(x[:, k0 + i], moved[:, k0 + i])
             assert _same(tables[i], stepped.table), (k0, i)
-            if wf is not None:
-                assert _same(centres[i], stepped.center_num / stepped.center_den), (k0, i)
         assert _same(blocked.table, stepped.table)
-        if wf is not None:
-            assert _same(blocked.center_num, stepped.center_num)
-            assert _same(blocked.center_den, stepped.center_den)
         k0 += m
 
 
