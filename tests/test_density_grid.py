@@ -116,6 +116,7 @@ START_ENTRIES = {
     "mvi_bound": lambda rho: mvi_bound(DENSITY_CONSTANTS, MU, NU, rho, WEIGHT),
     "empirical_mvi_check": lambda rho: empirical_mvi_check(
         FAMILY, MU, NU, rho, WEIGHT, DENSITY_CONSTANTS, n_trials=3),
+    "FeynmanKacModel.transform": lambda rho: MODEL.transform(1, rho),
     "FeynmanKacModel-eta1": lambda rho: FeynmanKacModel(
         GRID, MODEL.potentials[:1], MODEL.mutations[:1], rho),
     "boltzmann_gibbs-grid": lambda rho: boltzmann_gibbs(

@@ -134,6 +134,33 @@ def test_mixture_rows_are_formed_one_block_at_a_time(monkeypatch, reps, model):
         assert _same_bits(alone.center_den, whole.center_den[block])
 
 
+@pytest.mark.parametrize("reps", [MIN_REPLICATIONS, 2 * MIN_REPLICATIONS + 30])
+def test_mixture_block_rows_are_weighed_per_step_and_block(monkeypatch, reps, model):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, (reps, 12))
+    moved = rng.uniform(size=(reps, 12)) < 0.02  # some steps move no chain at all
+    moved[:MIN_REPLICATIONS, 5] = False
+    for k in range(1, 12):  # a chain that did not move sits where it was
+        x[:, k] = np.where(moved[:, k], x[:, k], x[:, k - 1])
+    sizes = _recorded_groups(monkeypatch)
+    whole = samplers._MixtureAccumulator(model, 1, reps)
+    tables = np.empty((12, reps, model.grid.n_points))
+    whole.add_block(x, moved, tables)
+    blocks = [slice(b, b + MIN_REPLICATIONS) for b in range(0, reps, MIN_REPLICATIONS)]
+    live = [[True] * len(blocks)] + [[moved[block, k].any() for block in blocks]
+                                     for k in range(1, 12)]
+    # one group per step and live block, in one call after the first step's
+    assert len(sizes) == sum(sum(step) for step in live)
+    assert max(sizes) <= MIN_REPLICATIONS
+    # each block's tables are those of a block update of that block alone
+    for block in blocks:
+        alone = samplers._MixtureAccumulator(model, 1, len(x[block]))
+        alone_tables = np.empty((12, len(x[block]), model.grid.n_points))
+        alone.add_block(x[block], moved[block], alone_tables)
+        assert _same_bits(alone_tables, tables[:, block])
+        assert _same_bits(alone.table, whole.table[block])
+
+
 @pytest.mark.parametrize("scheme", ["smcmc", "imcmc"])
 def test_the_report_does_not_depend_on_the_worker_count(monkeypatch, scheme, family,
                                                         model):
