@@ -36,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from .derivative import (
-    DEFAULT_RATIO_CEILING,
     Start,
     _check_warm_start,
     _value_at_start,
@@ -98,7 +97,6 @@ class FtcReport:
 
 def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
                t_nodes: int = FTC_T_NODES,
-               ratio_ceiling: float = DEFAULT_RATIO_CEILING,
                reuse: Optional[FtcReport] = None) -> FtcReport:
     """Check P_mu(start,f) - P_nu(start,f) against the t-integral of
     derivative actions along the mixture segment.
@@ -121,15 +119,14 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
     check_start(mu.grid, start)
     f_ref = grid_function(mu.grid, f_values)
     ts, wts = _t_quadrature(t_nodes)
-    inputs = (family, mu, nu, start, f_values, ratio_ceiling)
+    inputs = (family, mu, nu, start, f_values)
     known = {}
     if reuse is not None:
         if (len(reuse.inputs) != len(inputs)
-                or any(a is not b for a, b in zip(reuse.inputs[:5], inputs[:5]))
-                or reuse.inputs[5] != ratio_ceiling):
+                or any(a is not b for a, b in zip(reuse.inputs, inputs))):
             raise InvalidInputError(
                 "the reused FTC report was built from other inputs "
-                "(family, densities, start, function or ratio ceiling)"
+                "(family, densities, start or function)"
             )
         known = dict(zip(reuse.ts.tolist(), reuse.node_actions.tolist()))
     curve = ContaminationCurve(mu, nu)
@@ -149,7 +146,7 @@ def verify_ftc(family, mu: GridDensity, nu: GridDensity, start: Start, f_values,
         for t in todo[lo:hi]:
             kern_t = family.at(curve_at(curve, t))
             try:
-                deriv = derivative_for_start(kern_t, start, f_ref, ratio_ceiling)
+                deriv = derivative_for_start(kern_t, start, f_ref)
             except PreconditionError as exc:
                 raise PreconditionError(
                     f"derivative unavailable along the curve at t={t:.6g}: {exc}"
@@ -202,7 +199,6 @@ def verify_ftc_intrinsic(family, mu: GridDensity, transport, rho: GridDensity,
     derivative blow up there); use a boundary-tapered displacement instead of
     a hard shift.  The derivative density must look continuously
     differentiable on the grid — a jump in its finite differences raises.
-    A density start's warm-start ceiling is ``DEFAULT_RATIO_CEILING``.
     """
     grid = mu.grid
     if grid.ndim != 1 or not isinstance(family, HastingsFamily):
@@ -355,7 +351,7 @@ def _start_kind(start) -> str:
 def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
                                  nu: GridDensity, start: Start,
                                  weight: WeightFunction, t_nodes: int,
-                                 ratio_ceiling: float, smooth: bool) -> MviConstants:
+                                 smooth: bool) -> MviConstants:
     """Both accept/reject constants: ``smooth`` keeps the g' factor in the
     main budgets; without it the singular integral is restricted to the
     sub-level set {z : r(x, z) <= 1} instead.
@@ -372,8 +368,7 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
         kernels = list(_curve_kernels(family, mu, nu, ts))
         for t, kern in zip(ts, kernels):
             try:
-                _check_warm_start(start.values / kern.target.values**2, kern.grid.nodes,
-                                  ratio_ceiling)
+                _check_warm_start(start.values / kern.target.values**2, kern.grid.nodes)
             except PreconditionError as exc:
                 raise PreconditionError(
                     f"mean-value budget unavailable along the curve at t={t:.6g}: {exc}"
@@ -403,8 +398,7 @@ def _accept_reject_mvi_constants(family: HastingsFamily, mu: GridDensity,
 
 def hastings_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
                            start: Start, weight: WeightFunction,
-                           t_nodes: int = MVI_T_NODES,
-                           ratio_ceiling: float = DEFAULT_RATIO_CEILING) -> MviConstants:
+                           t_nodes: int = MVI_T_NODES) -> MviConstants:
     """Mean-value constants for a differentiable accept/reject family.
 
     Density starts: the two-term (t, z)-quadrature with the g' factor and
@@ -416,8 +410,7 @@ def hastings_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDens
             f"balancing '{family.balancing.tag}' has no derivative; use the "
             "min-one constants instead"
         )
-    return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes,
-                                        ratio_ceiling, smooth=True)
+    return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes, smooth=True)
 
 
 def mh_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
@@ -425,14 +418,12 @@ def mh_mvi_constants(family: HastingsFamily, mu: GridDensity, nu: GridDensity,
                      t_nodes: int = MVI_T_NODES) -> MviConstants:
     """Mean-value constants for the min-one family, obtained as the smooth-
     balancing limit: no g' factor in the main budgets, and the singular
-    integral restricted to the sub-level set {z : r(x, z) <= 1}.  A density
-    start's warm-start ceiling is ``DEFAULT_RATIO_CEILING``."""
+    integral restricted to the sub-level set {z : r(x, z) <= 1}."""
     if family.balancing.tag != "min-one":
         raise PreconditionError(
             f"these constants are for the min-one family, got '{family.balancing.tag}'"
         )
-    return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes,
-                                        DEFAULT_RATIO_CEILING, smooth=False)
+    return _accept_reject_mvi_constants(family, mu, nu, start, weight, t_nodes, smooth=False)
 
 
 CONDITIONAL_CEILING = 1e12

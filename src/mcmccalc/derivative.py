@@ -51,7 +51,7 @@ from .measures import (
     interp_slice,
 )
 
-DEFAULT_RATIO_CEILING = 1e6
+RATIO_CEILING = 1e6  # warm starts: rho / mu^2 at most this on the grid
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 PointStart = Union[float, tuple]
@@ -163,18 +163,14 @@ def _family_value(family, target, start, f_values, k):
 
 
 def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: Start,
-                              f_values, k: int = 1, steps=FD_STEPS) -> OracleReport:
+                              f_values, k: int = 1) -> OracleReport:
     """Directional derivative of ``pi -> P_pi^k(start, f)`` at ``mu`` toward
     ``nu - mu``, by one-sided differences along the contamination segment with
-    two Richardson levels (the three default steps are halved successively).
+    two Richardson levels (the three steps ``FD_STEPS`` are halved successively).
 
     The report flags ``converged = False`` when the two first-level
     extrapolations disagree by more than ``1e-3 * max(1, |estimate|)``.
     """
-    if len(steps) != 3 or not all(
-        abs(steps[i] / steps[i + 1] - 2.0) < 1e-12 for i in range(2)
-    ):
-        raise InvalidInputError("oracle steps must halve twice, e.g. (1e-2, 5e-3, 2.5e-3)")
     k = check_count(k, minimum=1)
     measures.check_start(mu.grid, start)
     f_values = grid_function(mu.grid, f_values)
@@ -182,13 +178,13 @@ def fd_directional_derivative(family, mu: GridDensity, nu: GridDensity, start: S
     base = _family_value(family, mu, start, f_values, k)
     raw = [
         (_family_value(family, curve_at(curve, t), start, f_values, k) - base) / t
-        for t in steps
+        for t in FD_STEPS
     ]
     r1 = [2.0 * raw[1] - raw[0], 2.0 * raw[2] - raw[1]]
     estimate = (4.0 * r1[1] - r1[0]) / 3.0
     spread = abs(r1[1] - r1[0])
     converged = spread <= 1e-3 * max(1.0, abs(estimate))
-    return OracleReport(tuple(steps), raw, r1, float(estimate), float(spread), bool(converged))
+    return OracleReport(FD_STEPS, raw, r1, float(estimate), float(spread), bool(converged))
 
 
 def spike_density(grid, x: float, halfwidth_cells: int = 4) -> GridDensity:
@@ -215,15 +211,15 @@ def _require_differentiable(kernel: HastingsKernel):
         )
 
 
-def _check_warm_start(ratio: np.ndarray, nodes: np.ndarray, ceiling: float,
+def _check_warm_start(ratio: np.ndarray, nodes: np.ndarray,
                       label: str = "ratio rho/mu^2") -> None:
     """Refuse a start whose start-to-target ``ratio`` (one value per node of
-    ``nodes``) exceeds ``ceiling``; the message names the worst node."""
+    ``nodes``) exceeds ``RATIO_CEILING``; the message names the worst node."""
     worst = int(np.argmax(ratio))
-    if ratio[worst] > ceiling:
+    if ratio[worst] > RATIO_CEILING:
         raise PreconditionError(
             f"start-to-target {label} = {ratio[worst]:.3g} at node "
-            f"{nodes[worst]:.6g} exceeds ceiling {ceiling:g}"
+            f"{nodes[worst]:.6g} exceeds ceiling {RATIO_CEILING:g}"
         )
 
 
@@ -255,23 +251,28 @@ def _hastings_derivative_values(kernel: HastingsKernel, rho_values: np.ndarray,
     return term1 + term2
 
 
-def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values,
-                        ratio_ceiling: float = DEFAULT_RATIO_CEILING,
-                        check_start: bool = True) -> KernelDerivative:
+def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values) -> KernelDerivative:
     """Derivative of the accept/reject map for a warm density start.
 
     Preconditions: differentiable balancing rule, bounded proposal, and
-    ``rho / mu^2`` below ``ratio_ceiling`` on the grid.  ``check_start=False``
-    skips the ceiling; internal callers use it for machine-propagated starts,
-    which inherit warmness from the original one.
+    ``rho / mu^2`` below ``RATIO_CEILING`` on the grid.
     """
     _require_differentiable(kernel)
     check_on_grid(kernel.grid, rho)
-    if check_start:
-        _check_warm_start(rho.values / kernel.target.values**2, kernel.grid.nodes,
-                          ratio_ceiling)
+    _check_warm_start(rho.values / kernel.target.values**2, kernel.grid.nodes)
+    return _density_derivative(kernel, rho, f_values)
+
+
+def _density_derivative(kernel, rho: GridDensity, f_values) -> KernelDerivative:
+    """Derivative for a density start of either family without the warm-start
+    ceiling: for the stationary start, and for the starts a k-step expansion
+    propagates, which inherit warmness from the original one."""
     f = grid_function(kernel.grid, f_values)
-    dens = _hastings_derivative_values(kernel, rho.values, f)
+    if isinstance(kernel, GibbsKernel):
+        dens = _gibbs_derivative_values(kernel, rho.values, f)
+    else:
+        _require_differentiable(kernel)
+        dens = _hastings_derivative_values(kernel, rho.values, f)
     return KernelDerivative(kernel.target, rho, f, dens)
 
 
@@ -313,19 +314,14 @@ def _gibbs_derivative_values(kernel: GibbsKernel, rho_values: np.ndarray,
     )
 
 
-def gibbs_derivative(kernel: GibbsKernel, rho: GridDensity, f_values,
-                     ratio_ceiling: float = DEFAULT_RATIO_CEILING,
-                     check_start: bool = True) -> KernelDerivative:
+def gibbs_derivative(kernel: GibbsKernel, rho: GridDensity, f_values) -> KernelDerivative:
     """Derivative of the two-stage map for a warm density start (the start
     enters through its second marginal; that marginal must stay below
-    ``ratio_ceiling`` times the target's)."""
+    ``RATIO_CEILING`` times the target's)."""
     check_on_grid(kernel.grid, rho)
-    if check_start:
-        _check_warm_start((kernel.w1 @ rho.values) / kernel.marginal2,
-                          kernel.grid.axis2.nodes, ratio_ceiling, "second-marginal ratio")
-    f = grid_function(kernel.grid, f_values)
-    dens = _gibbs_derivative_values(kernel, rho.values, f)
-    return KernelDerivative(kernel.target, rho, f, dens)
+    _check_warm_start((kernel.w1 @ rho.values) / kernel.marginal2,
+                      kernel.grid.axis2.nodes, "second-marginal ratio")
+    return _density_derivative(kernel, rho, f_values)
 
 
 def gibbs_derivative_at_point(kernel: GibbsKernel, x, f_values) -> KernelDerivative:
@@ -356,16 +352,14 @@ def gibbs_derivative_at_point(kernel: GibbsKernel, x, f_values) -> KernelDerivat
 # dispatch helpers
 # ---------------------------------------------------------------------------
 
-def derivative_for_start(kernel, start: Start, f_values,
-                         ratio_ceiling: float = DEFAULT_RATIO_CEILING,
-                         check_start: bool = True) -> KernelDerivative:
+def derivative_for_start(kernel, start: Start, f_values) -> KernelDerivative:
     """One-step derivative for either start kind, for either family."""
     if isinstance(kernel, GibbsKernel):
         if isinstance(start, GridDensity):
-            return gibbs_derivative(kernel, start, f_values, ratio_ceiling, check_start)
+            return gibbs_derivative(kernel, start, f_values)
         return gibbs_derivative_at_point(kernel, start, f_values)
     if isinstance(start, GridDensity):
-        return hastings_derivative(kernel, start, f_values, ratio_ceiling, check_start)
+        return hastings_derivative(kernel, start, f_values)
     return hastings_derivative_at_point(kernel, float(start), f_values)
 
 
@@ -380,7 +374,7 @@ def iterated_derivative(kernel, start: Start, f_values, k: int) -> IteratedDeriv
     forward-propagated start ``P^(k-1-j)(start)`` and the backward-propagated
     test function ``P^j f``.  Point starts under the accept/reject family
     propagate as an atom plus a density; both pieces are differentiated and
-    combined linearly.  A density start's ceiling is ``DEFAULT_RATIO_CEILING``.
+    combined linearly.  Only the start itself meets ``RATIO_CEILING``.
     """
     k = check_count(k, minimum=1)
     measures.check_start(kernel.grid, start)
@@ -388,7 +382,8 @@ def iterated_derivative(kernel, start: Start, f_values, k: int) -> IteratedDeriv
     terms = []
     for j in range(k):
         s = starts[k - 1 - j]
-        terms.append(_derivative_of_propagated(kernel, s, f_seq[j], check_start=s is start))
+        terms.append(derivative_for_start(kernel, s, f_seq[j]) if s is start
+                     else _derivative_of_propagated(kernel, s, f_seq[j]))
     return IteratedDerivative(terms, k)
 
 
@@ -418,7 +413,7 @@ def _propagate_start(kernel, start):
     return kernel.propagate_point(float(start))
 
 
-def _derivative_of_propagated(kernel, s, f_j, check_start=False) -> KernelDerivative:
+def _derivative_of_propagated(kernel, s, f_j) -> KernelDerivative:
     if isinstance(s, AtomPlusDensity):
         point = hastings_derivative_at_point(kernel, s.x, f_j)
         dens_values = _hastings_derivative_values(kernel, s.density, f_j)
@@ -427,7 +422,9 @@ def _derivative_of_propagated(kernel, s, f_j, check_start=False) -> KernelDeriva
             s.atom * point.density_part + dens_values,
             singular_part=point.singular_part, scale=s.atom,
         )
-    return derivative_for_start(kernel, s, f_j, check_start=check_start)
+    if isinstance(s, GridDensity):
+        return _density_derivative(kernel, s, f_j)
+    return derivative_for_start(kernel, s, f_j)
 
 
 def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
@@ -474,10 +471,7 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
 def generator_function(kernel, f_values) -> np.ndarray:
     """The derivative density at the stationary start, which collapses to
     ``f - P f`` (checked elsewhere to rounding error)."""
-    f = grid_function(kernel.grid, f_values)
-    if isinstance(kernel, GibbsKernel):
-        return _gibbs_derivative_values(kernel, kernel.target.values, f)
-    return _hastings_derivative_values(kernel, kernel.target.values, f)
+    return _density_derivative(kernel, kernel.target, f_values).density_part
 
 
 def drift_via_derivative(kernel, f_values, set_mask, b: float) -> dict:

@@ -57,6 +57,9 @@ DRIFT_RATES = (0.5, 0.7, 0.85, 0.95)
 POISSON_GATE = 1e-6
 K_BURN = 3  # leading steps the geometric-rate fit leaves out
 RATE_INVARIANCE_TOL = 1e-8
+KAPPA_FLOOR = 1e-8  # a small-set constant below this fails the minorization
+RESOLVENT_K_CAP = 20000  # resolvent terms before the series counts as not converging
+IDENTITY_TOL = 1e-9  # the tolerance all three resolvents of the identity check run to
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +171,14 @@ def _worst_node(grid, flat_index: int):
 
 
 def check_drift(kernels: Sequence, weight: WeightFunction, drift_rate: float,
-                b: float, d: float, j: int = 1, kappa: Optional[float] = None,
-                kappa_floor: float = 1e-8):
+                b: float, d: float, j: int = 1, kappa: Optional[float] = None):
     """Verify ``P V <= drift_rate * V + b * 1{V <= d}`` at every node of every
     kernel, then complete the certificate with a small-set constant.
 
     Returns a :class:`DriftCertificate` on success and a
     :class:`DriftFailure` naming the worst node otherwise.  Passing ``kappa``
     skips the minorization computation and records the given constant
-    (validated for range) instead.
+    (validated for range) instead; a computed one must reach ``KAPPA_FLOOR``.
     """
     kernels = list(kernels)
     if not kernels:
@@ -203,11 +205,11 @@ def check_drift(kernels: Sequence, weight: WeightFunction, drift_rate: float,
                             float(worst_gap), drift_rate, b, d)
     if kappa is None:
         mask = level_set_mask(weight, kernels[0].grid, d)
-        rep = check_minorization(kernels, mask, j=j, kappa_floor=kappa_floor)
+        rep = check_minorization(kernels, mask, j=j)
         kappa = rep.inf_kappa
         if not rep.passed:
             return DriftFailure(int(np.argmin(rep.kappas)), "level-set minorization",
-                                kappa_floor - kappa, drift_rate, b, d)
+                                KAPPA_FLOOR - kappa, drift_rate, b, d)
     return DriftCertificate(weight, drift_rate, b, d, j, float(kappa),
                             margin=float(margin), n_kernels=len(kernels))
 
@@ -243,17 +245,16 @@ def find_drift_parameters(kernel, weight: WeightFunction):
 
 @dataclass
 class MinorizationReport:
-    """Per-kernel small-set constants for one level set."""
+    """Per-kernel small-set constants for one level set, passed at ``KAPPA_FLOOR``."""
 
     kappas: np.ndarray
     inf_kappa: float
     j: int
     method: str
-    kappa_floor: float
 
     @property
     def passed(self) -> bool:
-        return self.inf_kappa >= self.kappa_floor
+        return self.inf_kappa >= KAPPA_FLOOR
 
 
 def _restricted_candidate(kern, mask: np.ndarray) -> np.ndarray:
@@ -276,7 +277,6 @@ def _gibbs_transition_density(kern: GibbsKernel, col_index: int, j: int) -> np.n
 
 
 def check_minorization(kernels: Sequence, mask: np.ndarray, j: int = 1,
-                       kappa_floor: float = 1e-8,
                        method: str = "grid") -> MinorizationReport:
     """Small-set constants for the masked node set, per kernel.
 
@@ -332,7 +332,7 @@ def check_minorization(kernels: Sequence, mask: np.ndarray, j: int = 1,
                 dens = _gibbs_transition_density(kern, int(c), j)
                 worst = min(worst, float(np.min(dens[mask] / inside)))
         kappas[idx] = max(worst, 0.0)
-    return MinorizationReport(kappas, float(np.min(kappas)), j, method, kappa_floor)
+    return MinorizationReport(kappas, float(np.min(kappas)), j, method)
 
 
 def _random_walk_kappa(kern: HastingsKernel, mask: np.ndarray) -> float:
@@ -543,8 +543,7 @@ class ResolventTable:
 
 def poisson_resolvent(kernel, f_values, tol: float = 1e-8,
                       weight: Optional[WeightFunction] = None,
-                      rate: Optional[RateReport] = None,
-                      k_cap: int = 20000) -> ResolventTable:
+                      rate: Optional[RateReport] = None) -> ResolventTable:
     """Sum the centered k-step expectations of ``f`` until the tail is paid for.
 
     The truncated sum satisfies the Poisson equation exactly up to the first
@@ -552,12 +551,12 @@ def poisson_resolvent(kernel, f_values, tol: float = 1e-8,
     enough for both the requested tail tolerance and the equation gate.  The
     reported ``tail_bound`` uses the fitted geometric envelope when a rate
     report is supplied (with ``weight`` naming its V), and the empirical
-    decay ratio of the final increments otherwise.
+    decay ratio of the final increments otherwise.  A series that has not
+    stopped after ``RESOLVENT_K_CAP`` terms raises.
     """
     grid = kernel.grid
     f_values = grid_function(grid, f_values)
     check_positive(tol, "resolvent tolerance")
-    check_count(k_cap, "k_cap", minimum=1)
     w = grid.trapezoid_weights()
     mu_vals = kernel.target.values
     mean = float(np.sum(w * mu_vals * f_values))
@@ -576,7 +575,7 @@ def poisson_resolvent(kernel, f_values, tol: float = 1e-8,
         stop_head = min(tol * max(1.0 - ratio, 1e-3), 0.5 * POISSON_GATE)
         if head <= stop_head:
             break
-        if k >= k_cap:
+        if k >= RESOLVENT_K_CAP:
             raise ResourceLimitError(
                 f"resolvent series still at increment {head:.3g} after {k} terms "
                 f"(late decay ratio {ratio:.4f})"
@@ -636,24 +635,22 @@ def asymptotic_variance(kernel, table: ResolventTable) -> float:
     return max(val, 0.0)
 
 
-def check_resolvent_identity(family, mu: GridDensity, nu: GridDensity, f_values,
-                             tol: float = 1e-9) -> dict:
+def check_resolvent_identity(family, mu: GridDensity, nu: GridDensity, f_values) -> dict:
     """Residual of the two-target resolvent difference identity.
 
     The difference of resolvents equals the first resolvent applied to the
     kernel difference of the second resolvent, plus the (mu - nu)-average of
     the second resolvent added as a constant.  All three resolvents are run
-    to the same tolerance so their truncation tails match.
+    to the same tolerance, ``IDENTITY_TOL``, so their truncation tails match.
     """
     check_on_grid(mu.grid, nu)
     f_values = grid_function(mu.grid, f_values)
-    check_positive(tol, "resolvent tolerance")
     kern_mu = family.at(mu)
     kern_nu = family.at(nu)
-    r_nu = poisson_resolvent(kern_nu, f_values, tol=tol)
-    r_mu = poisson_resolvent(kern_mu, f_values, tol=tol)
+    r_nu = poisson_resolvent(kern_nu, f_values, tol=IDENTITY_TOL)
+    r_mu = poisson_resolvent(kern_mu, f_values, tol=IDENTITY_TOL)
     bridge = kern_nu.apply_to_function(r_nu.values) - kern_mu.apply_to_function(r_nu.values)
-    r_bridge = poisson_resolvent(kern_mu, bridge, tol=tol)
+    r_bridge = poisson_resolvent(kern_mu, bridge, tol=IDENTITY_TOL)
     w = mu.grid.trapezoid_weights()
     shift = float(np.sum(w * (mu.values - nu.values) * r_nu.values))
     gap = r_nu.values - r_mu.values - (r_bridge.values + shift)

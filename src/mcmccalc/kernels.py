@@ -719,15 +719,15 @@ class HastingsFamily:
     proposal: ProposalKernel
     balancing: BalancingFunction
 
-    def at(self, target: GridDensity, validate: bool = False) -> HastingsKernel:
-        return HastingsKernel(target, self.proposal, self.balancing, validate=validate)
+    def at(self, target: GridDensity) -> HastingsKernel:
+        return HastingsKernel(target, self.proposal, self.balancing, validate=False)
 
 
 @dataclass
 class GibbsFamily:
     """Two-stage kernels indexed by the joint target."""
 
-    def at(self, target: GridDensity, validate: bool = False) -> GibbsKernel:
+    def at(self, target: GridDensity) -> GibbsKernel:
         return GibbsKernel(target)
 
 
@@ -749,9 +749,9 @@ def apply_gibbs(kernel: GibbsKernel, x, f_values) -> float:
     return kernel.apply_from_x2(float(x[1]), grid_function(kernel.grid, f_values))
 
 
-def iterate_kernel(kernel: Kernel, f_values, steps: int, max_steps: int = DEFAULT_MAX_ITER):
-    """P^steps f on the grid; steps = 0 returns a copy of the input values."""
-    steps = check_count(steps, budget=max_steps)
+def iterate_kernel(kernel: Kernel, f_values, steps: int):
+    """P^steps f on the grid, at most ``DEFAULT_MAX_ITER`` steps; 0 returns a copy."""
+    steps = check_count(steps, budget=DEFAULT_MAX_ITER)
     out = np.array(grid_function(kernel.grid, f_values))
     for _ in range(steps):
         out = kernel.apply_to_function(out)

@@ -1155,7 +1155,7 @@ def _sigma_functionals(family: HastingsFamily, model: FeynmanKacModel,
                        p: int) -> List[Callable[[np.ndarray], float]]:
     fns = []
     for j in range(1, p + 1):
-        kern = family.at(model.flow(j), validate=False)
+        kern = family.at(model.flow(j))
 
         def fn(g, _kern=kern):
             return asymptotic_variance(_kern, poisson_resolvent(_kern, g))
@@ -1216,7 +1216,7 @@ def clt_experiment(scheme: str, config: SchemeConfig,
         approx_extra *= 2.0
     predicted_det = sigma2 + approx_extra
 
-    limiting_kernel = config.family.at(model.flow(p), validate=False)
+    limiting_kernel = config.family.at(model.flow(p))
     limiting = run_limiting_chain(limiting_kernel, config.x0, n, spare)
     sigma2_bm = batch_means_variance(limiting, f, config.batch_count)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcmccalc import derivative
 from mcmccalc.calculus import (
     MviConstants,
     empirical_mvi_check,
@@ -236,8 +237,6 @@ def test_ftc_reuse_refuses_a_report_from_other_inputs(family, mu, nu, rho, f_val
     for key, value in others.items():
         with pytest.raises(InvalidInputError, match="other inputs"):
             verify_ftc(**{**same, key: value}, t_nodes=5, reuse=fine)
-    with pytest.raises(InvalidInputError, match="other inputs"):
-        verify_ftc(**same, t_nodes=5, ratio_ceiling=1e3, reuse=fine)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +338,14 @@ def test_density_start_budget_has_no_singular_piece(family, mu, nu, rho):
     assert c.m_rho > 0.0
 
 
-def test_independence_tv_budget_matches_oracle(grid, mu, nu):
+def test_independence_tv_budget_matches_oracle(grid, mu, nu, monkeypatch):
     # V = 1 and rho = mu collapse the two-term budget to a form a from-scratch
     # script can integrate directly.  The compact window makes rho = mu a
     # legal start once the ratio guard is lifted explicitly.
+    monkeypatch.setattr(derivative, "RATIO_CEILING", float("inf"))
     base = gaussian_density(grid, 0.0, 1.4)
     fam = HastingsFamily(ProposalKernel.independence(base), BalancingFunction.barker())
-    c = hastings_mvi_constants(fam, mu, nu, mu, WeightFunction.const(), t_nodes=9,
-                               ratio_ceiling=float("inf"))
+    c = hastings_mvi_constants(fam, mu, nu, mu, WeightFunction.const(), t_nodes=9)
     expected = oracles.independence_mvi_budget_tv(
         grid.nodes, grid.trapezoid_weights(), mu.values, nu.values, base.values, 9
     )

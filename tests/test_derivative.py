@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcmccalc import derivative
 from mcmccalc.derivative import (
     derivative_for_start,
     drift_via_derivative,
@@ -81,7 +82,7 @@ class TrivialFamily:
             val = integrate_values(self.grid, self.target.values * np.asarray(f, float))
             return np.full(self.grid.shape(), val)
 
-    def at(self, target, validate=False):
+    def at(self, target):
         return TrivialFamily._Kern(target)
 
 
@@ -101,7 +102,7 @@ class RoughFamily:
     def __init__(self, base_values):
         self._base = base_values
 
-    def at(self, target, validate=False):
+    def at(self, target):
         return RoughFamily._Kern(target, self._base)
 
 
@@ -126,11 +127,6 @@ def test_oracle_flags_rough_value_maps(grid, mu, nu, rho, f_vals):
     assert not rep.converged
     with pytest.raises(InvalidInputError):
         rep.require_converged()
-
-
-def test_oracle_rejects_bad_steps(family, mu, nu, rho, f_vals):
-    with pytest.raises(InvalidInputError):
-        fd_directional_derivative(family, mu, nu, rho, f_vals, steps=(1e-2, 1e-3, 1e-4))
 
 
 # -------------------------------------------------------- density starts
@@ -279,10 +275,11 @@ def test_gibbs_derivative_centering(grid2, mu2, rho2, f2_vals):
     assert deriv.centering_residual() <= 1e-6
 
 
-def test_gibbs_derivative_warm_start_precondition(grid2, mu2, f2_vals):
+def test_gibbs_derivative_warm_start_precondition(grid2, mu2, f2_vals, monkeypatch):
+    monkeypatch.setattr(derivative, "RATIO_CEILING", 10.0)
     wide = gaussian2d_density(grid2, [0.0, 0.0], np.array([[1.0, 0.0], [0.0, 16.0]]))
     with pytest.raises(PreconditionError):
-        gibbs_derivative(GibbsFamily().at(mu2), wide, f2_vals, ratio_ceiling=10.0)
+        gibbs_derivative(GibbsFamily().at(mu2), wide, f2_vals)
 
 
 def test_generator_identity_gibbs(grid2, mu2, f2_vals):

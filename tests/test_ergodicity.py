@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mcmccalc import ergodicity
 from mcmccalc.ergodicity import (
     DriftCertificate,
     a1_level_floor,
@@ -98,7 +99,7 @@ def family(grid):
 
 @pytest.fixture(scope="module")
 def rw(family, mu):
-    return family.at(mu, validate=True)
+    return HastingsKernel(mu, family.proposal, family.balancing)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +217,7 @@ def test_certificate_field_validation(v_sq):
 
 
 def test_heavy_tail_fails_exponential_drift(family, cauchy, v_exp):
-    kern = family.at(cauchy, validate=True)
+    kern = HastingsKernel(cauchy, family.proposal, family.balancing)
     res = check_drift([kern], v_exp, 0.9, 2.0, 20.0)
     assert not res.passed
     assert res.worst_gap > 1.0
@@ -224,8 +225,9 @@ def test_heavy_tail_fails_exponential_drift(family, cauchy, v_exp):
     assert "drift violated" in res.describe()
 
 
-def test_minorization_shortfall_returns_failure(iid, v_sq, iid_cert):
-    res = check_drift([iid], v_sq, 0.5, iid_cert.b, iid_cert.d, kappa_floor=0.999)
+def test_minorization_shortfall_returns_failure(iid, v_sq, iid_cert, monkeypatch):
+    monkeypatch.setattr(ergodicity, "KAPPA_FLOOR", 0.999)
+    res = check_drift([iid], v_sq, 0.5, iid_cert.b, iid_cert.d)
     assert not res.passed
     assert res.worst_node == "level-set minorization"
     assert 0.05 < res.worst_gap < 0.2
@@ -476,9 +478,10 @@ def test_rate_tail_dominates_empirical(rw, f_vals, rate_rep, v_exp, rw_table):
         poisson_resolvent(rw, f_vals, rate=rate_rep)
 
 
-def test_resolvent_iteration_cap(rw, f_vals):
+def test_resolvent_iteration_cap(rw, f_vals, monkeypatch):
+    monkeypatch.setattr(ergodicity, "RESOLVENT_K_CAP", 3)
     with pytest.raises(ResourceLimitError, match="resolvent series"):
-        poisson_resolvent(rw, f_vals, k_cap=3)
+        poisson_resolvent(rw, f_vals)
 
 
 def test_resolvent_bound_margin(rw_table, v_exp, rate_rep):
@@ -509,14 +512,14 @@ def test_gibbs_resolvent_and_variance(gibbs, grid2, f2_vals):
 
 
 def test_resolvent_identity_reference(family, mu, nu, f_vals):
-    out = check_resolvent_identity(family, mu, nu, f_vals, tol=1e-9)
+    out = check_resolvent_identity(family, mu, nu, f_vals)
     assert out["residual"] <= 1e-8
     assert out["lhs_sup"] > 0.5  # the two resolvents genuinely differ
     assert all(k > 50 for k in out["truncations"])
 
 
 def test_resolvent_identity_same_target(family, mu, f_vals):
-    out = check_resolvent_identity(family, mu, mu, f_vals, tol=1e-9)
+    out = check_resolvent_identity(family, mu, mu, f_vals)
     assert out["residual"] <= 1e-15
     assert out["lhs_sup"] <= 1e-15
 

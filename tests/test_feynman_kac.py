@@ -32,7 +32,7 @@ from mcmccalc.feynman_kac import (
     simulate_ssm_observations,
     smcmc_variance_recursion,
 )
-from mcmccalc.kernels import BalancingFunction, HastingsFamily, ProposalKernel
+from mcmccalc.kernels import BalancingFunction, HastingsFamily, HastingsKernel, ProposalKernel
 from mcmccalc.measures import Grid1D, GridDensity, gaussian_density
 
 
@@ -536,7 +536,7 @@ def test_recursion_with_resolvent_variance_matches_series_oracle(grid, model, f_
     # the from-scratch autocovariance series
     fam = HastingsFamily(ProposalKernel.random_walk(1.0, grid),
                          BalancingFunction.barker())
-    kern = fam.at(model.flow(1), validate=True)
+    kern = HastingsKernel(model.flow(1), fam.proposal, fam.balancing)
 
     def sigma2(g):
         return asymptotic_variance(kern, poisson_resolvent(kern, g))

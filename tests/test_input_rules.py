@@ -7,9 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from mcmccalc import derivative
 from mcmccalc.calculus import (
     empirical_mvi_check,
     hastings_mvi_constants,
+    mh_mvi_constants,
     pushforward_density,
     verify_ftc,
     verify_ftc_intrinsic,
@@ -18,6 +20,8 @@ from mcmccalc.derivative import (
     derivative_for_start,
     fd_directional_derivative,
     generator_function,
+    gibbs_derivative,
+    hastings_derivative,
     iterated_derivative,
     iterated_derivative_limit_check,
     spike_density,
@@ -39,6 +43,7 @@ from mcmccalc.feynman_kac import (
     smcmc_variance_recursion,
 )
 from mcmccalc.kernels import (
+    DEFAULT_MAX_ITER,
     BalancingFunction,
     GibbsKernel,
     HastingsFamily,
@@ -166,7 +171,7 @@ def test_grid_function_refuses_a_callable_without_a_grid():
         grid_function(GRID.shape(), np.cos)
 
 
-def test_warm_start_refusals_name_the_node():
+def test_warm_start_refusals_name_the_node(monkeypatch):
     cold = gaussian_density(GRID, 0.0, 2.5)
     ratio = cold.values / MU.values**2
     node = GRID.nodes[int(np.argmax(ratio))]
@@ -184,8 +189,39 @@ def test_warm_start_refusals_name_the_node():
     with pytest.raises(PreconditionError,
                        match=re.escape(f"second-marginal ratio = {ratio2.max():.3g} "
                                        f"at node {node2:.6g}")):
-        derivative_for_start(GIBBS, wide, F2, ratio_ceiling=0.5 * ratio2.max())
-    derivative_for_start(GIBBS, wide, F2, ratio_ceiling=ratio2.max())
+        with monkeypatch.context() as patch:
+            patch.setattr(derivative, "RATIO_CEILING", 0.5 * ratio2.max())
+            derivative_for_start(GIBBS, wide, F2)
+    with monkeypatch.context() as patch:
+        patch.setattr(derivative, "RATIO_CEILING", ratio2.max())
+        derivative_for_start(GIBBS, wide, F2)
+
+
+MIN_ONE = HastingsFamily(FAMILY.proposal, BalancingFunction.min_one())
+
+# entry -> a call that takes RHO (or RHO2 on the two-stage grid) as its start
+CEILING_ENTRIES = {
+    "derivative_for_start": lambda: derivative_for_start(KERN, RHO, F),
+    "derivative_for_start-two-stage": lambda: derivative_for_start(GIBBS, RHO2, F2),
+    "hastings_derivative": lambda: hastings_derivative(KERN, RHO, F),
+    "gibbs_derivative": lambda: gibbs_derivative(GIBBS, RHO2, F2),
+    "verify_ftc": lambda: verify_ftc(FAMILY, MU, NU, RHO, F, t_nodes=5),
+    "hastings_mvi_constants": lambda: hastings_mvi_constants(FAMILY, MU, NU, RHO, V_SQ,
+                                                             t_nodes=5),
+    "mh_mvi_constants": lambda: mh_mvi_constants(MIN_ONE, MU, NU, RHO, V_SQ, t_nodes=5),
+    "verify_ftc_intrinsic": lambda: verify_ftc_intrinsic(FAMILY, MU, np.copy, RHO, F,
+                                                         t_nodes=5, s_nodes=5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CEILING_ENTRIES))
+def test_every_entry_reads_the_one_ceiling_at_call_time(entry, monkeypatch):
+    call = CEILING_ENTRIES[entry]
+    assert derivative.RATIO_CEILING == 1e6
+    call()
+    monkeypatch.setattr(derivative, "RATIO_CEILING", 1.0)
+    with pytest.raises(PreconditionError, match="exceeds ceiling 1$"):
+        call()
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +238,6 @@ def test_counts_take_integers_only(bad, constants):
         lambda: run_limiting_chain(KERN, 0.0, bad, 1),
         lambda: empirical_mvi_check(FAMILY, MU, NU, 0.3, V_SQ, constants, n_trials=bad),
         lambda: iterated_derivative_limit_check(FAMILY, MU, NU, RHO, F, k_max=bad),
-        lambda: poisson_resolvent(KERN, F, k_cap=bad),
         lambda: check_v_moment_growth([KERN], V_SQ, 1, CERT, n_reps=bad),
         lambda: check_v_moment_growth([KERN], V_SQ, 1, CERT, checkpoints=(5, bad)),
         lambda: spike_density(GRID, 0.0, bad),
@@ -224,8 +259,8 @@ def test_count_check_minimum_and_budget():
         check_count(0, minimum=1)
     with pytest.raises(ResourceLimitError, match="step count 4 exceeds budget 3"):
         check_count(4, budget=3)
-    with pytest.raises(ResourceLimitError, match="exceeds budget 10"):
-        iterate_kernel(KERN, F, 11, max_steps=10)
+    with pytest.raises(ResourceLimitError, match=f"exceeds budget {DEFAULT_MAX_ITER}"):
+        iterate_kernel(KERN, F, DEFAULT_MAX_ITER + 1)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -258,7 +293,6 @@ def test_counts_and_tolerances_below_their_minimum_are_refused(constants):
             FAMILY, MU, NU, 0.3, V_SQ, constants, n_trials=0)),
         ("k_max must be an integer >= 1, got 0", lambda: iterated_derivative_limit_check(
             FAMILY, MU, NU, RHO, F, k_max=0)),
-        ("k_cap must be an integer >= 1, got 0", lambda: poisson_resolvent(KERN, F, k_cap=0)),
         ("n_reps must be an integer >= 2, got 1", lambda: check_v_moment_growth(
             [KERN], V_SQ, 1, CERT, n_reps=1)),
         ("checkpoint must be an integer >= 1, got 0", lambda: check_v_moment_growth(
@@ -270,9 +304,7 @@ def test_counts_and_tolerances_below_their_minimum_are_refused(constants):
     ]
     for tol in (0.0, math.nan):
         message = f"resolvent tolerance must be positive and finite, got {tol:g}"
-        refusals += [(message, lambda tol=tol: poisson_resolvent(KERN, F, tol=tol)),
-                     (message, lambda tol=tol: check_resolvent_identity(
-                         FAMILY, MU, NU, F, tol=tol))]
+        refusals.append((message, lambda tol=tol: poisson_resolvent(KERN, F, tol=tol)))
     for message, call in refusals:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             call()

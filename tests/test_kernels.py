@@ -10,6 +10,7 @@ from mcmccalc.errors import (
     ResourceLimitError,
 )
 from mcmccalc.kernels import (
+    DEFAULT_MAX_ITER,
     BalancingFunction,
     GibbsKernel,
     HastingsFamily,
@@ -368,7 +369,7 @@ def test_iterate_kernel_conventions(rw_barker, grid):
     two = iterate_kernel(rw_barker, f, 2)
     assert np.allclose(two, rw_barker.apply_to_function(one), atol=0)
     with pytest.raises(ResourceLimitError):
-        iterate_kernel(rw_barker, f, 50, max_steps=10)
+        iterate_kernel(rw_barker, f, DEFAULT_MAX_ITER + 1)
     with pytest.raises(InvalidInputError):
         iterate_kernel(rw_barker, f, -1)
 

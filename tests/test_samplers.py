@@ -88,13 +88,13 @@ def family(grid):
 
 @pytest.fixture(scope="module")
 def flow1_kernel(family, model):
-    return family.at(model.flow(1), validate=False)
+    return family.at(model.flow(1))
 
 
 @pytest.fixture(scope="module")
 def long_run(family, grid):
     target = gaussian_density(grid, 0.0, 1.0)
-    kernel = family.at(target, validate=False)
+    kernel = family.at(target)
     return target, run_limiting_chain(kernel, 0.0, 100_000, 42)
 
 
@@ -349,7 +349,7 @@ def test_chain_runs_equal_the_stepping_engines(monkeypatch, kind, model, grid):
     def runs():
         seq = [run for run, _ in run_smcmc(family, model, 3, 1500, 21)]
         inter, trace = run_imcmc(family, model, 2, 1500, 22, trace_weight=weight)
-        lim = run_limiting_chain(family.at(model.flow(1), validate=False),
+        lim = run_limiting_chain(family.at(model.flow(1)),
                                  0.5, 2100, 23)
         return seq + inter + [lim], trace
 
@@ -545,7 +545,7 @@ def test_batch_means_on_independent_draws(grid):
     target = gaussian_density(grid, 0.0, 1.0)
     fam = HastingsFamily(ProposalKernel.independence(target),
                          BalancingFunction.min_one())
-    run = run_limiting_chain(fam.at(target, validate=False), 0.0, 100_000, 5)
+    run = run_limiting_chain(fam.at(target), 0.0, 100_000, 5)
     assert run.acceptance_rate == 1.0
     f_nodes = f_smooth(grid.nodes)
     analytic = target.expect(f_nodes ** 2) - target.expect(f_nodes) ** 2
@@ -559,7 +559,7 @@ def test_batch_means_agrees_with_resolvent_route(long_run, grid):
     from mcmccalc.kernels import HastingsKernel as HK
     fam = HastingsFamily(ProposalKernel.random_walk(1.0, grid),
                          BalancingFunction.barker())
-    kern = fam.at(target, validate=False)
+    kern = fam.at(target)
     f_nodes = f_smooth(grid.nodes)
     centered = f_nodes - target.expect(f_nodes)
     sigma2 = asymptotic_variance(kern, poisson_resolvent(kern, centered))
@@ -603,7 +603,7 @@ def test_smcmc_levels_target_the_mixture(family, model, grid):
     assert 0.3 < r1.acceptance_rate < 0.5
     assert 0.3 < r2.acceptance_rate < 0.5
     target2 = model.transform(1, e1)
-    kern2 = family.at(target2, validate=False)
+    kern2 = family.at(target2)
     assert check_invariance(kern2) < 1e-12
     f_nodes = f_smooth(grid.nodes)
     assert abs(e2.expect(f_smooth) - target2.expect(f_nodes)) < 0.02
