@@ -260,13 +260,16 @@ def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values) -> K
     _require_differentiable(kernel)
     check_on_grid(kernel.grid, rho)
     _check_warm_start(rho.values / kernel.target.values**2, kernel.grid.nodes)
-    return _density_derivative(kernel, rho, f_values)
+    f = grid_function(kernel.grid, f_values)
+    return KernelDerivative(kernel.target, rho, f,
+                            _hastings_derivative_values(kernel, rho.values, f))
 
 
 def _density_derivative(kernel, rho: GridDensity, f_values) -> KernelDerivative:
     """Derivative for a density start of either family without the warm-start
-    ceiling: for the stationary start, and for the starts a k-step expansion
-    propagates, which inherit warmness from the original one."""
+    ceiling: for the stationary start, for the starts a k-step expansion
+    propagates, which inherit warmness from the original one, and for every
+    start of :func:`iterated_derivative_limit_check`."""
     f = grid_function(kernel.grid, f_values)
     if isinstance(kernel, GibbsKernel):
         dens = _gibbs_derivative_values(kernel, rho.values, f)
@@ -321,7 +324,8 @@ def gibbs_derivative(kernel: GibbsKernel, rho: GridDensity, f_values) -> KernelD
     check_on_grid(kernel.grid, rho)
     _check_warm_start((kernel.w1 @ rho.values) / kernel.marginal2,
                       kernel.grid.axis2.nodes, "second-marginal ratio")
-    return _density_derivative(kernel, rho, f_values)
+    f = grid_function(kernel.grid, f_values)
+    return KernelDerivative(kernel.target, rho, f, _gibbs_derivative_values(kernel, rho.values, f))
 
 
 def gibbs_derivative_at_point(kernel: GibbsKernel, x, f_values) -> KernelDerivative:
@@ -434,7 +438,10 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     approaches ``(nu - mu)(f)`` as k grows.
 
     Returns a report with the per-k gaps; ``passed`` requires the final gap
-    below 1e-3 and an overall geometric decay profile.
+    below 1e-3 and an overall geometric decay profile.  Unlike
+    :func:`iterated_derivative` it does not hold ``start`` to
+    ``RATIO_CEILING``: its usual start is ``mu`` itself, whose ``1 / mu``
+    exceeds the ceiling in the target's tails.
     """
     k_max = check_count(k_max, "k_max", minimum=1)
     measures.check_start(mu.grid, start)

@@ -211,6 +211,7 @@ CEILING_ENTRIES = {
     "mh_mvi_constants": lambda: mh_mvi_constants(MIN_ONE, MU, NU, RHO, V_SQ, t_nodes=5),
     "verify_ftc_intrinsic": lambda: verify_ftc_intrinsic(FAMILY, MU, np.copy, RHO, F,
                                                          t_nodes=5, s_nodes=5),
+    "iterated_derivative": lambda: iterated_derivative(KERN, RHO, F, 2),
 }
 
 
