@@ -267,9 +267,8 @@ def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values) -> K
 
 def _density_derivative(kernel, rho: GridDensity, f_values) -> KernelDerivative:
     """Derivative for a density start of either family without the warm-start
-    ceiling: for the stationary start, for the starts a k-step expansion
-    propagates, which inherit warmness from the original one, and for every
-    start of :func:`iterated_derivative_limit_check`."""
+    ceiling: the stationary start, the limit check's start, and the starts a
+    k-step expansion propagates, which inherit warmness from the original one."""
     f = grid_function(kernel.grid, f_values)
     if isinstance(kernel, GibbsKernel):
         dens = _gibbs_derivative_values(kernel, rho.values, f)
@@ -438,10 +437,8 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     approaches ``(nu - mu)(f)`` as k grows.
 
     Returns a report with the per-k gaps; ``passed`` requires the final gap
-    below 1e-3 and an overall geometric decay profile.  Unlike
-    :func:`iterated_derivative` it does not hold ``start`` to
-    ``RATIO_CEILING``: its usual start is ``mu`` itself, whose ``1 / mu``
-    exceeds the ceiling in the target's tails.
+    below 1e-3 and an overall geometric decay profile.  ``start`` is not held
+    to ``RATIO_CEILING``: its usual value, ``mu``, passes it in the tails.
     """
     k_max = check_count(k_max, "k_max", minimum=1)
     measures.check_start(mu.grid, start)
