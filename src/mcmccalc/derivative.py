@@ -255,11 +255,13 @@ def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values) -> K
     """Derivative of the accept/reject map for a warm density start.
 
     Preconditions: differentiable balancing rule, bounded proposal, and
-    ``rho / mu^2`` below ``RATIO_CEILING`` on the grid.
+    ``rho / mu^2`` below ``RATIO_CEILING`` on the grid, unless ``rho`` equals
+    the target: the stationary start, whose derivative is ``f - P f``.
     """
     _require_differentiable(kernel)
     check_on_grid(kernel.grid, rho)
-    _check_warm_start(rho.values / kernel.target.values**2, kernel.grid.nodes)
+    if not np.array_equal(rho.values, kernel.target.values):
+        _check_warm_start(rho.values / kernel.target.values**2, kernel.grid.nodes)
     f = grid_function(kernel.grid, f_values)
     return KernelDerivative(kernel.target, rho, f,
                             _hastings_derivative_values(kernel, rho.values, f))
@@ -267,8 +269,9 @@ def hastings_derivative(kernel: HastingsKernel, rho: GridDensity, f_values) -> K
 
 def _density_derivative(kernel, rho: GridDensity, f_values) -> KernelDerivative:
     """Derivative for a density start of either family without the warm-start
-    ceiling: the stationary start, the limit check's start, and the starts a
-    k-step expansion propagates, which inherit warmness from the original one."""
+    ceiling: the stationary start (:func:`generator_function`) and the starts
+    a k-step expansion propagates, which inherit warmness from the original
+    one."""
     f = grid_function(kernel.grid, f_values)
     if isinstance(kernel, GibbsKernel):
         dens = _gibbs_derivative_values(kernel, rho.values, f)
@@ -382,12 +385,8 @@ def iterated_derivative(kernel, start: Start, f_values, k: int) -> IteratedDeriv
     k = check_count(k, minimum=1)
     measures.check_start(kernel.grid, start)
     f_seq, starts = _propagated(kernel, start, grid_function(kernel.grid, f_values), k)
-    terms = []
-    for j in range(k):
-        s = starts[k - 1 - j]
-        terms.append(derivative_for_start(kernel, s, f_seq[j]) if s is start
-                     else _derivative_of_propagated(kernel, s, f_seq[j]))
-    return IteratedDerivative(terms, k)
+    return IteratedDerivative([_k_step_term(kernel, start, starts[k - 1 - j], f_seq[j])
+                               for j in range(k)], k)
 
 
 def _propagated(kernel, start, f, count: int):
@@ -416,6 +415,13 @@ def _propagate_start(kernel, start):
     return kernel.propagate_point(float(start))
 
 
+def _k_step_term(kernel, start, s, f_j) -> KernelDerivative:
+    """One product-rule term: the start ``s`` meets the ceiling when it is
+    ``start`` itself, not when it was propagated from it."""
+    return (derivative_for_start(kernel, s, f_j) if s is start
+            else _derivative_of_propagated(kernel, s, f_j))
+
+
 def _derivative_of_propagated(kernel, s, f_j) -> KernelDerivative:
     if isinstance(s, AtomPlusDensity):
         point = hastings_derivative_at_point(kernel, s.x, f_j)
@@ -437,8 +443,9 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     approaches ``(nu - mu)(f)`` as k grows.
 
     Returns a report with the per-k gaps; ``passed`` requires the final gap
-    below 1e-3 and an overall geometric decay profile.  ``start`` is not held
-    to ``RATIO_CEILING``: its usual value, ``mu``, passes it in the tails.
+    below 1e-3 and an overall geometric decay profile.  Only ``start``
+    itself meets ``RATIO_CEILING``, which its usual value, ``mu``, the
+    stationary start, is exempt from.
     """
     k_max = check_count(k_max, "k_max", minimum=1)
     measures.check_start(mu.grid, start)
@@ -448,7 +455,7 @@ def iterated_derivative_limit_check(family: HastingsFamily, mu: GridDensity,
     target = integrate_values(kernel.grid, chi.values * f)
     f_seq, starts = _propagated(kernel, start, f, k_max)
     # the k-step action sums the one-step terms (P^(k-1-j) start, P^j f)
-    actions = [sum(_derivative_of_propagated(kernel, starts[k - 1 - j], f_seq[j]).action(chi)
+    actions = [sum(_k_step_term(kernel, start, starts[k - 1 - j], f_seq[j]).action(chi)
                    for j in range(k))
                for k in range(1, k_max + 1)]
     gaps = [abs(a - target) for a in actions]

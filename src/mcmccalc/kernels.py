@@ -533,13 +533,11 @@ class HastingsKernel:
         """q(node_j, node_i), C-ordered (:meth:`ProposalKernel.matrix_t`)."""
         return self.proposal.matrix_t(self.grid)
 
-    def ratio_matrix(self, target_values: Optional[np.ndarray] = None) -> np.ndarray:
-        """r(node_i, node_j) for this kernel's target (or for substitute
-        target values, used when sweeping along contamination curves), as a
-        fresh C-ordered array the caller may overwrite."""
-        mu = self.target.values if target_values is None else np.asarray(target_values)
+    def ratio_matrix(self) -> np.ndarray:
+        """r(node_i, node_j) for this kernel's target, as a fresh C-ordered
+        array the caller may overwrite."""
         out = np.empty(self.q_matrix.shape)
-        for rows, r in self._ratio_blocks(mu):
+        for rows, r in self._ratio_blocks(self.target.values):
             out[rows] = r
         return out
 

@@ -31,14 +31,16 @@ accepted when a uniform falls below ``g`` of the Hastings ratio
 its chains read only the target, ``mu(y) / mu(x)``.
 
 A chain whose states are stored advances alone, a step at a time in Python
-floats that repeat the bits of the vector arithmetic.  Against a fixed target
-(the limiting chain, every level of a stored sequential run, level 1 of a
-stored interacting run) every step reads the one target; an upper level of a
-stored interacting run reads each step's row of its running mixture, so its
-levels run one after another, and each block of the mixture's rows is built
-in one update from the block of states below.  The states are bit-identical
-to stepping in lockstep, which the replicated engines whose states are not
-stored do (their mixtures and running sums need every step of every chain).
+floats that repeat the bits of the vector arithmetic.  A stored sequential
+level is the limiting chain against its level's fixed target, so
+:func:`run_smcmc` runs each level through :func:`run_limiting_chain`.
+:func:`run_imcmc` runs level 1 against its fixed target too; an upper level
+reads each step's row of its running mixture, so the levels run one after
+another, and each block of the mixture's rows is built in one update from
+the block of states below.  The states are bit-identical to stepping in
+lockstep, which the replicated engines of :func:`clt_experiment` do: their
+mixtures and running sums need every step of every chain, and they store no
+states.
 
 The CLT harness validates the two asymptotic-variance displays: the
 random-centered statistic (each replication centered at its own realised
@@ -53,7 +55,7 @@ restriction uses); the report records the fractional exponent alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -749,86 +751,56 @@ def _level_descriptor(family: HastingsFamily, level: int, text: str) -> str:
 
 def _smcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                   n: int, streams: Sequence[Sequence[np.random.Generator]],
-                  x0: float, level_init: str, collect_states: bool,
+                  x0: float, level_init: str,
                   f: Optional[Callable] = None) -> Dict[str, object]:
-    """Advance all replications through the sequential levels.
+    """Step all replications of the sequential scheme in lockstep (the CLT
+    shards).
 
-    ``streams[r][j]`` drives replication ``r`` at level ``j+1``.  When states
-    are not collected, the mixture for the next level's target accumulates
-    on the fly in a :class:`_MixtureAccumulator`, one weighted sample row per
-    replication and step; a replication's row is recomputed only on the steps
-    where its chain moved, and reused from the row cache after a rejection.
-    When states are collected, each level moves against its fixed target
-    with :meth:`_Lane.run`.  The top level's sums of ``f`` over the steps
-    are kept only when states are not collected (the CLT shards).
+    ``streams[r][j]`` drives replication ``r`` at level ``j+1``.  The mixture
+    for the next level's target accumulates on the fly in a
+    :class:`_MixtureAccumulator`, one weighted sample row per replication and
+    step; a replication's row is recomputed only on the steps where its chain
+    moved, and reused from the row cache after a rejection.  Given ``f``, the
+    top level's sums of ``f`` over the steps are kept.
     """
     grid = model.grid
     reps = len(streams)
-    weights = grid.trapezoid_weights()
-
     levels: List[Dict[str, object]] = []
     x0s = np.full(reps, float(x0))
     target: np.ndarray = model.flow(1).values
-    target_text = "reference flow level 1"
 
     for level in range(1, p + 1):
         lane = _Lane(grid, family.proposal, family.balancing, x0s,
                      [streams[r][level - 1] for r in range(reps)])
         lane.set_target(target)
-        build_next = level < p
-        mixture = (_MixtureAccumulator(model, level, reps)
-                   if (build_next and not collect_states) else None)
-        states = np.empty((reps, n)) if collect_states else None
-        f_sums = (np.zeros(reps) if (f is not None and level == p and not collect_states)
-                  else None)
-
-        if collect_states:
-            lane.run(n, states)
-        else:
-            for k in range(n):
-                x = lane.step()
-                if mixture is not None:
-                    mixture.add(x, lane.accepted)
-                if f_sums is not None:
-                    f_sums += f(x)
+        mixture = _MixtureAccumulator(model, level, reps) if level < p else None
+        f_sums = np.zeros(reps) if (f is not None and level == p) else None
+        for k in range(n):
+            x = lane.step()
+            if mixture is not None:
+                mixture.add(x, lane.accepted)
+            if f_sums is not None:
+                f_sums += f(x)
 
         levels.append({
-            "states": states,
             "finals": lane.x.copy(),
             "accepts": lane.accept_count.copy(),
             "folds": lane.fold_count.copy(),
             "f_sums": f_sums,
-            "descriptor": _level_descriptor(family, level, target_text),
         })
 
-        if build_next:
-            if collect_states:
-                tables = []
-                for r in range(reps):
-                    try:
-                        dens = model.transform(level, EmpiricalMeasure(states[r]))
-                    except DegenerateWeightsError as err:
-                        raise DegenerateWeightsError(
-                            "level %d target degenerate: %s" % (level + 1, err)
-                        ) from err
-                    tables.append(dens.values)
-                target = np.vstack(tables) if reps > 1 else tables[0]
-            else:
-                row_mass = mixture.table @ weights
-                if not np.all(np.isfinite(row_mass)) or np.any(row_mass <= 0.0):
-                    raise DegenerateWeightsError(
-                        "level %d target degenerate: empirical mixture carries "
-                        "no weight" % (level + 1)
-                    )
-                target = mixture.table
-            target_text = "mixture target level %d" % (level + 1)
+        if mixture is not None:
+            row_mass = mixture.table @ grid.trapezoid_weights()
+            if not np.all(np.isfinite(row_mass)) or np.any(row_mass <= 0.0):
+                raise DegenerateWeightsError(
+                    "level %d target degenerate: empirical mixture carries "
+                    "no weight" % (level + 1)
+                )
+            target = mixture.table
             x0s = lane.x.copy() if level_init == "previous-final" else np.full(reps, float(x0))
 
     # the level-p target in table form, for the random centering
-    if p == 1:
-        final_table = np.broadcast_to(model.flow(1).values, (reps, grid.n_points))
-    else:
-        final_table = target
+    final_table = target if p > 1 else np.broadcast_to(target, (reps, grid.n_points))
     return {"levels": levels, "final_table": final_table}
 
 
@@ -841,7 +813,9 @@ def run_smcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     Level 1 targets the initial flow density; level ``p`` targets the
     reweight/mutate transform of level ``p-1``'s completed sample set.  Each
     level starts from the previous level's final state by default
-    (``level_init="fixed"`` restarts every level at ``x0``).
+    (``level_init="fixed"`` restarts every level at ``x0``).  A level is the
+    homogeneous chain of :func:`run_limiting_chain` against its fixed target,
+    on its own child stream; its record carries this run's seed.
     """
     family = _resolve_family(family)
     n = check_count(n, minimum=1)
@@ -849,16 +823,23 @@ def run_smcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     check_in_window(model.grid, x0)
     check_level_init(level_init)
     check_state_storage(p_levels * n)
-    streams = [_level_streams(seed, p_levels)]
-    engine = _smcmc_engine(family, model, p_levels, n, streams,
-                           float(x0), level_init, collect_states=True)
     digest = _seed_digest(seed)
-    out = []
-    for level in engine["levels"]:
-        states = level["states"][0]
-        run = ChainRun(states, digest, level["descriptor"],
-                       float(level["accepts"][0]) / n, int(level["folds"][0]))
-        out.append((run, EmpiricalMeasure(states)))
+    target, text, start = model.flow(1), "reference flow level 1", x0
+    out: List[Tuple[ChainRun, EmpiricalMeasure]] = []
+    for level, stream in enumerate(_level_streams(seed, p_levels), start=1):
+        if out:
+            run, samples = out[-1]
+            try:
+                target = model.transform(level - 1, samples)
+            except DegenerateWeightsError as err:
+                raise DegenerateWeightsError(
+                    "level %d target degenerate: %s" % (level, err)) from err
+            text = "mixture target level %d" % level
+            start = run.states[-1] if level_init == "previous-final" else x0
+        run = run_limiting_chain(family.at(target), start, n, stream)
+        run = replace(run, seed=digest,
+                      kernel_descriptor=_level_descriptor(family, level, text))
+        out.append((run, EmpiricalMeasure(run.states)))
     return out
 
 
@@ -926,29 +907,21 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
                   n: int, streams: Sequence[Sequence[np.random.Generator]],
                   x0: float, f: Optional[Callable] = None,
                   f_nodes: Optional[np.ndarray] = None,
-                  collect_states: bool = False,
                   trace_weight: Optional[WeightFunction] = None
                   ) -> Dict[str, object]:
-    """Advance all replications through the interacting levels.
+    """Step all replications of the interacting scheme in lockstep (the CLT
+    shards).
 
     At step ``k`` the level-``j`` chain (``j >= 2``) moves against the
     running mixture of the level-``(j-1)`` states of steps ``1..k``, a
     :class:`_MixtureAccumulator` that caches each chain's weighted row and
-    recomputes it only for the chains whose last step was accepted.
-
-    A level's target at step ``k`` depends on the level below only up to
-    step ``k``, so when states are collected the levels run one after
-    another: level 1 with :meth:`_Lane.run`, then each level ``j >= 2`` in
-    blocks of ``RUN_BLOCK`` steps.  The block's level-``(j-1)`` states join
-    the mixture in one :meth:`_MixtureAccumulator.add_block`, which writes
-    the table after each step to that step's row of the block, and
-    :meth:`_Lane.run_moving` advances level ``j`` against those rows.
-    Otherwise (the replicated CLT engine) the levels step in lockstep, each
-    mixture through ``add`` (a one-step block would copy the table twice
-    more); the trace still records ``RUN_BLOCK`` steps at a time.  Only
-    then, given ``f`` and its node values ``f_nodes``, the top level's sums
-    of ``f`` and of its running target mean of ``f`` (kept by the top
-    mixture's ``f``-moments) accumulate for the random-centered statistic.
+    recomputes it only for the chains whose last step was accepted; each
+    mixture steps through ``add`` (a one-step block would copy the table
+    twice more).  Given ``f`` and its node values ``f_nodes``, the top
+    level's sums of ``f`` and of its running target mean of ``f`` (kept by
+    the top mixture's ``f``-moments) accumulate for the random-centered
+    statistic.  The trace records replication 0's top-level rows
+    ``RUN_BLOCK`` steps at a time, as :func:`run_imcmc` does.
     """
     grid = model.grid
     reps = len(streams)
@@ -960,71 +933,43 @@ def _imcmc_engine(family: HastingsFamily, model: FeynmanKacModel, p: int,
     lanes[0].set_target(model.flow(1).values)
 
     f_sums = center_sums = wf = None
-    if f is not None and not collect_states:
+    if f is not None:
         f_sums, center_sums = np.zeros(reps), np.zeros(reps)
         wf = grid.trapezoid_weights() * f_nodes
     mixtures = [_MixtureAccumulator(model, j - 1, reps, wf if j == p else None)
                 for j in range(2, p + 1)]
     tracer = (_TraceRecorder(grid, n, trace_weight)
               if trace_weight is not None else None)
+    trace_rows = (np.empty((min(RUN_BLOCK, n), grid.n_points))
+                  if tracer is not None and mixtures else None)
+    for k in range(n):
+        x_prev = lanes[0].step()
+        moved = lanes[0].accepted
+        for mixture, lane in zip(mixtures, lanes[1:]):
+            mixture.add(x_prev, moved)
+            if k == 0:
+                lane.set_target(mixture.table)
+            else:
+                lane.refresh()
+            x_prev = lane.step()
+            moved = lane.accepted
+        if f_sums is not None:
+            f_sums += f(x_prev)
+            center_sums += mixtures[-1].center_num / mixtures[-1].center_den
+        if trace_rows is not None:
+            i = k % RUN_BLOCK
+            trace_rows[i] = mixtures[-1].table[0]
+            if i == RUN_BLOCK - 1 or k == n - 1:
+                tracer.record(trace_rows[:i + 1], k - i)
 
-    states = None
-    if collect_states:
-        states = np.empty((p, reps, n))
-        # the accept flags of the level below, overwritten block by block
-        # with the current level's once they have joined its mixture
-        moved = np.empty((reps, n), dtype=bool)
-        lanes[0].run(n, states[0], moved)
-        rows = np.empty((min(RUN_BLOCK, n), reps, grid.n_points))
-        for j, mixture in enumerate(mixtures, start=2):
-            for k0 in range(0, n, RUN_BLOCK):
-                m = min(RUN_BLOCK, n - k0)
-                mixture.add_block(states[j - 2, :, k0:k0 + m], moved[:, k0:k0 + m], rows[:m])
-                lanes[j - 1].run_moving(rows[:m], states[j - 1, :, k0:k0 + m],
-                                        moved[:, k0:k0 + m])
-                if j == p and tracer is not None:
-                    tracer.record(rows[:m, 0], k0)
-    else:
-        # replication 0's top-level rows, recorded a block at a time as above
-        trace_rows = (np.empty((min(RUN_BLOCK, n), grid.n_points))
-                      if tracer is not None and mixtures else None)
-        for k in range(n):
-            x_prev = lanes[0].step()
-            moved = lanes[0].accepted
-            for mixture, lane in zip(mixtures, lanes[1:]):
-                mixture.add(x_prev, moved)
-                if k == 0:
-                    lane.set_target(mixture.table)
-                else:
-                    lane.refresh()
-                x_prev = lane.step()
-                moved = lane.accepted
-            if f_sums is not None:
-                f_sums += f(x_prev)
-                center_sums += mixtures[-1].center_num / mixtures[-1].center_den
-            if trace_rows is not None:
-                i = k % RUN_BLOCK
-                trace_rows[i] = mixtures[-1].table[0]
-                if i == RUN_BLOCK - 1 or k == n - 1:
-                    tracer.record(trace_rows[:i + 1], k - i)
-
-    result: Dict[str, object] = {
-        "states": states,
+    return {
         "finals": [lane.x.copy() for lane in lanes],
         "accepts": [lane.accept_count.copy() for lane in lanes],
         "folds": [lane.fold_count.copy() for lane in lanes],
         "f_sums": f_sums,
         "center_sums": center_sums,
-        "descriptors": [
-            _level_descriptor(family, 1, "reference flow level 1")
-        ] + [
-            _level_descriptor(family, j, "running mixture level %d" % j)
-            for j in range(2, p + 1)
-        ],
+        "trace": None if tracer is None else tracer.trace,
     }
-    if tracer is not None:
-        result["trace"] = tracer.trace
-    return result
 
 
 def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
@@ -1034,29 +979,52 @@ def run_imcmc(family, model: FeynmanKacModel, p_levels: int, n: int,
     """Run the interacting scheme once; one chain per level.
 
     All levels start at ``x0``; at step ``k`` level ``p`` moves against the
-    transform of level ``p-1``'s running sample set of steps ``1..k``.  The
-    levels run one after another (see :func:`_imcmc_engine`), which gives
-    the same states as stepping them together.  Passing ``trace_weight``
-    additionally returns the adaptation trace of the top-level target
-    (per-step sup and weighted-norm increments, thinned snapshots).
+    transform of level ``p-1``'s running sample set of steps ``1..k``.  Passing
+    ``trace_weight`` additionally returns the adaptation trace of the
+    top-level target (per-step sup and weighted-norm increments, thinned
+    snapshots).
+
+    A level's target at step ``k`` depends on the level below only up to
+    step ``k``, so the levels run one after another, with the states of
+    stepping them together: level 1 with :meth:`_Lane.run`, then each level
+    ``j >= 2`` in blocks of ``RUN_BLOCK`` steps.  The block's level-``(j-1)``
+    states join the mixture in one :meth:`_MixtureAccumulator.add_block`,
+    which writes the table after each step to that step's row of the block,
+    and :meth:`_Lane.run_moving` advances level ``j`` against those rows.
     """
     family = _resolve_family(family)
     n = check_count(n, minimum=1)
     p_levels = check_depth(p_levels, model.n_levels)
     check_in_window(model.grid, x0)
     check_state_storage(p_levels * n)
-    streams = [_level_streams(seed, p_levels)]
-    engine = _imcmc_engine(family, model, p_levels, n, streams, float(x0),
-                           collect_states=True, trace_weight=trace_weight)
+    grid = model.grid
+    lanes = [_Lane(grid, family.proposal, family.balancing, np.array([float(x0)]), [stream])
+             for stream in _level_streams(seed, p_levels)]
+    tracer = (_TraceRecorder(grid, n, trace_weight)
+              if trace_weight is not None else None)
+    states = np.empty((p_levels, 1, n))
+    # the accept flags of the level below, overwritten block by block with
+    # the current level's once they have joined its mixture
+    moved = np.empty((1, n), dtype=bool)
+    lanes[0].set_target(model.flow(1).values)
+    lanes[0].run(n, states[0], moved)
+    rows = np.empty((min(RUN_BLOCK, n), 1, grid.n_points))
+    for j in range(2, p_levels + 1):
+        mixture = _MixtureAccumulator(model, j - 1, 1)
+        for k0 in range(0, n, RUN_BLOCK):
+            m = min(RUN_BLOCK, n - k0)
+            mixture.add_block(states[j - 2, :, k0:k0 + m], moved[:, k0:k0 + m], rows[:m])
+            lanes[j - 1].run_moving(rows[:m], states[j - 1, :, k0:k0 + m],
+                                    moved[:, k0:k0 + m])
+            if j == p_levels and tracer is not None:
+                tracer.record(rows[:m, 0], k0)
     digest = _seed_digest(seed)
-    runs = []
-    for j in range(p_levels):
-        runs.append(ChainRun(
-            engine["states"][j][0], digest, engine["descriptors"][j],
-            float(engine["accepts"][j][0]) / n, int(engine["folds"][j][0])))
-    if trace_weight is not None:
-        return runs, engine["trace"]
-    return runs
+    runs = [ChainRun(states[j - 1, 0], digest,
+                     _level_descriptor(family, j, "running mixture level %d" % j if j > 1
+                                       else "reference flow level 1"),
+                     float(lane.accept_count[0]) / n, int(lane.fold_count[0]))
+            for j, lane in enumerate(lanes, start=1)]
+    return runs if tracer is None else (runs, tracer.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1226,8 +1194,7 @@ def clt_experiment(scheme: str, config: SchemeConfig,
         per block of final table rows) or their running sums (imcmc)."""
         if scheme == "smcmc":
             engine = _smcmc_engine(config.family, model, p, n, streams[lo:hi], config.x0,
-                                   config.level_init or "previous-final",
-                                   collect_states=False, f=f)
+                                   config.level_init or "previous-final", f=f)
             table = engine["final_table"]
             centers = [(rows @ (weights * f_nodes)) / (rows @ weights)
                        for rows in np.split(table, range(MIN_REPLICATIONS, hi - lo,
@@ -1237,10 +1204,7 @@ def clt_experiment(scheme: str, config: SchemeConfig,
         engine = _imcmc_engine(config.family, model, p, n, streams[lo:hi], config.x0,
                                f=f, f_nodes=f_nodes,
                                trace_weight=config.weight if lo == 0 else None)
-        out = {"f_sums": engine["f_sums"], "center_sums": engine["center_sums"]}
-        if lo == 0:
-            out["trace"] = engine["trace"]
-        return out
+        return {key: engine[key] for key in ("f_sums", "center_sums", "trace")}
 
     # contiguous shards of whole replication blocks (see _MixtureAccumulator),
     # fixed by R and the worker count, concatenated in replication order

@@ -266,23 +266,28 @@ def test_chain_csv_keeps_its_pinned_bytes(tmp_path, kind, seed):
     assert read_manifest(out)["outputs"]["chains"]["sha256"] == digest
 
 
-# the same for families off the default (seed 1): the independence proposal
-# and the min-one and gj(2) rules, each stepped through its own float forms
+# the same for configs off the default (seed 1): the independence proposal
+# and the min-one and gj(2) rules, each stepped through its own float forms,
+# and depth 3: sequential levels restarted at x0, two stored running mixtures
 PINNED_FAMILY_CHAIN_CSVS = {
-    "smcmc-independence": ("smcmc-run", {"proposal": "independence"},
+    "smcmc-independence": ("smcmc-run", {"family": {"proposal": "independence"}},
                            "1cff9453de8842cc4fbde3ca4ce08caec2c8b1874e924cc86764cb46469a7877"),
-    "imcmc-gj2": ("imcmc-run", {"balancing": {"exponent": 2}},
+    "imcmc-gj2": ("imcmc-run", {"family": {"balancing": {"exponent": 2}}},
                   "31b9020576aaa04d69355c5999f792dd23acb43911341d6dbbb738ef23693742"),
-    "smcmc-min-one": ("smcmc-run", {"balancing": "min-one"},
+    "smcmc-min-one": ("smcmc-run", {"family": {"balancing": "min-one"}},
                       "9fe2277c99f00d696718c8967ea5e135e5e29efccdb1f150164ed1825e10c65c"),
+    "smcmc-depth3-fixed": ("smcmc-run", {"depth": 3, "level_init": "fixed"},
+                           "6239db7343e31fe02e436acd6038344d947af29be5328c2e217fea1cd86bd914"),
+    "imcmc-depth3": ("imcmc-run", {"depth": 3},
+                     "d91694f5c19ada32f40489f94fcab59010f5f020756be4736e29229ee23bd59a"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_FAMILY_CHAIN_CSVS))
 def test_family_chain_csv_keeps_its_pinned_bytes(tmp_path, name):
-    kind, family, pinned = PINNED_FAMILY_CHAIN_CSVS[name]
-    cfg = write_config(tmp_path, {"kind": kind, "depth": 2, "steps": 3000, "seed": 1,
-                                  "family": family})
+    kind, overrides, pinned = PINNED_FAMILY_CHAIN_CSVS[name]
+    cfg = write_config(tmp_path, dict({"kind": kind, "depth": 2, "steps": 3000, "seed": 1},
+                                      **overrides))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env["MCMCCALC_THREADS"] = "2"

@@ -58,9 +58,13 @@ def test_ratio_and_accept_matrices_match_the_strided_formulas(case, name):
     grid, prop, mu, rho = case
     kern = HastingsKernel(mu, prop, BALANCINGS[name], validate=False)
     q = kern.q_matrix
-    for values in (None, rho):
-        got = kern.ratio_matrix(values)
-        want = oracles.ratio_matrix_where(q, mu.values if values is None else values)
+    # the kernel at the start's density (the fixture's rho)
+    at_rho = HastingsKernel(gaussian_density(grid, -0.1, 0.6), prop, BALANCINGS[name],
+                            validate=False)
+    assert np.array_equal(at_rho.target.values, rho)
+    for k in (kern, at_rho):
+        got = k.ratio_matrix()
+        want = oracles.ratio_matrix_where(q, k.target.values)
         assert got.flags.c_contiguous and np.array_equal(got, want)
     r = oracles.ratio_matrix_where(q, mu.values)
     g = oracles.barker_g_where if name == "barker" else kern.balancing.g

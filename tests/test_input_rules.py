@@ -197,6 +197,24 @@ def test_warm_start_refusals_name_the_node(monkeypatch):
         derivative_for_start(GIBBS, wide, F2)
 
 
+def test_the_stationary_start_is_exempt_from_the_ceiling():
+    # mu / mu^2 = 1 / mu passes the ceiling in the tails; the derivative at the
+    # stationary start is f - P f, for any density with the target's values
+    assert np.max(1.0 / MU.values) > derivative.RATIO_CEILING
+    twin = gaussian_density(GRID, 0.0, 1.0)
+    assert twin is not KERN.target
+    for start in (KERN.target, twin):
+        assert np.array_equal(hastings_derivative(KERN, start, F).density_part,
+                              generator_function(KERN, F))
+    # the limit check takes mu, and refuses the start iterated_derivative refuses
+    iterated_derivative_limit_check(FAMILY, MU, NU, MU, F, k_max=3)
+    cold = gaussian_density(GRID, 0.0, 2.5)
+    for call in (lambda: iterated_derivative(KERN, cold, F, 3),
+                 lambda: iterated_derivative_limit_check(FAMILY, MU, NU, cold, F, k_max=3)):
+        with pytest.raises(PreconditionError, match=re.escape("ratio rho/mu^2 = 2.47e+14")):
+            call()
+
+
 MIN_ONE = HastingsFamily(FAMILY.proposal, BalancingFunction.min_one())
 
 # entry -> a call that takes RHO (or RHO2 on the two-stage grid) as its start
@@ -212,6 +230,8 @@ CEILING_ENTRIES = {
     "verify_ftc_intrinsic": lambda: verify_ftc_intrinsic(FAMILY, MU, np.copy, RHO, F,
                                                          t_nodes=5, s_nodes=5),
     "iterated_derivative": lambda: iterated_derivative(KERN, RHO, F, 2),
+    "iterated_derivative_limit_check": lambda: iterated_derivative_limit_check(
+        FAMILY, MU, NU, RHO, F, k_max=2),
 }
 
 

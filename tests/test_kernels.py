@@ -304,11 +304,11 @@ def test_ratio_matrix_matches_where_formula(rw_barker, grid, std_normal):
 
     prop = ProposalKernel(band, tag="band", bounded=True)
     banded = HastingsKernel(std_normal, prop, BalancingFunction.min_one(), validate=False)
-    skewed = gaussian_density(grid, 0.4, 0.8).values
-    for kern, values in ((rw_barker, None), (rw_barker, skewed), (banded, None)):
-        got = kern.ratio_matrix(values)
-        mu = kern.target.values if values is None else values
-        want = oracles.ratio_matrix_where(kern.q_matrix, mu)
+    skewed = HastingsKernel(gaussian_density(grid, 0.4, 0.8), rw_barker.proposal,
+                            rw_barker.balancing, validate=False)
+    for kern in (rw_barker, skewed, banded):
+        got = kern.ratio_matrix()
+        want = oracles.ratio_matrix_where(kern.q_matrix, kern.target.values)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
     assert np.any(banded.q_matrix == 0.0)  # the band has never-proposed pairs

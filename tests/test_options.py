@@ -225,7 +225,7 @@ def test_the_scan_matches_each_way_of_setting_an_option(caller, now_set):
 def test_the_scan_sees_the_library_options():
     names = {f"{o.where}({o.name})" for o in library_options(_sources(LIBRARY))}
     assert "measures.SignedGridFunction(description)" in names
-    assert "kernels.HastingsKernel.ratio_matrix(target_values)" in names
+    assert "kernels.HastingsKernel(validate)" in names
     assert len(names) > 100
 
 
@@ -260,7 +260,6 @@ TEST_ONLY = [
     "feynman_kac.fk_decomposition_check(level)",
     "feynman_kac.smcmc_variance_recursion(centering)",
     "kernels.BalancingFunction.custom(tag)",
-    "kernels.HastingsKernel.ratio_matrix(target_values)",
     "kernels.ProposalKernel(bounded)",
     "measures.GridDensity.from_callable(description)",
     "measures.gaussian_density(positive)",

@@ -48,7 +48,7 @@ def _engine(scheme, family, model, p, n, reps, lo, hi, trace):
     streams, _ = samplers._replication_streams(31, reps, p)
     if scheme == "smcmc":
         out = samplers._smcmc_engine(family, model, p, n, streams[lo:hi], 0.0,
-                                     "previous-final", collect_states=False, f=f_clip)
+                                     "previous-final", f=f_clip)
         top = out["levels"][-1]
         return {"finals": [level["finals"] for level in out["levels"]],
                 "accepts": [level["accepts"] for level in out["levels"]],

@@ -48,10 +48,12 @@ def test_a_grid_smaller_than_one_block_keeps_the_strided_bits(name):
     grid = Grid1D(-8.0, 8.0, 33)
     kern = _kernel(grid, name)
     q, mu, w = kern.q_matrix, kern.target.values, grid.trapezoid_weights()
-    rho = gaussian_density(grid, -0.1, 0.6).values
+    at_rho = HastingsKernel(gaussian_density(grid, -0.1, 0.6), kern.proposal,
+                            kern.balancing, validate=False)
+    rho = at_rho.target.values
     r = oracles.ratio_matrix_where(q, mu)
     assert np.array_equal(kern.ratio_matrix(), r)
-    assert np.array_equal(kern.ratio_matrix(rho), oracles.ratio_matrix_where(q, rho))
+    assert np.array_equal(at_rho.ratio_matrix(), oracles.ratio_matrix_where(q, rho))
     g = oracles.barker_g_where if name == "barker" else kern.balancing.g
     assert np.array_equal(kern.accept_matrix, q * g(r))
 

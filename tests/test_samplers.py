@@ -24,7 +24,6 @@ from mcmccalc.errors import (
     ResourceLimitError,
 )
 from mcmccalc.feynman_kac import (
-    EmpiricalMeasure,
     FeynmanKacModel,
     MutationKernel,
     default_ssm_model,
@@ -490,29 +489,36 @@ def test_symmetric_ratio_matches_the_ratio_with_q(seed, sigma, x0, start,
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize("p", [2, 3])
 def test_imcmc_engine_stored_equals_lockstep(reps, p, family, model):
-    def engine(collect_states, **sums):
-        streams, _ = samplers._replication_streams(11, reps, p)
-        return samplers._imcmc_engine(
-            family, model, p, 1100, streams, 0.0, collect_states=collect_states,
-            trace_weight=WeightFunction.one_plus_square(), **sums)
-
-    # the lockstep engine with its f sums, the stored one without
-    stored = engine(True)
-    lockstep = engine(False, f=f_clip, f_nodes=f_clip(model.grid.nodes))
-    assert stored["states"].shape == (p, reps, 1100)
-    for name in ("finals", "accepts", "folds"):
-        assert len(stored[name]) == p
-        for a, b in zip(stored[name], lockstep[name]):
-            assert _same(a, b), name
-    # the lockstep f sums are those of the stored top-level states, in stepping order
-    f_sums = np.zeros(reps)
-    for x in stored["states"][-1].T:
-        f_sums += f_clip(x)
-    assert _same(f_sums, lockstep["f_sums"])
+    n, weight = 1100, WeightFunction.one_plus_square()
+    streams, _ = samplers._replication_streams(11, reps, p)
+    lockstep = samplers._imcmc_engine(family, model, p, n, streams, 0.0, f=f_clip,
+                                      f_nodes=f_clip(model.grid.nodes),
+                                      trace_weight=weight)
+    # replication r's streams are those of a standalone run seeded with child r
+    children = npr.SeedSequence(11).spawn(reps + 1)
+    stored = [run_imcmc(family, model, p, n, child, trace_weight=weight)
+              for child in children[:reps]]
+    for r, (runs, _) in enumerate(stored):
+        assert len(runs) == p
+        for j, run in enumerate(runs):
+            assert _same(run.states[-1], lockstep["finals"][j][r])
+            assert run.acceptance_rate == lockstep["accepts"][j][r] / n
+            assert run.truncation_events == lockstep["folds"][j][r]
+        # the lockstep f sums are those of the stored top-level states, in stepping order
+        total = 0.0
+        for value in f_clip(runs[-1].states):
+            total += value
+        assert lockstep["f_sums"][r] == total
+    # the trace is replication 0's; beside other replications its mixture's
+    # masses are products over the rows of its block, which round differently
+    trace = stored[0][1]
     for name in ("sup_increments", "v_increments", "snapshots"):
-        assert _same(getattr(stored["trace"], name),
-                     getattr(lockstep["trace"], name)), name
-    assert np.max(stored["trace"].sup_increments) > 0.0
+        got, want = getattr(trace, name), getattr(lockstep["trace"], name)
+        if reps == 1:
+            assert _same(got, want), name
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name)
+    assert np.max(trace.sup_increments) > 0.0
 
 
 def test_state_storage_cap_refuses_before_allocating(monkeypatch, family, model,
@@ -619,6 +625,31 @@ def test_smcmc_is_bit_reproducible_and_init_matters(family, model):
     # the level-1 chain is shared; the restart changes level 2 only
     assert np.array_equal(a[0][0].states, c[0][0].states)
     assert not np.array_equal(a[1][0].states, c[1][0].states)
+
+
+@pytest.mark.parametrize("level_init", ["previous-final", "fixed"])
+def test_smcmc_levels_are_limiting_chains_against_their_targets(level_init, family,
+                                                                model):
+    n, x0 = 700, 0.25
+    levels = run_smcmc(family, model, 3, n, 41, x0=x0, level_init=level_init)
+    streams = [npr.default_rng(child) for child in npr.SeedSequence(41).spawn(3)]
+    target, start = model.flow(1), x0
+    for j, ((run, samples), stream) in enumerate(zip(levels, streams), start=1):
+        lim = run_limiting_chain(family.at(target), start, n, stream)
+        assert _same(run.states, lim.states) and _same(samples.samples, lim.states)
+        assert (run.acceptance_rate, run.truncation_events) == (
+            lim.acceptance_rate, lim.truncation_events)
+        assert run.seed == 41
+        assert run.kernel_descriptor == "random-walk+barker @ level %d: %s" % (
+            j, "mixture target level %d" % j if j > 1 else "reference flow level 1")
+        target = model.transform(j, samples)
+        start = run.states[-1] if level_init == "previous-final" else x0
+    # the restart moves only the levels above the first
+    other = run_smcmc(family, model, 3, n, 41, x0=x0,
+                      level_init="fixed" if level_init == "previous-final"
+                      else "previous-final")
+    assert _same(levels[0][0].states, other[0][0].states)
+    assert not _same(levels[2][0].states, other[2][0].states)
 
 
 def test_smcmc_degenerate_weights_name_the_level(family, model, grid):
@@ -763,35 +794,29 @@ def test_adaptation_validation(grid):
 def test_experiment_replication_equals_standalone_run(family, model):
     reps, n = 3, 400
     streams, _ = samplers._replication_streams(77, reps, 2)
-    engine = samplers._smcmc_engine(family, model, 2, n, streams, 0.0,
-                                    "previous-final", collect_states=True)
-    # the f sums of the unstored engine on the same streams
-    streams, _ = samplers._replication_streams(77, reps, 2)
-    f_sums = samplers._smcmc_engine(family, model, 2, n, streams, 0.0, "previous-final",
-                                    collect_states=False, f=f_clip)["levels"][1]["f_sums"]
+    engine = samplers._smcmc_engine(family, model, 2, n, streams, 0.0, "previous-final",
+                                    f=f_clip)
     children = npr.SeedSequence(77).spawn(reps + 1)
     for r in range(reps):
         levels = run_smcmc(family, model, 2, n, children[r])
-        for j in (0, 1):
-            assert np.array_equal(levels[j][0].states,
-                                  engine["levels"][j]["states"][r])
+        for (run, _), level in zip(levels, engine["levels"]):
+            assert _same(run.states[-1], level["finals"][r])
+            assert run.acceptance_rate == level["accepts"][r] / n
+            assert run.truncation_events == level["folds"][r]
         total = 0.0
         for value in f_clip(levels[1][0].states):  # the stepping order
             total += value
-        assert f_sums[r] == total
+        assert engine["levels"][1]["f_sums"][r] == total
 
 
 def test_incremental_mixture_matches_the_transform(family, model, grid):
     reps, n = 2, 400
     streams, _ = samplers._replication_streams(77, reps, 2)
-    stored = samplers._smcmc_engine(family, model, 2, n, streams, 0.0,
-                                    "previous-final", collect_states=True)
-    streams2, _ = samplers._replication_streams(77, reps, 2)
-    running = samplers._smcmc_engine(family, model, 2, n, streams2, 0.0,
-                                     "previous-final", collect_states=False)
+    running = samplers._smcmc_engine(family, model, 2, n, streams, 0.0, "previous-final")
+    children = npr.SeedSequence(77).spawn(reps + 1)
     w = grid.trapezoid_weights()
     for r in range(reps):
-        emp = EmpiricalMeasure(stored["levels"][0]["states"][r])
+        _, emp = run_smcmc(family, model, 2, n, children[r])[0]
         dens = model.transform(1, emp)
         table = running["final_table"][r]
         assert np.max(np.abs(table / (table @ w) - dens.values)) < 1e-12
@@ -800,8 +825,9 @@ def test_incremental_mixture_matches_the_transform(family, model, grid):
 def _run_engine(monkeypatch, accumulator, scheme, p, reps, family, model, stored=True):
     """One engine run with ``accumulator`` standing in for the mixture
     accumulator; returns the engine output and every accumulator built.  The
-    interacting engine stores its states, or (``stored=False``) steps in
-    lockstep with the sums of ``f_clip``."""
+    interacting scheme runs stored, as ``run_imcmc`` on each replication's
+    child (the output is then the states, levels x replications x steps),
+    or (``stored=False``) in lockstep with the sums of ``f_clip``."""
     built = []
 
     class Recording(accumulator):
@@ -813,11 +839,11 @@ def _run_engine(monkeypatch, accumulator, scheme, p, reps, family, model, stored
     streams, _ = samplers._replication_streams(5, reps, p)
     if scheme == "smcmc":
         out = samplers._smcmc_engine(family, model, p, 300, streams, 0.0,
-                                     "previous-final", collect_states=False,
-                                     f=f_clip)
+                                     "previous-final", f=f_clip)
     elif stored:
-        out = samplers._imcmc_engine(family, model, p, 300, streams, 0.0,
-                                     collect_states=True)
+        children = npr.SeedSequence(5).spawn(reps + 1)
+        out = np.stack([[run.states for run in run_imcmc(family, model, p, 300, child)]
+                        for child in children[:reps]], axis=1)
     else:
         out = samplers._imcmc_engine(family, model, p, 300, streams, 0.0,
                                      f=f_clip, f_nodes=f_clip(model.grid.nodes))
@@ -833,10 +859,12 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
                                       scheme, p, reps, family, model)
     dense, dense_accs = _run_engine(monkeypatch, oracles.DenseMixtureAccumulator,
                                     scheme, p, reps, family, model)
-    assert len(cached_accs) == len(dense_accs) == p - 1
+    # one accumulator per upper level, of each stored interacting run
+    runs = reps if scheme == "imcmc" else 1
+    assert len(cached_accs) == len(dense_accs) == runs * (p - 1)
     w = grid.trapezoid_weights()
     for a, b in zip(cached_accs, dense_accs):
-        if reps == 1:  # the same single-row products as the dense path
+        if len(a.table) == 1:  # the same single-row products as the dense path
             assert np.array_equal(a.table, b.table)
         np.testing.assert_allclose(a.table, b.table, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(a.table @ w, b.table @ w, rtol=1e-12, atol=0.0)
@@ -847,7 +875,7 @@ def test_mixture_cache_matches_dense_accumulation(monkeypatch, scheme, reps, p,
         assert np.array_equal(cached["levels"][-1]["f_sums"],
                               dense["levels"][-1]["f_sums"])
     else:
-        assert np.array_equal(cached["states"], dense["states"])
+        assert np.array_equal(cached, dense)
         # the centring sums, kept only by the lockstep engine
         cached, cached_accs = _run_engine(monkeypatch, samplers._MixtureAccumulator,
                                           scheme, p, reps, family, model, stored=False)
@@ -908,8 +936,7 @@ def test_mixture_recomputes_rows_only_for_moved_chains(monkeypatch, family,
     n = 300
     if scheme == "smcmc":
         streams, _ = samplers._replication_streams(8, reps, 2)
-        out = samplers._smcmc_engine(family, model, 2, n, streams, 0.0,
-                                     "previous-final", collect_states=False)
+        out = samplers._smcmc_engine(family, model, 2, n, streams, 0.0, "previous-final")
         accepts = int(out["levels"][0]["accepts"].sum())
     else:
         lower, _ = run_imcmc(family, model, 2, n, 8)
